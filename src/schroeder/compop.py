@@ -106,9 +106,14 @@ class TruncatedCompOp:
     def diagonal(self) -> Tuple[Scalar, ...]:
         return self.matrix.diagonal_entries()
 
-    def project_linear(self, vec: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-        """The degree-one coordinates of a coefficient vector."""
-        return tuple(vec[: self.dim])
+
+def _upper_triangular_derivative(phi: PolyMap) -> ExactMatrix:
+    if phi.dim != phi.source_dim:
+        raise ValueError("composition operator requires a self-map")
+    linear = phi.linear_part()
+    if not linear.is_upper_triangular():
+        raise ValueError("derivative at the origin must be upper triangular")
+    return linear
 
 
 def build(phi: PolyMap, degree: int | None = None) -> TruncatedCompOp:
@@ -117,18 +122,19 @@ def build(phi: PolyMap, degree: int | None = None) -> TruncatedCompOp:
     Requires an upper-triangular derivative; pass `degree` to override
     the automatic truncation degree upward (never downward).
     """
-    if phi.dim != phi.source_dim:
-        raise ValueError("composition operator requires a self-map")
-    linear = phi.linear_part()
-    if not linear.is_upper_triangular():
-        raise ValueError("derivative at the origin must be upper triangular")
-    k = truncation_degree(linear.diagonal_entries())
+    k = truncation_degree(_upper_triangular_derivative(phi).diagonal_entries())
     if degree is not None:
         if degree < k:
             raise ValueError(
                 f"truncation degree {degree} is below the required degree {k}"
             )
         k = degree
+    return _build_at(phi, k)
+
+
+def _build_at(phi: PolyMap, k: int) -> TruncatedCompOp:
+    """The operator truncated at degree k, for a k already known to suffice."""
+    _upper_triangular_derivative(phi)
     source = phi.truncate(k)
     basis = tuple(enumerate_monomials(phi.dim, k))
     memo: PowerMemo = {}

@@ -19,11 +19,11 @@ need a triangular derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .compop import (
     TruncatedCompOp,
-    build,
+    _build_at,
     eigenvalue_products,
     truncation_degree,
     vector_jet,
@@ -50,7 +50,7 @@ from .maps import (
     monomial_power,
 )
 from .scalars import ONE, ZERO, Scalar, scalar_inv
-from .series import Jet, MultiIndex, enumerate_monomials, monomials_of_degree
+from .series import Jet, MultiIndex, add_into, enumerate_monomials, monomials_of_degree
 
 DEFAULT_DEGREE = 10
 
@@ -191,13 +191,15 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
     m = inverse(s)
     conj = s.transpose()
     conj_inv = m.transpose()
-    k = truncation_degree(jordan.diagonal_entries())
+    diag = jordan.diagonal_entries()
+    k = truncation_degree(diag)
     work = k if degree is None else max(k, degree)
     inner = matrix_map(conj_inv, work)
     psi = matrix_apply(conj, map_compose(phi.truncate(work), inner))
-    op = build(psi)
-    if op.degree != k:
-        raise RuntimeError("truncation degree changed under conjugation")
+    # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
+    if psi.linear_part().diagonal_entries() != diag:
+        raise RuntimeError("conjugation changed the diagonal of the derivative")
+    op = _build_at(psi, k)
     return _Prep(phi, linear, jordan, conj, conj_inv, psi, op, work)
 
 
@@ -250,14 +252,6 @@ def truncated_operator(phi: PolyMap) -> TruncatedCompOp:
     return _prepare(phi, None).op
 
 
-def _diag_power(diag: Tuple[Scalar, ...], alpha: MultiIndex) -> Scalar:
-    out = ONE
-    for lam, e in zip(diag, alpha):
-        if e:
-            out = out * lam**e
-    return out
-
-
 class _Lifter:
     """Extends chain components beyond the operator degree, one slice at a time.
 
@@ -266,6 +260,16 @@ class _Lifter:
     triangular in monomial order with diagonal lambda^alpha - lambda;
     those divisors cannot vanish because every eigenvalue collision
     happens at or below the operator degree.
+
+    Each coefficient is computed once from those already known.  `lift`
+    composes g0 with psi once and keeps that composition running: every
+    new term x*z^alpha adds x*psi^alpha to it.  The degree-m part of
+    psi^alpha is (Lz)^alpha, so when the system reaches z^alpha the
+    running coefficient holds both the lower-degree contributions and
+    those of the degree-m terms solved before it.  The powers psi^alpha
+    and the table of products lambda^alpha (one multiplication each,
+    lambda^alpha = lambda^(alpha - e_i) * lambda_i) are shared by every
+    chain lifted with one lifter, and dropped with it.
     """
 
     def __init__(self, psi: PolyMap, base_degree: int, out_degree: int):
@@ -273,14 +277,13 @@ class _Lifter:
         self.base = base_degree
         self.out = out_degree
         self.n = psi.dim
-        linear = psi.linear_part()
-        self.diag = linear.diagonal_entries()
-        self.linear_is_diagonal = (
-            linear.is_lower_triangular() and linear.is_upper_triangular()
-        )
-        self.linear_map = matrix_map(linear, out_degree)
+        diag = psi.linear_part().diagonal_entries()
         self.psi_memo: PowerMemo = {}
-        self.lin_memo: PowerMemo = {}
+        self.diag_power: Dict[MultiIndex, Scalar] = {(0,) * self.n: ONE}
+        for alpha in enumerate_monomials(self.n, out_degree):
+            i = next(j for j, e in enumerate(alpha) if e > 0)
+            smaller = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+            self.diag_power[alpha] = self.diag_power[smaller] * diag[i]
 
     def lift(self, g0: Jet, rhs: Optional[Jet], lam: Scalar) -> Jet:
         """Solve g(psi(z)) = lambda g + rhs through the output degree.
@@ -288,33 +291,26 @@ class _Lifter:
         `g0` must satisfy the equation through the base degree and `rhs`
         must already be complete through the output degree.
         """
-        g = g0.truncate(self.out)
+        g0 = g0.truncate(self.out)
+        g = dict(g0.coeffs)
+        composed = compose(g0, self.psi, self.psi_memo).coeffs
+        target = rhs.coeffs if rhs is not None else {}
         for m in range(self.base + 1, self.out + 1):
-            known = compose(g, self.psi, self.psi_memo).homogeneous_slice(m)
-            target = rhs.homogeneous_slice(m) if rhs is not None else None
-            r = target - known if target is not None else -known
-            new_terms: List[Tuple[MultiIndex, Scalar]] = []
-            carry = Jet.zero(self.n, self.out)
+            new_terms: Dict[MultiIndex, Scalar] = {}
             for alpha in monomials_of_degree(self.n, m):
-                divisor = _diag_power(self.diag, alpha) - lam
+                divisor = self.diag_power[alpha] - lam
                 if divisor.is_zero():
                     raise RuntimeError(
                         f"divisor vanished at exponent {alpha} above the truncation degree"
                     )
-                num = r.coefficient(alpha)
-                if not self.linear_is_diagonal:
-                    num = num - carry.coefficient(alpha)
-                x = num / divisor
+                x = (target.get(alpha, ZERO) - composed.get(alpha, ZERO)) / divisor
                 if x.is_zero():
                     continue
-                new_terms.append((alpha, x))
-                if not self.linear_is_diagonal:
-                    carry = carry + monomial_power(
-                        self.linear_map, alpha, self.lin_memo
-                    ).scale(x)
-            if new_terms:
-                g = g + Jet.build(self.n, self.out, new_terms)
-        return g
+                new_terms[alpha] = x
+                psi_power = monomial_power(self.psi, alpha, self.psi_memo)
+                add_into(composed, psi_power.coeffs, x)
+            add_into(g, new_terms)
+        return Jet(self.n, self.out, g)
 
 
 def _lifted_blocks(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .linalg import ExactMatrix, inverse
-from .scalars import ONE
-from .series import Jet, MultiIndex, unit_index
+from .scalars import ONE, Scalar
+from .series import Jet, MultiIndex, add_into, unit_index
 
 
 @dataclass(frozen=True)
@@ -123,19 +123,21 @@ def compose(f: Jet, phi: PolyMap, memo: Optional[PowerMemo] = None) -> Jet:
 
     Exact through the truncation degree because phi has no constant term:
     a monomial of f of degree d only contributes terms of degree >= d.
+    Each term c*z^alpha of f adds c*phi^alpha into one coefficient table;
+    phi^alpha comes from `memo`, which calls composing with the same phi
+    may share.
     """
     if f.dim != phi.dim:
         raise ValueError(f"jet in {f.dim} variables fed a {phi.dim}-component map")
     if memo is None:
         memo = {}
     degree = min(f.degree, phi.degree)
-    n = phi.source_dim
-    out = Jet.zero(n, degree)
-    for alpha, coeff in f.terms():
-        if sum(alpha) > degree:
-            break
-        out = out + _power(phi, alpha, memo).truncate(degree).scale(coeff)
-    return out
+    cap = degree if phi.degree > degree else None
+    acc: Dict[MultiIndex, Scalar] = {}
+    for alpha, coeff in f.coeffs.items():
+        if sum(alpha) <= degree:
+            add_into(acc, _power(phi, alpha, memo).coeffs, coeff, cap)
+    return Jet(phi.source_dim, degree, acc)
 
 
 def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
@@ -154,12 +156,12 @@ def matrix_apply(m: ExactMatrix, phi: PolyMap) -> PolyMap:
         raise ValueError(f"matrix has {m.cols} columns, map has {phi.dim} components")
     comps = []
     for i in range(m.rows):
-        acc = Jet.zero(phi.source_dim, phi.degree)
+        acc: Dict[MultiIndex, Scalar] = {}
         for j in range(m.cols):
             s = m.at(i, j)
             if not s.is_zero():
-                acc = acc + phi.components[j].scale(s)
-        comps.append(acc)
+                add_into(acc, phi.components[j].coeffs, s)
+        comps.append(Jet(phi.source_dim, phi.degree, acc))
     return PolyMap(tuple(comps))
 
 

@@ -16,15 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
 MultiIndex = Tuple[int, ...]
-
-
-def degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
 
 
 def order_key(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
@@ -139,7 +135,9 @@ class Jet:
     def __add__(self, other: Jet) -> Jet:
         self._check(other)
         deg = min(self.degree, other.degree)
-        return Jet.build(self.dim, deg, list(self.coeffs.items()) + list(other.coeffs.items()))
+        acc = self.truncate(deg).coeffs
+        add_into(acc, other.coeffs, cap=deg if other.degree > deg else None)
+        return Jet(self.dim, deg, acc)
 
     def __sub__(self, other: Jet) -> Jet:
         return self + (-other)
@@ -171,6 +169,35 @@ class Jet:
     def _check(self, other: Jet) -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+
+def add_into(
+    acc: Dict[MultiIndex, Scalar],
+    coeffs: Dict[MultiIndex, Scalar],
+    scale: Optional[Scalar] = None,
+    cap: Optional[int] = None,
+) -> None:
+    """Add the terms of `coeffs`, times `scale`, into the table `acc` in place.
+
+    Terms above total degree `cap` are skipped and sums that cancel are
+    removed, so a canonical table stays canonical.  Sums of jets are
+    accumulated through this, one table per result.
+    """
+    for alpha, c in coeffs.items():
+        if cap is not None and sum(alpha) > cap:
+            continue
+        if scale is not None:
+            c = c * scale
+        prev = acc.get(alpha)
+        if prev is None:
+            if not c.is_zero():
+                acc[alpha] = c
+            continue
+        s = prev + c
+        if s.is_zero():
+            del acc[alpha]
+        else:
+            acc[alpha] = s
 
 
 def jet_mul(f: Jet, g: Jet) -> Jet:

@@ -137,11 +137,13 @@ def random_poly_map(
     *,
     upper_density: float = 0.4,
     term_density: float = 0.35,
+    gaussian: bool = False,
 ) -> PolyMap:
     """A random self-map with the given diagonal on its linear part.
 
     The linear part is upper triangular; higher-order terms are sparse
-    with small rational coefficients.
+    with small rational (or, with `gaussian`, Gaussian rational)
+    coefficients.
     """
     from schroeder.series import enumerate_monomials
 
@@ -160,7 +162,7 @@ def random_poly_map(
                     )
         for alpha in monomials:
             if rng.random() < term_density:
-                coeff = sc_fraction_pool(rng)
+                coeff = sc_fraction_pool(rng, gaussian=gaussian)
                 if not coeff.is_zero():
                     terms.append((alpha, coeff))
         components.append(Jet.build(dim, degree, terms))

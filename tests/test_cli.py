@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import schroeder
 from schroeder.documents import dump
 
 OBSTRUCTED_DOC = {
@@ -69,12 +72,20 @@ EXPANDING_DOC = {
 }
 
 
+#: The directory the tested package was imported from; the subprocesses
+#: import it from there too, whether or not it is installed.
+PACKAGE_ROOT = str(Path(schroeder.__file__).resolve().parents[1])
+
+
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, "-m", "schroeder.cli", *args],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
 
 

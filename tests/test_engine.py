@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from schroeder import compop, engine
 from schroeder.engine import (
     DEFAULT_DEGREE,
     InvalidMapError,
@@ -113,6 +114,29 @@ def test_analyze_coupled_four_variables(coupled_map):
         eighth.kernel_dimension,
         eighth.projected_dimension,
     ) == (1, 3, 1)
+
+
+def test_one_truncation_degree_search_per_call(coupled_map, monkeypatch):
+    calls = []
+    search = compop.truncation_degree
+
+    def counted(diag):
+        calls.append(diag)
+        return search(diag)
+
+    # engine holds its own name for the search; count through both.
+    monkeypatch.setattr(compop, "truncation_degree", counted)
+    monkeypatch.setattr(engine, "truncation_degree", counted)
+    for run in (
+        lambda: analyze(coupled_map),
+        lambda: truncated_operator(coupled_map),
+        lambda: solve(coupled_map, degree=4),
+        lambda: solve_power(coupled_map, 2, degree=4),
+        lambda: compop.build(coupled_map),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_truncated_operator_diagonal(diagonal_map):
