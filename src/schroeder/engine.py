@@ -33,11 +33,11 @@ from .linalg import (
     JordanBasis,
     incremental_jordanize,
     inverse,
-    kernel_basis,
     mat_mul,
     mat_pow,
     rank,
     transition_to_jordan_triangular,
+    triangular_kernel,
     vectors_rank,
 )
 from .maps import (
@@ -214,8 +214,8 @@ def _report(prep: _Prep) -> AnalysisReport:
             seen.append(lam)
     records = []
     for mu in seen:
-        orig = len(kernel_basis(corner.shift(mu)))
-        kb = kernel_basis(u.shift(mu))
+        orig = len(triangular_kernel(corner, mu))
+        kb = triangular_kernel(u, mu)
         proj = vectors_rank([v[:n] for v in kb])
         witnesses = tuple(
             alpha

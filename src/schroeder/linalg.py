@@ -1,19 +1,25 @@
-"""Exact dense linear algebra over Gaussian rationals.
+"""Exact linear algebra over Gaussian rationals.
 
 Provides kernels, ranks, inverses and solving via exact Gaussian
-elimination (leading-entry pivoting; no magnitude concerns over an exact
-field), plus Jordan-chain computations for triangular matrices:
+elimination on dense matrices (leading-entry pivoting; no magnitude
+concerns over an exact field), plus routines that use the structure of
+the lower-triangular, sparse composition operator:
 
-* `jordan_chains_triangular` finds the chains of a triangular matrix for
-  one eigenvalue through the kernel filtration ker((M - lambda)^p).
+* `triangular_kernel` finds a kernel basis of a lower-triangular
+  ``M - mu`` in one forward sweep over the nonzeros of M, without forming
+  the shifted matrix or eliminating it.
+* `jordan_chains_triangular` finds the chains of a (small) triangular
+  matrix for one eigenvalue through the kernel filtration
+  ker((M - lambda)^p).
 * `incremental_jordanize` appends the rows of a lower-triangular matrix
   below a protected Jordan corner one at a time, maintaining a chain
   basis and recording which original corner block each final chain
-  extends.
+  extends.  Its chain vectors are sparse while it works.
 
 Chain storage convention: ``vectors[0]`` is the eigenvector and
 ``(M - lambda) vectors[i] = vectors[i-1]``.  Matrices are dense and
-immutable; vectors are plain tuples of scalars.
+immutable; vectors are plain tuples of scalars, and sparse working
+vectors are dicts from coordinate to nonzero scalar.
 """
 
 from __future__ import annotations
@@ -102,9 +108,16 @@ class ExactMatrix:
         return mat_mul(self, other)
 
     def shift(self, lam: Scalar) -> ExactMatrix:
-        """self - lam * I (square matrices only)."""
+        """self - lam * I (square matrices only); only the diagonal changes."""
         self._square()
-        return self - ExactMatrix.identity(self.rows).scale(lam)
+        return ExactMatrix(
+            self.rows,
+            self.cols,
+            tuple(
+                row[:i] + (row[i] - lam,) + row[i + 1 :]
+                for i, row in enumerate(self.entries)
+            ),
+        )
 
     def corner(self, n: int) -> ExactMatrix:
         """The upper-left n x n block."""
@@ -188,11 +201,13 @@ def _rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = scalar_inv(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x if x.is_zero() else x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [
+                    x if y.is_zero() else x - f * y for x, y in zip(rows[i], rows[r])
+                ]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -232,6 +247,75 @@ def kernel_basis(m: ExactMatrix) -> List[Vector]:
     return basis
 
 
+def _sparse_dot(nonzeros: Sequence[Tuple[int, Scalar]], v: Dict[int, Scalar]) -> Scalar:
+    """The dot product of a row, given by its (column, entry) nonzeros, with a sparse vector."""
+    acc = ZERO
+    for j, x in nonzeros:
+        y = v.get(j)
+        if y is not None:
+            acc = acc + x * y
+    return acc
+
+
+def _sparse_axpy(v: Dict[int, Scalar], f: Scalar, w: Dict[int, Scalar]) -> None:
+    """v += f * w in place, dropping the entries that cancel."""
+    for j, y in w.items():
+        x = v.get(j, ZERO) + f * y
+        if x.is_zero():
+            v.pop(j, None)
+        else:
+            v[j] = x
+
+
+def _set_nonzero(v: Dict[int, Scalar], j: int, x: Scalar) -> None:
+    """v[j] = x, keeping the sparse vector free of stored zeros."""
+    if not x.is_zero():
+        v[j] = x
+
+
+def _nonzeros_left(row: Vector, i: int) -> List[Tuple[int, Scalar]]:
+    """(column, entry) for the nonzeros of a row left of column i."""
+    return [(j, x) for j, x in enumerate(row[:i]) if not x.is_zero()]
+
+
+def triangular_kernel(m: ExactMatrix, mu: Scalar) -> List[Vector]:
+    """A basis of the null space of m - mu for a lower-triangular m.
+
+    One forward sweep over the rows keeps a sparse candidate vector per
+    zero diagonal entry of m - mu seen so far; the candidates span the
+    solutions of the rows swept, supported on those rows.  A row with a
+    nonzero diagonal entry fills in each candidate's coordinate by
+    substitution.  A row with a zero diagonal entry is a constraint: if
+    candidates violate it, the sparsest violator is cleared from the
+    others and dropped.  Then the row starts the candidate e_i.  The cost
+    is O(nonzeros * multiplicity of mu), and m - mu is never formed.
+    Only the span is canonical, not the basis (unlike `kernel_basis`).
+    """
+    m._square()
+    if not m.is_lower_triangular():
+        raise ValueError("matrix is not lower triangular")
+    candidates: List[Dict[int, Scalar]] = []
+    for i, row in enumerate(m.entries):
+        nonzeros = _nonzeros_left(row, i)
+        sums = [_sparse_dot(nonzeros, c) for c in candidates]
+        d = row[i] - mu
+        if not d.is_zero():
+            for c, s in zip(candidates, sums):
+                if not s.is_zero():
+                    c[i] = -s / d
+            continue
+        violators = [k for k, s in enumerate(sums) if not s.is_zero()]
+        if violators:
+            p = min(violators, key=lambda k: len(candidates[k]))
+            inv = scalar_inv(sums[p])
+            for k in violators:
+                if k != p:
+                    _sparse_axpy(candidates[k], -(sums[k] * inv), candidates[p])
+            del candidates[p]
+        candidates.append({i: ONE})
+    return [tuple(c.get(j, ZERO) for j in range(m.cols)) for c in candidates]
+
+
 def inverse(m: ExactMatrix) -> ExactMatrix:
     m._square()
     n = m.rows
@@ -252,22 +336,6 @@ def mat_solve(a: ExactMatrix, b: Sequence[Scalar]) -> Vector:
     if pivots != list(range(a.rows)):
         raise SingularMatrixError("matrix is singular")
     return tuple(row[-1] for row in aug)
-
-
-def rank_sequence_oracle(m: ExactMatrix, lam: Scalar) -> List[int]:
-    """dim ker((m - lam I)^p) for p = 1..size.
-
-    The sequence is nondecreasing and eventually constant; the number of
-    Jordan blocks of size >= p for lam is its p-th difference.
-    """
-    m._square()
-    shifted = m.shift(lam)
-    power = shifted
-    dims = []
-    for _ in range(m.rows):
-        dims.append(m.rows - rank(power))
-        power = mat_mul(power, shifted)
-    return dims
 
 
 @dataclass(frozen=True)
@@ -390,7 +458,7 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
 
     Returns normalized chains sorted by decreasing length; the empty list
     when lam is not a diagonal entry.  Block sizes agree with the
-    differences of `rank_sequence_oracle`.
+    differences of the sequence dim ker((M - lam)^p).
     """
     m._square()
     if not (m.is_lower_triangular() or m.is_upper_triangular()):
@@ -463,7 +531,9 @@ def _parse_jordan_corner(corner: ExactMatrix) -> List[Block]:
 class _MutableChain:
     __slots__ = ("eigenvalue", "vectors", "provenance")
 
-    def __init__(self, eigenvalue: Scalar, vectors: List[List[Scalar]], provenance: Optional[int]):
+    def __init__(
+        self, eigenvalue: Scalar, vectors: List[Dict[int, Scalar]], provenance: Optional[int]
+    ):
         self.eigenvalue = eigenvalue
         self.vectors = vectors
         self.provenance = provenance
@@ -480,6 +550,10 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
     such chain (latest on ties) grows by one and the others are first
     cleared against it.  Chains are never renormalized, which preserves
     the corner projections of each original block's extending chain.
+
+    Chain vectors are sparse while rows are appended: couplings are dotted
+    against the new row's nonzeros only, and a chain whose couplings all
+    vanish keeps a zero coordinate without any division.
     """
     u._square()
     if not u.is_lower_triangular():
@@ -490,19 +564,14 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
     big = u.rows
     chains: List[_MutableChain] = []
     for j, b in enumerate(blocks):
-        vecs = []
-        for i in range(b.length - 1, -1, -1):
-            v = [ZERO] * big
-            v[b.offset + i] = ONE
-            vecs.append(v)
+        vecs = [{b.offset + i: ONE} for i in range(b.length - 1, -1, -1)]
         chains.append(_MutableChain(b.eigenvalue, vecs, j))
 
     for r in range(n, big):
         row = u.entries[r]
         d = row[r]
-        couplings = [
-            [_dot(row[:r], v[:r]) for v in c.vectors] for c in chains
-        ]
+        nonzeros = _nonzeros_left(row, r)
+        couplings = [[_sparse_dot(nonzeros, v) for v in c.vectors] for c in chains]
         eligible = [
             i
             for i, c in enumerate(chains)
@@ -522,39 +591,37 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
                 c = chains[i]
                 gamma = couplings[i][0] / wc[0]
                 for k in range(len(c.vectors)):
-                    c.vectors[k] = [
-                        x - gamma * y for x, y in zip(c.vectors[k], w.vectors[k])
-                    ]
+                    _sparse_axpy(c.vectors[k], -gamma, w.vectors[k])
                     couplings[i][k] = couplings[i][k] - gamma * wc[k]
         for i, c in enumerate(chains):
-            if i == winner:
-                continue
             a = couplings[i]
+            if i == winner or all(x.is_zero() for x in a):
+                continue
             k = len(c.vectors)
             if c.eigenvalue != d:
                 t = a[0] / (c.eigenvalue - d)
-                c.vectors[0][r] = t
+                _set_nonzero(c.vectors[0], r, t)
                 for j in range(1, k):
                     t = (t - a[j]) / (d - c.eigenvalue)
-                    c.vectors[j][r] = t
+                    _set_nonzero(c.vectors[j], r, t)
             else:
                 for j in range(k - 1):
-                    c.vectors[j][r] = a[j + 1]
+                    _set_nonzero(c.vectors[j], r, a[j + 1])
         if winner is not None:
             w = chains[winner]
             a = couplings[winner]
-            eig = [ZERO] * big
-            eig[r] = a[0]
             for j in range(len(w.vectors) - 1):
-                w.vectors[j][r] = a[j + 1]
-            w.vectors.insert(0, eig)
+                _set_nonzero(w.vectors[j], r, a[j + 1])
+            w.vectors.insert(0, {r: a[0]})
         else:
-            v = [ZERO] * big
-            v[r] = ONE
-            chains.append(_MutableChain(d, [v], None))
+            chains.append(_MutableChain(d, [{r: ONE}], None))
 
     final = tuple(
-        JordanChain(c.eigenvalue, tuple(tuple(v) for v in c.vectors)) for c in chains
+        JordanChain(
+            c.eigenvalue,
+            tuple(tuple(v.get(j, ZERO) for j in range(big)) for v in c.vectors),
+        )
+        for c in chains
     )
     provenance = {
         c.provenance: i for i, c in enumerate(chains) if c.provenance is not None

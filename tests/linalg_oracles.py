@@ -1,0 +1,176 @@
+"""Dense linear-algebra routes of the first release, kept as test oracles.
+
+`incremental_jordanize` is the row-append Jordanization with dense
+length-N chain vectors that dots every vector with every whole row, and
+`report_dimensions` is the dense route `analyze` used to take: shift the
+whole operator by mu and eliminate it with `kernel_basis`.  They check
+`linalg.incremental_jordanize` and `linalg.triangular_kernel`, which work
+on sparse vectors and never form the shifted operator.
+
+The kernel-dimension sequence and null spaces come from sympy's
+`DomainMatrix` over Q or Q(i), which shares no code with `linalg`.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+from schroeder.linalg import (
+    ExactMatrix,
+    JordanBasis,
+    JordanChain,
+    _parse_jordan_corner,
+    kernel_basis,
+    vectors_rank,
+)
+from schroeder.scalars import ONE, ZERO, Scalar
+
+
+def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    acc = ZERO
+    for a, b in zip(u, v):
+        acc = acc + a * b
+    return acc
+
+
+class _Chain:
+    def __init__(self, eigenvalue: Scalar, vectors: List[List[Scalar]], provenance: Optional[int]):
+        self.eigenvalue = eigenvalue
+        self.vectors = vectors
+        self.provenance = provenance
+
+
+def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
+    """The row-append Jordanization on dense chain vectors.
+
+    Same contract, update formulas and choices as
+    `linalg.incremental_jordanize`, so the two results must be `==`.
+    """
+    if not u.is_lower_triangular():
+        raise ValueError("matrix is not lower triangular")
+    blocks = _parse_jordan_corner(u.corner(n))
+    big = u.rows
+    chains: List[_Chain] = []
+    for j, b in enumerate(blocks):
+        vecs = []
+        for i in range(b.length - 1, -1, -1):
+            v = [ZERO] * big
+            v[b.offset + i] = ONE
+            vecs.append(v)
+        chains.append(_Chain(b.eigenvalue, vecs, j))
+
+    for r in range(n, big):
+        row = u.entries[r]
+        d = row[r]
+        couplings = [[_dot(row[:r], v[:r]) for v in c.vectors] for c in chains]
+        eligible = [
+            i
+            for i, c in enumerate(chains)
+            if c.eigenvalue == d and not couplings[i][0].is_zero()
+        ]
+        winner: Optional[int] = None
+        if eligible:
+            winner = eligible[0]
+            for i in eligible[1:]:
+                if len(chains[i].vectors) >= len(chains[winner].vectors):
+                    winner = i
+            w = chains[winner]
+            wc = couplings[winner]
+            for i in eligible:
+                if i == winner:
+                    continue
+                c = chains[i]
+                gamma = couplings[i][0] / wc[0]
+                for k in range(len(c.vectors)):
+                    c.vectors[k] = [
+                        x - gamma * y for x, y in zip(c.vectors[k], w.vectors[k])
+                    ]
+                    couplings[i][k] = couplings[i][k] - gamma * wc[k]
+        for i, c in enumerate(chains):
+            if i == winner:
+                continue
+            a = couplings[i]
+            k = len(c.vectors)
+            if c.eigenvalue != d:
+                t = a[0] / (c.eigenvalue - d)
+                c.vectors[0][r] = t
+                for j in range(1, k):
+                    t = (t - a[j]) / (d - c.eigenvalue)
+                    c.vectors[j][r] = t
+            else:
+                for j in range(k - 1):
+                    c.vectors[j][r] = a[j + 1]
+        if winner is not None:
+            w = chains[winner]
+            a = couplings[winner]
+            eig = [ZERO] * big
+            eig[r] = a[0]
+            for j in range(len(w.vectors) - 1):
+                w.vectors[j][r] = a[j + 1]
+            w.vectors.insert(0, eig)
+        else:
+            v = [ZERO] * big
+            v[r] = ONE
+            chains.append(_Chain(d, [v], None))
+
+    final = tuple(
+        JordanChain(c.eigenvalue, tuple(tuple(v) for v in c.vectors)) for c in chains
+    )
+    provenance = {
+        c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
+    }
+    return JordanBasis(u, final, provenance, tuple(blocks))
+
+
+def report_dimensions(u: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, int, int]:
+    """(corner kernel, kernel, n-prefix rank of the kernel) by dense elimination of u - mu."""
+    kb = kernel_basis(u.shift(mu))
+    return (
+        len(kernel_basis(u.corner(n).shift(mu))),
+        len(kb),
+        vectors_rank([v[:n] for v in kb]),
+    )
+
+
+def shifted_domain_matrix(m: ExactMatrix, mu: Scalar):
+    """m - mu as a sympy `DomainMatrix` over Q, or over Q(i) if any entry is complex."""
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [
+        [x - mu if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(m.entries)
+    ]
+    if any(x.im for row in rows for x in row):
+        dom = QQ_I
+        conv = [
+            [QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator)) for x in row]
+            for row in rows
+        ]
+    else:
+        dom = QQ
+        conv = [[QQ(x.re.numerator, x.re.denominator) for x in row] for row in rows]
+    return DomainMatrix(conv, (m.rows, m.cols), dom)
+
+
+def nullspace_dimensions(m: ExactMatrix, mu: Scalar, n: int) -> Tuple[int, int]:
+    """(dim ker(m - mu), rank of the kernel's first n coordinates), by sympy."""
+    kernel = shifted_domain_matrix(m, mu).nullspace()
+    if kernel.shape[0] == 0:
+        return 0, 0
+    return kernel.shape[0], kernel[:, :n].rank()
+
+
+def rank_sequence_oracle(m: ExactMatrix, lam: Scalar) -> List[int]:
+    """dim ker((m - lam I)^p) for p = 1..size, by sympy.
+
+    The sequence is nondecreasing and eventually constant; the number of
+    Jordan blocks of size >= p for lam is its p-th difference.
+    """
+    shifted = shifted_domain_matrix(m, lam)
+    power = shifted
+    dims = []
+    for _ in range(m.rows):
+        dims.append(m.rows - power.rank())
+        power = power * shifted
+    return dims

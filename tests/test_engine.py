@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from schroeder import compop, engine
+from schroeder import compop, engine, linalg
 from schroeder.engine import (
     DEFAULT_DEGREE,
     InvalidMapError,
@@ -137,6 +137,66 @@ def test_one_truncation_degree_search_per_call(coupled_map, monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def diagonal_family(ds):
+    """lambda_i = 1/d_i, with z1^2/3 added to components 2..n."""
+    n = len(ds)
+    square = (2,) + (0,) * (n - 1)
+    return PolyMap(
+        tuple(
+            jet_of(
+                n,
+                2,
+                [(tuple(int(t == i) for t in range(n)), sc(1, d))]
+                + ([(square, sc(1, 3))] if i else []),
+            )
+            for i, d in enumerate(ds)
+        )
+    )
+
+
+@pytest.mark.parametrize("ds, size", [((2, 4, 8, 64), 209), ((2, 4, 8, 256), 494)])
+def test_analyze_large_diagonal_family(ds, size):
+    report = analyze(diagonal_family(ds))
+    assert report.basis_size == size
+    assert [(r.kernel_dimension, r.projected_dimension) for r in report.eigenvalues] == [
+        (1, 1),
+        (1, 0),
+        (2, 1),
+        (4, 1),
+    ]
+    assert report.full_rank is False
+
+
+def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
+    """Only n-sized blocks reach `_rref` or `shift`; the N x N operator never does."""
+    n = coupled_map.dim
+    size = truncated_operator(coupled_map).size
+    assert size > n
+    eliminated, shifted = [], []
+    rref, shift = linalg._rref, ExactMatrix.shift
+
+    def counted_rref(rows):
+        eliminated.append((len(rows), len(rows[0]) if rows else 0))
+        return rref(rows)
+
+    def counted_shift(m, lam):
+        shifted.append(m.rows)
+        return shift(m, lam)
+
+    monkeypatch.setattr(linalg, "_rref", counted_rref)
+    monkeypatch.setattr(ExactMatrix, "shift", counted_shift)
+    for run in (
+        lambda: analyze(coupled_map),
+        lambda: solve(coupled_map, degree=4),
+        lambda: solve_power(coupled_map, 2, degree=4),
+    ):
+        eliminated.clear()
+        shifted.clear()
+        run()
+        assert eliminated and all(min(shape) <= n for shape in eliminated)
+        assert all(rows <= n for rows in shifted)
 
 
 def test_truncated_operator_diagonal(diagonal_map):

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schroeder.engine import truncated_operator
 from schroeder.linalg import (
     ExactMatrix,
     JordanChain,
@@ -15,17 +19,17 @@ from schroeder.linalg import (
     inverse,
     jordan_chains_triangular,
     mat_mul,
-    rank_sequence_oracle,
     transition_to_jordan_triangular,
 )
 from schroeder.scalars import ONE, ZERO, Scalar
 
-from conftest import random_lower_matrix, sc, sc_fraction_pool
+import linalg_oracles as oracle
+from conftest import random_lower_matrix, random_poly_map, sc, sc_fraction_pool
 
 
 def oracle_block_sizes(m: ExactMatrix, lam: Scalar) -> List[int]:
     """Block-size multiset recovered from the kernel-dimension sequence."""
-    dims = rank_sequence_oracle(m, lam)
+    dims = oracle.rank_sequence_oracle(m, lam)
     diffs = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, len(dims))]
     sizes: List[int] = []
     for size in range(len(diffs), 0, -1):
@@ -248,3 +252,37 @@ def test_incremental_matches_oracle_with_jordan_corners():
             assert jb.block_sizes(lam) == oracle_block_sizes(m, lam)
         for c in jb.chains:
             assert chain_is_valid(m, c)
+
+
+#: Eigenvalue pools whose products land back in the pool, so that the
+#: truncated operators carry repeated diagonal entries and merging chains:
+#: 1/2 * 1/2 = 1/4, 1/2 * 1/3 = 1/6, (i/2)^2 = -1/4, ((1+i)/2)^2 = i/2.
+REAL_SPECTRUM = (sc(1, 2), sc(1, 3), sc(1, 4), sc(1, 6))
+GAUSSIAN_SPECTRUM = (
+    Scalar.of(0, Fraction(1, 2)),
+    Scalar.of(Fraction(1, 2), Fraction(1, 2)),
+    sc(-1, 4),
+    sc(1, 2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans())
+def test_incremental_matches_dense_oracle_on_operators(seed, dim, gaussian):
+    rng = random.Random(seed)
+    pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
+    diag = [rng.choice(pool) for _ in range(dim)]
+    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
+    u = truncated_operator(phi).matrix
+    assert incremental_jordanize(u, dim) == oracle.incremental_jordanize(u, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
+def test_incremental_matches_dense_oracle_on_sparse_matrices(seed, size, gaussian):
+    rng = random.Random(seed)
+    pool = [sc(1, 2), sc(1, 2), sc(1, 2), sc(1, 4), sc(1, 3)]
+    m = random_lower_matrix(
+        rng, size, pool, gaussian=gaussian, density=rng.choice([0.2, 0.4, 0.7])
+    )
+    assert incremental_jordanize(m, 1) == oracle.incremental_jordanize(m, 1)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schroeder.linalg import (
     ExactMatrix,
@@ -15,12 +18,13 @@ from schroeder.linalg import (
     mat_solve,
     mat_vec,
     rank,
-    rank_sequence_oracle,
+    triangular_kernel,
     vectors_rank,
 )
-from schroeder.scalars import ONE, ZERO
+from schroeder.scalars import ONE, ZERO, Scalar
 
-from conftest import sc, sc_fraction_pool
+import linalg_oracles as oracle
+from conftest import random_lower_matrix, sc, sc_fraction_pool
 
 
 def random_matrix(rng, rows, cols, *, gaussian=False):
@@ -90,6 +94,69 @@ def test_kernel_basis_annihilates_and_spans():
             assert vectors_rank(ker) == len(ker)
 
 
+#: Diagonal pools with repeated entries, so that kernels have dimension > 1.
+REAL_DIAGONALS = (sc(1, 2), sc(1, 2), sc(1, 2), sc(1, 4), sc(1, 3))
+GAUSSIAN_DIAGONALS = REAL_DIAGONALS + (
+    Scalar.of(0, Fraction(1, 2)),
+    Scalar.of(0, Fraction(1, 2)),
+    Scalar.of(Fraction(1, 2), Fraction(1, 2)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.booleans())
+def test_triangular_kernel_matches_sympy(seed, size, gaussian):
+    rng = random.Random(seed)
+    pool = GAUSSIAN_DIAGONALS if gaussian else REAL_DIAGONALS
+    m = random_lower_matrix(
+        rng, size, pool, gaussian=gaussian, density=rng.choice([0.15, 0.3, 0.6])
+    )
+    n = rng.randint(1, size)
+    mu = rng.choice(m.diagonal_entries() + (sc(1, 5),))
+    ker = triangular_kernel(m, mu)
+    shifted = m.shift(mu)
+    for v in ker:
+        assert len(v) == size
+        assert all(x.is_zero() for x in mat_vec(shifted, v))
+    assert vectors_rank(ker) == len(ker)
+    dims = (len(ker), vectors_rank([v[:n] for v in ker]))
+    assert dims == oracle.nullspace_dimensions(m, mu, n)
+    corner = len(triangular_kernel(m.corner(n), mu))
+    assert (corner,) + dims == oracle.report_dimensions(m, n, mu)
+
+
+def test_triangular_kernel_requires_lower_triangular():
+    upper = ExactMatrix.from_rows([[sc(1, 2), ONE], [ZERO, sc(1, 2)]])
+    with pytest.raises(ValueError):
+        triangular_kernel(upper, sc(1, 2))
+    with pytest.raises(ValueError):
+        triangular_kernel(ExactMatrix.zero(2, 3), ZERO)
+
+
+def test_triangular_kernel_constraint_rows():
+    # Row 2 couples both eigenvectors of 1/2; row 3 is a zero row at 1/2.
+    h = sc(1, 2)
+    m = ExactMatrix.from_rows(
+        [
+            [h, ZERO, ZERO, ZERO],
+            [ZERO, h, ZERO, ZERO],
+            [ONE, sc(2), h, ZERO],
+            [ZERO, ZERO, ZERO, h],
+        ]
+    )
+    ker = triangular_kernel(m, h)
+    assert len(ker) == 3
+    assert vectors_rank([v[:2] for v in ker]) == 1
+    assert triangular_kernel(m, sc(1, 3)) == []
+
+
+def test_shift_changes_only_the_diagonal():
+    rng = random.Random(53)
+    m = random_matrix(rng, 4, 4, gaussian=True)
+    lam = Scalar.of(Fraction(1, 3), 1)
+    assert m.shift(lam) == m - ExactMatrix.identity(4).scale(lam)
+
+
 def test_inverse_round_trip_and_singular():
     rng = random.Random(43)
     found = 0
@@ -128,7 +195,7 @@ def test_rank_sequence_oracle_on_explicit_jordan_matrix():
         [ZERO, ZERO, ZERO, ZERO, sc(1, 3)],
     ]
     m = ExactMatrix.from_rows(rows)
-    dims = rank_sequence_oracle(m, lam)
+    dims = oracle.rank_sequence_oracle(m, lam)
     assert dims == [2, 3, 4, 4, 4]
-    assert rank_sequence_oracle(m, sc(1, 3))[:2] == [1, 1]
-    assert rank_sequence_oracle(m, sc(9))[0] == 0
+    assert oracle.rank_sequence_oracle(m, sc(1, 3))[:2] == [1, 1]
+    assert oracle.rank_sequence_oracle(m, sc(9))[0] == 0
