@@ -6,11 +6,16 @@ the operator sends a jet f to the jet of f(phi(z)).  On the graded
 monomial basis its matrix is lower triangular with the eigenvalue
 products lambda^alpha on the diagonal.
 
-`truncation_degree` picks the smallest basis degree K so that every
-eigenvalue product that equals an eigenvalue already occurs among the
-multi-indices of degree at most K.  Beyond K the products are too small
-in modulus to hit the spectrum again, so the K-truncated matrix carries
-the complete eigenvalue-collision structure.
+The obstruction lives in the resonance set: the exponents alpha with
+|alpha| >= 2 whose product lambda^alpha is again an eigenvalue.  The set
+is finite because every |lambda_i| < 1: appending a factor only shrinks
+|lambda^alpha|, and a product below the smallest eigenvalue modulus can
+never come back to the spectrum.  `resonances` walks the exponents
+depth first, one multiplication per exponent, and cuts a branch as soon
+as |lambda^alpha|^2 < min |lambda_j|^2; every comparison is in Q.
+`truncation_degree` is the largest |alpha| in that set (at least 1), so
+the K-truncated matrix carries the complete eigenvalue-collision
+structure.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 from .linalg import ExactMatrix
 from .maps import PolyMap, PowerMemo, monomial_power
 from .scalars import Scalar, abs_sq
-from .series import Jet, MultiIndex, enumerate_monomials
+from .series import Jet, MultiIndex, enumerate_monomials, order_key
 
 
 class UnsupportedSpectrumError(ValueError):
@@ -44,7 +49,11 @@ def _check_spectrum(diag: Sequence[Scalar]) -> None:
 def eigenvalue_products(
     diag: Sequence[Scalar], min_total: int, max_total: int
 ) -> List[Tuple[MultiIndex, Scalar]]:
-    """All (k, lambda^k) with min_total <= |k| <= max_total, in basis order."""
+    """All (k, lambda^k) with min_total <= |k| <= max_total, in basis order.
+
+    The engine no longer calls this brute-force enumeration (see
+    `resonances`); `bench/tracer.py` still wraps it by name.
+    """
     n = len(diag)
     out = []
     for alpha in enumerate_monomials(n, max_total):
@@ -57,27 +66,53 @@ def eigenvalue_products(
     return out
 
 
-def truncation_degree(diag: Sequence[Scalar]) -> int:
-    """The largest |k| with lambda^k in the spectrum (at least 1).
+def resonances(diag: Sequence[Scalar]) -> List[Tuple[MultiIndex, Scalar]]:
+    """All (alpha, lambda^alpha) with |alpha| >= 2 and lambda^alpha in the spectrum.
 
-    Products of total degree >= B, where (max |lambda_i|^2)^B is below
-    min |lambda_j|^2, are strictly smaller in modulus than every
-    eigenvalue, so the search space is finite.
+    Depth first over exponents.  An exponent grows only by e_i with i at
+    or past its last index, so each is reached once, and its product and
+    squared modulus each take one multiplication from its parent's.  A
+    child with |lambda^alpha|^2 < min |lambda_j|^2 is never formed: every
+    further factor has modulus below 1, so nothing beneath it can equal
+    an eigenvalue.  Returned in basis order.
     """
     _check_spectrum(diag)
+    n = len(diag)
     squares = [abs_sq(lam) for lam in diag]
-    hi, lo = max(squares), min(squares)
-    bound = 1
-    cap = hi
-    while cap >= lo:
-        bound += 1
-        cap = cap * hi
+    lo = min(squares)
     spectrum = set(diag)
-    k = 1
-    for alpha, prod in eigenvalue_products(diag, 2, bound):
-        if prod in spectrum:
-            k = max(k, sum(alpha))
-    return k
+    found = []
+    # (alpha, lowest index alpha may still grow in, lambda^alpha, |lambda^alpha|^2)
+    stack = [
+        (tuple(int(j == i) for j in range(n)), i, diag[i], squares[i])
+        for i in range(n)
+    ]
+    while stack:
+        alpha, first, prod, sq = stack.pop()
+        for i in range(first, n):
+            child_sq = sq * squares[i]
+            if child_sq < lo:
+                continue
+            child = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            child_prod = prod * diag[i]
+            if child_prod in spectrum:
+                found.append((child, child_prod))
+            stack.append((child, i, child_prod, child_sq))
+    found.sort(key=lambda hit: order_key(hit[0]))
+    return found
+
+
+def truncation_degree(diag: Sequence[Scalar]) -> int:
+    """The largest |alpha| with lambda^alpha in the spectrum (at least 1).
+
+    Raises `UnsupportedSpectrumError` unless 0 < |lambda_i| < 1 for all i.
+    Then a product with |lambda^alpha|^2 < min |lambda_j|^2 cannot be an
+    eigenvalue, and neither can any multiple of it, so `resonances`
+    searches a finite tree.
+    """
+    found = resonances(diag)
+    # In basis order, the last exponent has the largest degree.
+    return sum(found[-1][0]) if found else 1
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from .compop import (
     TruncatedCompOp,
     _build_at,
-    eigenvalue_products,
+    resonances,
     truncation_degree,
     vector_jet,
 )
@@ -173,15 +173,7 @@ def detect_resonance(phi: PolyMap) -> List[Tuple[MultiIndex, Scalar]]:
     Returns (exponent, product) pairs in monomial order; empty means no
     collisions, in which case the truncation degree is 1.
     """
-    linear = validate_map(phi)
-    diag = linear.diagonal_entries()
-    k = truncation_degree(diag)
-    spectrum = set(diag)
-    return [
-        (alpha, prod)
-        for alpha, prod in eigenvalue_products(diag, 2, k)
-        if prod in spectrum
-    ]
+    return resonances(validate_map(phi).diagonal_entries())
 
 
 def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:

@@ -6,30 +6,38 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import resonance_oracles as oracle
 from schroeder.compop import (
     UnsupportedSpectrumError,
     build,
     eigenvalue_products,
     jet_vector,
+    resonances,
     truncation_degree,
     vector_jet,
 )
+from schroeder.engine import detect_resonance
 from schroeder.linalg import ExactMatrix, mat_vec
 from schroeder.maps import PolyMap, compose, pad_map
-from schroeder.scalars import I, Scalar
+from schroeder.scalars import I, Scalar, abs_sq
 from schroeder.series import Jet, monomial_count
 
 from conftest import NONRESONANT_POOL, jet_of, random_poly_map, sc
 
 
 def test_spectrum_rejections():
-    with pytest.raises(UnsupportedSpectrumError):
-        truncation_degree([sc(1, 2), sc(0)])
-    with pytest.raises(UnsupportedSpectrumError):
-        truncation_degree([sc(1, 2), sc(1)])
-    with pytest.raises(UnsupportedSpectrumError):
-        truncation_degree([sc(3, 2)])
+    for search in (truncation_degree, resonances):
+        with pytest.raises(UnsupportedSpectrumError):
+            search([sc(1, 2), sc(0)])
+        with pytest.raises(UnsupportedSpectrumError):
+            search([sc(1, 2), sc(1)])
+        with pytest.raises(UnsupportedSpectrumError):
+            search([sc(3, 2)])
+        with pytest.raises(UnsupportedSpectrumError):
+            search([Scalar.of(Fraction(3, 5), Fraction(4, 5))])
 
 
 def test_truncation_degree_cases():
@@ -46,6 +54,84 @@ def test_truncation_degree_with_signs_and_complex_entries():
     assert truncation_degree([sc(-1, 2), sc(1, 4)]) == 2
     assert truncation_degree([Scalar.of(0, Fraction(1, 2)), sc(-1, 4)]) == 2
     assert truncation_degree([sc(1, 2), sc(-1, 2)]) == 1
+
+
+def gq(re, im) -> Scalar:
+    return Scalar.of(Fraction(re), Fraction(im))
+
+
+#: Moduli 1/8 to 2/3: negative reals, and Gaussians of equal modulus such as
+#: (3+4i)/10, (4+3i)/10 and i/2, whose products i/4 and (-7+24i)/100 occur too.
+SMALL = (
+    sc(1, 2), sc(-1, 2), sc(1, 3), sc(1, 4), sc(-1, 4), sc(1, 8), sc(2, 3),
+    sc(-2, 3), gq(0, "1/2"), gq(0, "-1/2"), gq("3/10", "2/5"), gq("2/5", "3/10"),
+    gq("3/10", "-2/5"), gq(0, "1/4"), gq("-7/100", "6/25"),
+)
+#: Moduli 81/100 to 99/100, Gaussians among them.
+NEAR = (
+    sc(99, 100), sc(-99, 100), sc(9, 10), sc(-9, 10), sc(81, 100), sc(891, 1000),
+    gq("297/500", "99/125"), gq("99/125", "297/500"), gq("18/25", "27/50"), gq(0, "9/10"),
+)
+
+
+@st.composite
+def spectra(draw):
+    """1-4 eigenvalues, often with repeats, and up to two appended products.
+
+    Each appended eigenvalue is the product of two earlier ones, so chains
+    such as 1/2, 1/4, 1/8 give resonances of several degrees.  Only spectra
+    whose brute-force search space has at most 1500 exponents are kept, so
+    that the oracle stays fast.
+    """
+    band = draw(st.sampled_from(["small", "near", "mixed"]))
+    if band == "mixed":
+        halves = [x for x in SMALL if abs_sq(x) >= Fraction(1, 4)]
+        diag = [draw(st.sampled_from(NEAR)), draw(st.sampled_from(halves))]
+    else:
+        pool = SMALL if band == "small" else NEAR
+        extra = draw(st.integers(0, 2))
+        diag = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4 - extra))
+        for _ in range(extra):
+            i, j = draw(st.lists(st.sampled_from(range(len(diag))), min_size=2, max_size=2))
+            diag.append(diag[i] * diag[j])
+    diag = draw(st.permutations(diag))
+    assume(monomial_count(len(diag), oracle.search_bound(diag)) <= 1500)
+    return diag
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectra(), st.integers(0, 2**16))
+def test_resonance_search_matches_brute_force(diag, seed):
+    want = oracle.resonances(diag)
+    assert resonances(diag) == want
+    assert truncation_degree(diag) == oracle.truncation_degree(diag)
+    phi = random_poly_map(random.Random(seed), len(diag), diag, 2)
+    assert detect_resonance(phi) == want
+
+
+def test_truncation_degree_on_the_pruning_boundary():
+    # (9/10)^30 is the smallest eigenvalue, so the branch that reaches the
+    # resonance has exactly the prune bound for its squared modulus.
+    lam = sc(9, 10)
+    diag = [lam, lam**30]
+    assert resonances(diag) == oracle.resonances(diag) == [((30, 0), lam**30)]
+    assert truncation_degree(diag) == 30
+
+
+def test_resonance_search_multiplies_once_per_admissible_exponent(monkeypatch):
+    # The brute force powers about 241k products for this spectrum; the
+    # pruned search forms lambda^alpha once for each alpha = (a, 0) with
+    # (999/1000)^(2a) >= 1/4, that is for 2 <= a <= 692.
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    assert truncation_degree([sc(999, 1000), sc(1, 2)]) == 1
+    assert len(calls) <= 700
 
 
 def test_eigenvalue_products_order_and_values():

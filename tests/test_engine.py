@@ -139,6 +139,42 @@ def test_one_truncation_degree_search_per_call(coupled_map, monkeypatch):
         assert len(calls) == 1
 
 
+def test_one_resonance_search_per_call(coupled_map, monkeypatch):
+    calls = []
+    search = compop.resonances
+
+    def counted(diag):
+        calls.append(diag)
+        return search(diag)
+
+    monkeypatch.setattr(compop, "resonances", counted)
+    monkeypatch.setattr(engine, "resonances", counted)
+    for run in (
+        lambda: analyze(coupled_map),
+        lambda: detect_resonance(coupled_map),
+        lambda: solve(coupled_map, degree=4),
+        lambda: solve_power(coupled_map, 2, degree=4),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_eigenvalue_near_one_is_answered():
+    # phi(z) = (999/1000 z1, z2/2 + z1^2/3): no product lambda^alpha with
+    # |alpha| >= 2 is an eigenvalue, yet the brute force walked 241k exponents.
+    phi = PolyMap(
+        (
+            jet_of(2, 2, [((1, 0), sc(999, 1000))]),
+            jet_of(2, 2, [((0, 1), sc(1, 2)), ((2, 0), sc(1, 3))]),
+        )
+    )
+    report = analyze(phi)
+    assert report.truncation_degree == 1
+    assert report.full_rank
+    assert detect_resonance(phi) == []
+
+
 def diagonal_family(ds):
     """lambda_i = 1/d_i, with z1^2/3 added to components 2..n."""
     n = len(ds)
