@@ -26,20 +26,15 @@ from .engine import (
     SchroederSolution,
     VerifyReport,
     analyze,
-    component_rank,
     solve,
     solve_power,
     truncated_operator,
     verify,
 )
-from .linalg import ExactMatrix, SingularMatrixError, inverse, rank
-from .maps import PolyMap, map_compose, matrix_apply, matrix_map
+from .linalg import ExactMatrix, SingularMatrixError, inverse
+from .maps import PolyMap, conjugate_map
 from .scalars import Scalar
 from .series import Jet, MultiIndex
-
-
-def _format_scalar(s: Scalar) -> str:
-    return str(s)
 
 
 def _format_monomial(alpha: MultiIndex) -> str:
@@ -170,29 +165,29 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise DocumentError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _load_map(path: str) -> Tuple[PolyMap, Optional[ExactMatrix]]:
-    return documents.parse_map_document(documents.load(path))
-
-
-def _conjugate_in(phi: PolyMap, conj: ExactMatrix) -> PolyMap:
-    conj_inv = inverse(conj)
-    inner = matrix_map(conj_inv, phi.degree)
-    return matrix_apply(conj, map_compose(phi, inner))
+def _load_map(path: str) -> Tuple[PolyMap, PolyMap, Optional[ExactMatrix]]:
+    """The map phi as given, the map C phi C^-1 the engine sees, and C^-1 (None without C)."""
+    phi, conj = documents.parse_map_document(documents.load(path))
+    if conj is None:
+        return phi, phi, None
+    try:
+        conj_inv = inverse(conj)
+    except SingularMatrixError:
+        raise DocumentError("conjugator is singular", "$.conjugator") from None
+    return phi, conjugate_map(phi, conj), conj_inv
 
 
 def _transport_back(
-    sol: SchroederSolution, phi: PolyMap, conj: ExactMatrix
+    sol: SchroederSolution, phi: PolyMap, conj_inv: Optional[ExactMatrix]
 ) -> SchroederSolution:
-    conj_inv = inverse(conj)
-    comps = matrix_apply(
-        conj_inv, map_compose(sol.components, matrix_map(conj, sol.degree))
-    )
+    """The solution in the coordinates of the map as given.
+
+    Both ranks survive: z -> Cz maps each homogeneous degree onto itself.
+    """
+    if conj_inv is None:
+        return sol
     return dataclasses.replace(
-        sol,
-        map=phi,
-        components=comps,
-        derivative_rank=rank(comps.linear_part()),
-        component_rank=component_rank(comps),
+        sol, map=phi, components=conjugate_map(sol.components, conj_inv)
     )
 
 
@@ -272,11 +267,9 @@ def cli() -> None:
 @seed_option
 def analyze_cmd(map_path: str, fmt: str, out: Optional[str], sample_check: bool, seed: int) -> int:
     """Decide whether a full-rank solution exists for k = 1."""
-    phi, conj = _load_map(map_path)
+    original, phi, _ = _load_map(map_path)
     if sample_check:
-        _sample_check(phi, seed)
-    if conj is not None:
-        phi = _conjugate_in(phi, conj)
+        _sample_check(original, seed)
     report = analyze(phi)
     if fmt == "machine":
         _emit(documents.dump(documents.analysis_json(report)), out)
@@ -315,12 +308,9 @@ def solve_cmd(
     seed: int,
 ) -> int:
     """Construct a truncated solution for k = 1."""
-    phi, conj = _load_map(map_path)
-    original = phi
+    original, phi, conj_inv = _load_map(map_path)
     if sample_check:
-        _sample_check(phi, seed)
-    if conj is not None:
-        phi = _conjugate_in(phi, conj)
+        _sample_check(original, seed)
     try:
         sol = solve(phi, degree=degree, mode=mode)
     except NoFullRankError as exc:
@@ -329,8 +319,7 @@ def solve_cmd(
         else:
             _emit(_analysis_text(exc.report), out)
         return 2
-    if conj is not None:
-        sol = _transport_back(sol, original, conj)
+    sol = _transport_back(sol, original, conj_inv)
     if fmt == "machine":
         _emit(documents.dump(documents.solution_json(sol)), out)
     else:
@@ -361,13 +350,8 @@ def solve_power_cmd(
     map_path: str, power: int, degree: int, fmt: str, out: Optional[str]
 ) -> int:
     """Construct a truncated solution of F(phi(z)) = phi'(0)^k F(z)."""
-    phi, conj = _load_map(map_path)
-    original = phi
-    if conj is not None:
-        phi = _conjugate_in(phi, conj)
-    sol = solve_power(phi, power, degree=degree)
-    if conj is not None:
-        sol = _transport_back(sol, original, conj)
+    original, phi, conj_inv = _load_map(map_path)
+    sol = _transport_back(solve_power(phi, power, degree=degree), original, conj_inv)
     if fmt == "machine":
         _emit(documents.dump(documents.solution_json(sol)), out)
     else:
@@ -387,7 +371,7 @@ def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) 
     conjugator field, because emitted solutions are already in the
     original coordinates.
     """
-    phi, _ = _load_map(map_path)
+    phi, _ = documents.parse_map_document(documents.load(map_path))
     f, power = documents.parse_solution_document(documents.load(solution_path))
     try:
         report = verify(phi, f, power)
@@ -406,9 +390,7 @@ def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) 
 @out_option
 def matrix_cmd(map_path: str, fmt: str, out: Optional[str]) -> int:
     """Print the truncated operator matrix in the engine's Jordan coordinates."""
-    phi, conj = _load_map(map_path)
-    if conj is not None:
-        phi = _conjugate_in(phi, conj)
+    _, phi, _ = _load_map(map_path)
     op = truncated_operator(phi)
     if fmt == "machine":
         _emit(documents.dump(documents.operator_json(op)), out)

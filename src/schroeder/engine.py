@@ -3,17 +3,22 @@
 `analyze` reports, per eigenvalue of the derivative at the fixed point,
 whether eigenvalue collisions lambda^alpha = mu obstruct a solution F
 with invertible derivative; the verdict is exact, computed from kernels
-of the truncated composition operator.  `solve` constructs a truncated
-solution map from the operator's Jordan chains, lifting each chain to
-the requested output degree by solving triangular coefficient systems
-whose divisors lambda^alpha - lambda are guaranteed nonzero above the
-operator's truncation degree.  `solve_power` handles exponents k >= 2 by
-multiplying chain components into eigen-chains of the k-th power factor.
-`verify` replays a solution against the equation term by term.
+of the truncated composition operator.
 
-All computation happens in coordinates where the derivative is an upper
-Jordan matrix; the engine conjugates in and out itself, so callers only
-need a triangular derivative.
+`solve` (k = 1) and `solve_power` (any k >= 1) share one construction:
+conjugate the map so its derivative is an upper Jordan matrix, report,
+take the operator's Jordan chains, lift each chain to the output degree
+by solving triangular coefficient systems (whose divisors
+lambda^alpha - lambda are nonzero above the operator's truncation
+degree), assemble the components, conjugate them back and check their
+ranks.  Only one step depends on k: for k >= 2 each block's components
+are multiplied by a power of its eigenfunction and remixed into chains
+of the k-th power factor.  `solve` may gate the construction on the
+full-rank verdict.  `verify` replays a solution against the equation
+term by term.
+
+Conjugation in and out goes through `maps.conjugate_map`, so callers
+only need a triangular derivative.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .linalg import (
     JordanBasis,
     incremental_jordanize,
     inverse,
-    mat_mul,
     mat_pow,
     rank,
     transition_to_jordan_triangular,
@@ -44,9 +48,9 @@ from .maps import (
     PolyMap,
     PowerMemo,
     compose,
+    conjugate_map,
     map_compose,
     matrix_apply,
-    matrix_map,
     monomial_power,
 )
 from .scalars import ONE, ZERO, Scalar, scalar_inv
@@ -144,10 +148,8 @@ class VerifyReport:
 @dataclass(frozen=True)
 class _Prep:
     phi: PolyMap
-    linear: ExactMatrix
     jordan: ExactMatrix
     conjugator: ExactMatrix
-    conjugator_inv: ExactMatrix
     psi: PolyMap
     op: TruncatedCompOp
     work: int
@@ -179,20 +181,16 @@ def detect_resonance(phi: PolyMap) -> List[Tuple[MultiIndex, Scalar]]:
 def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
     linear = validate_map(phi)
     basis, jordan = transition_to_jordan_triangular(linear.transpose())
-    s = basis.chain_matrix()
-    m = inverse(s)
-    conj = s.transpose()
-    conj_inv = m.transpose()
+    conj = basis.chain_matrix().transpose()
     diag = jordan.diagonal_entries()
     k = truncation_degree(diag)
     work = k if degree is None else max(k, degree)
-    inner = matrix_map(conj_inv, work)
-    psi = matrix_apply(conj, map_compose(phi.truncate(work), inner))
+    psi = conjugate_map(phi.truncate(work), conj)
     # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
     if psi.linear_part().diagonal_entries() != diag:
         raise RuntimeError("conjugation changed the diagonal of the derivative")
     op = _build_at(psi, k)
-    return _Prep(phi, linear, jordan, conj, conj_inv, psi, op, work)
+    return _Prep(phi, jordan, conj, psi, op, work)
 
 
 def _report(prep: _Prep) -> AnalysisReport:
@@ -305,10 +303,8 @@ class _Lifter:
         return Jet(self.n, self.out, g)
 
 
-def _lifted_blocks(
-    prep: _Prep, chains: JordanBasis
-) -> List[Tuple[int, Scalar, List[Jet]]]:
-    """Per original block: (offset, eigenvalue, [f_1..f_s]) lifted to the work degree.
+def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[Jet]]]:
+    """Per original block, in corner order: (eigenvalue, [f_1..f_s]) lifted to the work degree.
 
     Within a block the components satisfy f_i(psi(z)) = lambda f_i + f_{i+1}
     and the last one is an eigenfunction; they are lifted last-first so
@@ -324,14 +320,8 @@ def _lifted_blocks(
         for i in range(s, 0, -1):
             rhs = lifted[i] if i < s else None
             lifted[i - 1] = lifter.lift(base[i - 1], rhs, block.eigenvalue)
-        out.append((block.offset, block.eigenvalue, [j for j in lifted if j is not None]))
+        out.append((block.eigenvalue, [j for j in lifted if j is not None]))
     return out
-
-
-def _transport(prep: _Prep, f_psi: PolyMap) -> PolyMap:
-    """Pull a solution for the conjugated map back to the original coordinates."""
-    outer = matrix_map(prep.conjugator, prep.work)
-    return matrix_apply(prep.conjugator_inv, map_compose(f_psi, outer))
 
 
 def component_rank(components: PolyMap) -> int:
@@ -356,61 +346,7 @@ def solve(
     """
     if mode not in ("full-rank", "independent"):
         raise ValueError(f"unknown mode {mode!r}")
-    prep = _prepare(phi, DEFAULT_DEGREE if degree is None else degree)
-    report = _report(prep)
-    if mode == "full-rank" and not report.full_rank:
-        raise NoFullRankError(report)
-    chains = incremental_jordanize(prep.op.matrix, phi.dim)
-    comps: List[Optional[Jet]] = [None] * phi.dim
-    infos: List[ComponentInfo] = []
-    for bi, (offset, lam, block_jets) in enumerate(_lifted_blocks(prep, chains)):
-        s = len(block_jets)
-        for i, jet in enumerate(block_jets, start=1):
-            comps[offset + i - 1] = jet
-            infos.append(
-                ComponentInfo(
-                    index=offset + i - 1,
-                    eigenvalue=lam,
-                    block=bi,
-                    position=i,
-                    block_size=s,
-                )
-            )
-    f_psi = PolyMap(tuple(j for j in comps if j is not None))
-    f_phi = _transport(prep, f_psi)
-    rank_d = rank(f_phi.linear_part())
-    if mode == "full-rank" and rank_d != phi.dim:
-        raise RuntimeError(
-            "full-rank verdict positive but the constructed derivative is singular"
-        )
-    return SchroederSolution(
-        map=phi,
-        power=1,
-        degree=prep.work,
-        components=f_phi,
-        component_info=tuple(sorted(infos, key=lambda c: c.index)),
-        analysis=report,
-        derivative_rank=rank_d,
-        component_rank=component_rank(f_phi),
-    )
-
-
-def _jordan_block_upper(lam: Scalar, s: int) -> ExactMatrix:
-    rows = [[ZERO] * s for _ in range(s)]
-    for i in range(s):
-        rows[i][i] = lam
-        if i + 1 < s:
-            rows[i][i + 1] = ONE
-    return ExactMatrix.from_rows(rows)
-
-
-def _jordan_block_lower(lam: Scalar, s: int) -> ExactMatrix:
-    return _jordan_block_upper(lam, s).transpose()
-
-
-def _reversal(s: int) -> ExactMatrix:
-    rows = [[ONE if i + j == s - 1 else ZERO for j in range(s)] for i in range(s)]
-    return ExactMatrix.from_rows(rows)
+    return _construct(phi, 1, degree, gate=(mode == "full-rank"))
 
 
 def solve_power(
@@ -421,56 +357,43 @@ def solve_power(
     For power >= 2 the components are products of the power-1 chain
     components, remixed so each derivative block carries its k-th power
     factor; the derivative of F then vanishes, but the n component
-    series stay linearly independent.  power == 1 is the plain equation
-    without the full-rank gate.
+    series stay linearly independent.  The output degree is at least
+    `power`.  power == 1 is `solve` in "independent" mode.
     """
     if power < 1:
         raise ValueError(f"power must be at least 1, got {power}")
-    if power == 1:
-        return solve(phi, degree, mode="independent")
+    return _construct(phi, power, degree, gate=False)
+
+
+def _construct(
+    phi: PolyMap, power: int, degree: Optional[int], gate: bool
+) -> SchroederSolution:
+    """The construction behind `solve` and `solve_power`; `gate` demands a full-rank verdict."""
     request = DEFAULT_DEGREE if degree is None else degree
     prep = _prepare(phi, max(request, power))
     report = _report(prep)
+    if gate and not report.full_rank:
+        raise NoFullRankError(report)
     chains = incremental_jordanize(prep.op.matrix, phi.dim)
-    comps: List[Optional[Jet]] = [None] * phi.dim
+    comps: List[Jet] = []
     infos: List[ComponentInfo] = []
-    for bi, (offset, lam, block_jets) in enumerate(_lifted_blocks(prep, chains)):
+    for bi, (lam, block_jets) in enumerate(_lifted_blocks(prep, chains)):
+        if power >= 2:
+            block_jets = _remix(block_jets, lam, power, prep.work)
         s = len(block_jets)
-        top_pow = _jet_pow(block_jets[s - 1], power - 1)
-        h = []
-        for i in range(1, s + 1):
-            scale = scalar_inv(lam ** ((power - 1) * (s - i)))
-            h.append((block_jets[i - 1] * top_pow).scale(scale))
-        factor = mat_pow(_jordan_block_upper(lam, s), power)
-        basis, jlow = transition_to_jordan_triangular(factor)
-        if jlow != _jordan_block_lower(lam**power, s):
-            raise RuntimeError(
-                "k-th power of a derivative block did not stay a single block"
-            )
-        e_inv = mat_mul(basis.chain_matrix(), _reversal(s))
-        for i in range(s):
-            acc = Jet.zero(phi.dim, prep.work)
-            for j in range(s):
-                c = e_inv.at(i, j)
-                if not c.is_zero():
-                    acc = acc + h[j].scale(c)
-            comps[offset + i] = acc
-            infos.append(
-                ComponentInfo(
-                    index=offset + i,
-                    eigenvalue=lam,
-                    block=bi,
-                    position=i + 1,
-                    block_size=s,
-                )
-            )
-    f_psi = PolyMap(tuple(j for j in comps if j is not None))
-    f_phi = _transport(prep, f_psi)
+        for i, jet in enumerate(block_jets, start=1):
+            infos.append(ComponentInfo(len(comps), lam, bi, i, s))
+            comps.append(jet)
+    f_phi = conjugate_map(PolyMap(tuple(comps)), inverse(prep.conjugator))
     rank_d = rank(f_phi.linear_part())
-    if rank_d != 0:
+    if gate and rank_d != phi.dim:
+        raise RuntimeError(
+            "full-rank verdict positive but the constructed derivative is singular"
+        )
+    if power >= 2 and rank_d != 0:
         raise RuntimeError("derivative should vanish for powers above 1")
     comp_rank = component_rank(f_phi)
-    if comp_rank != phi.dim:
+    if power >= 2 and comp_rank != phi.dim:
         raise RuntimeError(
             "components became dependent under truncation; request a higher degree"
         )
@@ -479,10 +402,45 @@ def solve_power(
         power=power,
         degree=prep.work,
         components=f_phi,
-        component_info=tuple(sorted(infos, key=lambda c: c.index)),
+        component_info=tuple(infos),
         analysis=report,
         derivative_rank=rank_d,
         component_rank=comp_rank,
+    )
+
+
+def _remix(block_jets: List[Jet], lam: Scalar, power: int, work: int) -> List[Jet]:
+    """Turn one block's chain [f_1..f_s] into components for the factor J^power.
+
+    h_i = f_i * f_s^(power - 1) / lambda^((power - 1)(s - i)) satisfies
+    h_i(psi) = lambda^power h_i + h_{i+1}: a chain of one Jordan block of
+    lambda^power.  Recombining the h_i by the chain basis of J^power, for
+    J the block of lambda, makes the components follow J^power itself.
+    """
+    s = len(block_jets)
+    top_pow = _jet_pow(block_jets[s - 1], power - 1)
+    h = []
+    for i in range(1, s + 1):
+        scale = scalar_inv(lam ** ((power - 1) * (s - i)))
+        h.append((block_jets[i - 1] * top_pow).scale(scale))
+    basis, _ = transition_to_jordan_triangular(mat_pow(_jordan_block_upper(lam, s), power))
+    if len(basis.chains) != 1:
+        raise RuntimeError("k-th power of a derivative block did not stay a single block")
+    chain = basis.chains[0].vectors
+    out = []
+    for i in range(s):
+        acc = Jet.zero(block_jets[0].dim, work)
+        for j in range(s):
+            c = chain[j][i]
+            if not c.is_zero():
+                acc = acc + h[j].scale(c)
+        out.append(acc)
+    return out
+
+
+def _jordan_block_upper(lam: Scalar, s: int) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [[lam if j == i else ONE if j == i + 1 else ZERO for j in range(s)] for i in range(s)]
     )
 
 

@@ -1,6 +1,6 @@
 """Exact linear algebra over Gaussian rationals.
 
-Provides kernels, ranks, inverses and solving via exact Gaussian
+Provides kernels, ranks and inverses via exact Gaussian
 elimination on dense matrices (leading-entry pivoting; no magnitude
 concerns over an exact field), plus routines that use the structure of
 the lower-triangular, sparse composition operator:
@@ -326,18 +326,6 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows([row[n:] for row in aug])
 
 
-def mat_solve(a: ExactMatrix, b: Sequence[Scalar]) -> Vector:
-    """Solve a x = b for square nonsingular a."""
-    a._square()
-    if len(b) != a.rows:
-        raise ValueError(f"right-hand side length {len(b)} does not match {a.rows}")
-    aug = [list(a.entries[i]) + [b[i]] for i in range(a.rows)]
-    aug, pivots = _rref(aug)
-    if pivots != list(range(a.rows)):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(row[-1] for row in aug)
-
-
 @dataclass(frozen=True)
 class JordanChain:
     """Vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}."""
@@ -351,21 +339,6 @@ class JordanChain:
 
     def eigenvector(self) -> Vector:
         return self.vectors[0]
-
-
-def chain_is_valid(m: ExactMatrix, chain: JordanChain) -> bool:
-    """Replay (M - lam) along the chain and check the shift relation exactly."""
-    shifted = m.shift(chain.eigenvalue)
-    prev: Optional[Vector] = None
-    for v in chain.vectors:
-        if all(x.is_zero() for x in v):
-            return False
-        image = mat_vec(shifted, v)
-        expect = prev if prev is not None else tuple([ZERO] * m.rows)
-        if image != expect:
-            return False
-        prev = v
-    return True
 
 
 @dataclass(frozen=True)

@@ -61,15 +61,6 @@ class PolyMap:
             rows.append([c.coefficient(unit_index(n, j)) for j in range(n)])
         return ExactMatrix.from_rows(rows)
 
-    def is_linear(self) -> bool:
-        return all(c.max_term_degree() <= 1 for c in self.components)
-
-
-def identity_map(n: int, degree: int) -> PolyMap:
-    return PolyMap(
-        tuple(Jet.monomial(n, degree, unit_index(n, i)) for i in range(n))
-    )
-
 
 def matrix_map(m: ExactMatrix, degree: int) -> PolyMap:
     """The linear map z -> M z as a PolyMap of the given degree."""
@@ -174,10 +165,3 @@ def conjugate_map(phi: PolyMap, d: ExactMatrix) -> PolyMap:
     d_inv = inverse(d)
     inner = matrix_map(d_inv, phi.degree)
     return matrix_apply(d, map_compose(phi, inner))
-
-
-def pad_map(phi: PolyMap, degree: int) -> PolyMap:
-    """Reinterpret phi at a higher truncation degree (no new terms)."""
-    if degree < phi.degree:
-        raise ValueError("padding cannot lower the degree")
-    return PolyMap(tuple(c.truncate(degree) for c in phi.components))

@@ -28,18 +28,6 @@ def order_key(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
     return (sum(alpha), tuple(-e for e in alpha))
 
 
-def compare_monomials(alpha: MultiIndex, beta: MultiIndex) -> int:
-    """Return -1, 0, or 1 as alpha sorts before, equal to, or after beta."""
-    if len(alpha) != len(beta):
-        raise ValueError(f"dimension mismatch: {len(alpha)} vs {len(beta)}")
-    ka, kb = order_key(alpha), order_key(beta)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def _compositions_desc(total: int, parts: int) -> Iterator[MultiIndex]:
     """All exponent tuples with the given sum, first coordinate largest first."""
     if parts == 1:
@@ -219,8 +207,3 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
             else:
                 acc[gamma] = s
     return Jet(f.dim, deg, acc)
-
-
-def grad0(f: Jet) -> Tuple[Scalar, ...]:
-    """The gradient at 0: the vector of degree-one coefficients."""
-    return tuple(f.coefficient(unit_index(f.dim, i)) for i in range(f.dim))

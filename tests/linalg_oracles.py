@@ -5,7 +5,8 @@ length-N chain vectors that dots every vector with every whole row, and
 `report_dimensions` is the dense route `analyze` used to take: shift the
 whole operator by mu and eliminate it with `kernel_basis`.  They check
 `linalg.incremental_jordanize` and `linalg.triangular_kernel`, which work
-on sparse vectors and never form the shifted operator.
+on sparse vectors and never form the shifted operator.  `chain_is_valid`
+replays the chain relation of a Jordan chain exactly.
 
 The kernel-dimension sequence and null spaces come from sympy's
 `DomainMatrix` over Q or Q(i), which shares no code with `linalg`.
@@ -19,8 +20,10 @@ from schroeder.linalg import (
     ExactMatrix,
     JordanBasis,
     JordanChain,
+    Vector,
     _parse_jordan_corner,
     kernel_basis,
+    mat_vec,
     vectors_rank,
 )
 from schroeder.scalars import ONE, ZERO, Scalar
@@ -31,6 +34,21 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     for a, b in zip(u, v):
         acc = acc + a * b
     return acc
+
+
+def chain_is_valid(m: ExactMatrix, chain: JordanChain) -> bool:
+    """Replay (M - lam) along the chain and check the shift relation exactly."""
+    shifted = m.shift(chain.eigenvalue)
+    prev: Optional[Vector] = None
+    for v in chain.vectors:
+        if all(x.is_zero() for x in v):
+            return False
+        image = mat_vec(shifted, v)
+        expect = prev if prev is not None else tuple([ZERO] * m.rows)
+        if image != expect:
+            return False
+        prev = v
+    return True
 
 
 class _Chain:

@@ -1,17 +1,31 @@
-"""The command line interface, exercised end to end in subprocesses."""
+"""The command line interface, exercised end to end in subprocesses.
+
+The property test on random conjugators runs `cli.main` in-process.
+"""
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schroeder
-from schroeder.documents import dump
+from schroeder import cli
+from schroeder.documents import dump, load, map_json, parse_solution_document
+from schroeder.engine import component_rank
+from schroeder.linalg import ExactMatrix, inverse, rank
+from schroeder.maps import conjugate_map
+from schroeder.scalars import Scalar
+
+from conftest import random_poly_map, sc
 
 OBSTRUCTED_DOC = {
     "dimension": 2,
@@ -290,3 +304,72 @@ def test_error_exit_codes(docs, tmp_path):
 
     unknown = run_cli("frobnicate")
     assert unknown.returncode == 1
+
+    singular = tmp_path / "singular.json"
+    singular.write_text(
+        dump({**DIAGONAL_DOC, "conjugator": [["1", "1"], ["1", "1"]]}), encoding="utf-8"
+    )
+    for command, *rest in (["analyze"], ["solve"], ["solve-power", "--k", "2"], ["matrix"]):
+        res = run_cli(command, str(singular), *rest)
+        assert res.returncode == 1
+        assert res.stderr == "error: $.conjugator: conjugator is singular\n"
+    # verify checks the map as given and ignores the conjugator.
+    sol_path = str(tmp_path / "diagonal_sol.json")
+    made = run_cli("solve", docs["diagonal"], "--format", "machine", "--out", sol_path)
+    assert made.returncode == 0
+    assert run_cli("verify", str(singular), sol_path).returncode == 0
+
+
+def main_in_process(*args: str) -> int:
+    """Run `cli.main` in this process with the given arguments; returns its exit code."""
+    saved = sys.argv
+    sys.argv = ["schroeder", *args]
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+    finally:
+        sys.argv = saved
+    return stop.value.code
+
+
+#: A row operation row_i += t * row_j; products of them are unimodular.
+shears = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([-2, -1, 1, 2])),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([2, 3]), ops=shears, seed=st.integers(0, 2**32))
+def test_conjugated_solutions_keep_their_ranks(n, ops, seed):
+    """Transport back by the conjugator keeps both ranks the engine computed.
+
+    The document holds phi = C^-1 psi(C z) for a random triangular psi and a
+    random unimodular C; the emitted solutions must report the ranks of
+    their own components and verify against phi.
+    """
+    c = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, t in ops:
+        if i < n and j < n and i != j:
+            c[i] = [x + t * y for x, y in zip(c[i], c[j])]
+    conj = ExactMatrix.from_rows([[Scalar.of(x) for x in row] for row in c])
+    rng = random.Random(seed)
+    diag = [rng.choice((sc(1, 2), sc(1, 3), sc(1, 4), sc(-1, 2), sc(2, 5))) for _ in range(n)]
+    phi = conjugate_map(random_poly_map(rng, n, diag, 3), inverse(conj))
+    with tempfile.TemporaryDirectory() as tmp:
+        map_path = os.path.join(tmp, "map.json")
+        doc = {**map_json(phi), "conjugator": [[str(x) for x in row] for row in c]}
+        Path(map_path).write_text(dump(doc), encoding="utf-8")
+        for i, args in enumerate((["solve", "--mode", "independent"], ["solve-power", "--k", "2"])):
+            sol_path = os.path.join(tmp, f"sol{i}.json")
+            code = main_in_process(
+                args[0], map_path, *args[1:], "--degree", "4",
+                "--format", "machine", "--out", sol_path,
+            )
+            assert code == 0
+            emitted = load(sol_path)
+            f, _ = parse_solution_document(emitted)
+            assert emitted["derivative_rank"] == rank(f.linear_part())
+            assert emitted["component_rank"] == component_rank(f) == n
+            assert main_in_process("verify", map_path, sol_path, "--out", os.path.join(tmp, "v")) == 0

@@ -19,7 +19,7 @@ from schroeder.engine import (
     verify,
 )
 from schroeder.linalg import ExactMatrix, rank
-from schroeder.maps import PolyMap, conjugate_map, pad_map
+from schroeder.maps import PolyMap, conjugate_map
 from schroeder.scalars import ONE, ZERO
 from schroeder.series import Jet
 
@@ -399,7 +399,7 @@ def test_verify_reports_first_failure_in_monomial_order(diagonal_map):
 
 
 def test_verify_power_argument(diagonal_map):
-    sol = solve_power(pad_map(diagonal_map, 2), 2, degree=6)
+    sol = solve_power(diagonal_map.truncate(2), 2, degree=6)
     assert sol.power == 2
     check = verify(diagonal_map, sol.components, power=2)
     assert check.passed
@@ -423,7 +423,7 @@ def test_solve_power_one_variable_is_kth_power_of_base():
 
 def test_solve_power_diagonal_is_componentwise_power(diagonal_map):
     base = solve(diagonal_map, degree=6)
-    sol = solve_power(pad_map(diagonal_map, 2), 2, degree=6)
+    sol = solve_power(diagonal_map.truncate(2), 2, degree=6)
     for i in range(2):
         f = base.components.component(i)
         assert sol.components.component(i) == f * f
@@ -457,6 +457,7 @@ def test_solve_power_one_delegates(obstructed_map):
     assert sol.power == 1
     assert sol.derivative_rank == 1
     assert verify(obstructed_map, sol.components).passed
+    assert sol == solve(obstructed_map, 5, mode="independent")
 
 
 def test_solve_power_rejects_bad_power(diagonal_map):

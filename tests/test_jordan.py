@@ -14,7 +14,6 @@ from schroeder.engine import truncated_operator
 from schroeder.linalg import (
     ExactMatrix,
     JordanChain,
-    chain_is_valid,
     incremental_jordanize,
     inverse,
     jordan_chains_triangular,
@@ -24,6 +23,7 @@ from schroeder.linalg import (
 from schroeder.scalars import ONE, ZERO, Scalar
 
 import linalg_oracles as oracle
+from linalg_oracles import chain_is_valid
 from conftest import random_lower_matrix, random_poly_map, sc, sc_fraction_pool
 
 

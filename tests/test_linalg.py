@@ -1,4 +1,4 @@
-"""Exact linear algebra: rref, rank, kernels, inverses, solving."""
+"""Exact linear algebra: rref, rank, kernels, inverses."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from schroeder.linalg import (
     inverse,
     kernel_basis,
     mat_pow,
-    mat_solve,
     mat_vec,
     rank,
     triangular_kernel,
@@ -169,20 +168,6 @@ def test_inverse_round_trip_and_singular():
         found += 1
         assert m @ inverse(m) == ExactMatrix.identity(3)
         assert inverse(m) @ m == ExactMatrix.identity(3)
-
-
-def test_mat_solve():
-    rng = random.Random(47)
-    for _ in range(10):
-        m = random_matrix(rng, 3, 3)
-        if rank(m) < 3:
-            continue
-        b = tuple(sc_fraction_pool(rng) for _ in range(3))
-        x = mat_solve(m, b)
-        assert mat_vec(m, x) == b
-    singular = ExactMatrix.from_rows([[sc(1), sc(1)], [sc(1), sc(1)]])
-    with pytest.raises(SingularMatrixError):
-        mat_solve(singular, (sc(1), sc(0)))
 
 
 def test_rank_sequence_oracle_on_explicit_jordan_matrix():

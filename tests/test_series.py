@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from schroeder.scalars import ONE, ZERO, Scalar
 from schroeder.series import (
     Jet,
-    compare_monomials,
     enumerate_monomials,
-    grad0,
     monomial_count,
     monomials_of_degree,
     order_key,
@@ -50,12 +48,10 @@ def test_order_three_variables_degree_two():
 
 
 def test_order_is_graded_then_first_difference():
-    assert compare_monomials((0, 2), (3, 0)) == -1
-    assert compare_monomials((2, 1), (1, 2)) == -1
-    assert compare_monomials((1, 1), (1, 1)) == 0
-    assert compare_monomials((0, 3), (2, 1)) == 1
-    with pytest.raises(ValueError):
-        compare_monomials((1, 0), (1, 0, 0))
+    assert order_key((0, 2)) < order_key((3, 0))
+    assert order_key((2, 1)) < order_key((1, 2))
+    assert order_key((1, 1)) == order_key((1, 1))
+    assert order_key((0, 3)) > order_key((2, 1))
 
 
 def test_enumeration_count_and_sortedness():
@@ -150,11 +146,6 @@ def test_mul_truncates_to_smaller_degree():
     assert (f * g).is_zero()
     h = Jet.monomial(2, 4, (0, 2))
     assert (f * h).coefficient((2, 2)) == ONE
-
-
-def test_grad0_reads_linear_row():
-    f = Jet.build(2, 2, [((1, 0), sc(3)), ((0, 1), sc(1, 2)), ((2, 0), ONE)])
-    assert grad0(f) == (sc(3), sc(1, 2))
 
 
 def test_scale():
