@@ -156,7 +156,7 @@ def _operator_text(op: TruncatedCompOp) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -217,7 +217,7 @@ def _sample_check(phi: PolyMap, seed: int, samples: int = 8, radius: float = 0.0
         click.echo(
             f"warning: map failed to contract {bad} of {samples} float samples "
             f"at radius {radius}; the fixed point may not be attracting",
-            err=True,
+            file=sys.stderr,
         )
 
 
@@ -405,7 +405,7 @@ def main() -> None:
     except click.exceptions.Abort:
         sys.exit(1)
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         sys.exit(1)
     except click.ClickException as exc:
         exc.show()
@@ -416,10 +416,10 @@ def main() -> None:
         UnsupportedSpectrumError,
         SingularMatrixError,
     ) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     except RuntimeError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     sys.exit(int(code) if isinstance(code, int) else 0)
 

@@ -58,3 +58,7 @@ def test_tracer_installs_and_reports_every_metric():
     for span in ("engine.analyze_s", "engine.solve_s", "engine.solve_power_s"):
         assert snapshot[span] > 0
     assert snapshot["trace.spans"] > 0
+    # The tracer rebinds `Scalar.__mul__`, `__add__` and `__sub__` on the
+    # class and reads `.re`/`.im` of every solution coefficient.
+    for counter in ("scalars.mul_calls", "scalars.add_calls", "scalars.max_bits"):
+        assert snapshot[counter] > 0, counter

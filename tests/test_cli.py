@@ -5,12 +5,16 @@ The property test on random conjugators runs `cli.main` in-process.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -330,6 +334,32 @@ def main_in_process(*args: str) -> int:
     finally:
         sys.argv = saved
     return stop.value.code
+
+
+def test_in_process_runs_keep_no_redirected_stream_alive(docs):
+    """`cli.main` holds no reference to the streams it wrote to.
+
+    `click.echo` without `file=` caches a wrapper per stream in a
+    `WeakKeyDictionary` whose value is the stream itself, so every
+    redirected stdout or stderr would stay alive for the whole process.
+    """
+    requests = (
+        (["analyze", docs["obstructed"]], 2),
+        (["solve", docs["diagonal"], "--degree", "3"], 0),
+        (["analyze", str(docs["root"] / "missing.json")], 1),
+    )
+    refs = []
+    for i in range(30):
+        args, expected = requests[i % len(requests)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main_in_process(*args)
+        assert code == expected
+        assert (out if expected != 1 else err).getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) == 0
 
 
 #: A row operation row_i += t * row_j; products of them are unimodular.
