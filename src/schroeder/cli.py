@@ -12,11 +12,11 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import click
 
-from . import documents
+from . import __version__, documents
 from .compop import TruncatedCompOp, UnsupportedSpectrumError
 from .documents import DocumentError
 from .engine import (
@@ -249,8 +249,38 @@ seed_option = click.option(
 )
 
 
+def _print_and_exit(text: Callable[[click.Context], str]) -> Callable:
+    """The callback of an eager flag that prints text(ctx) to stdout and exits.
+
+    Click's own --help and --version callbacks echo with no file, which
+    caches a wrapper per stream that keeps every redirected stdout alive;
+    this one names the current `sys.stdout`.
+    """
+
+    def callback(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+        if value and not ctx.resilient_parsing:
+            click.echo(text(ctx), file=sys.stdout, color=ctx.color)
+            ctx.exit()
+
+    return callback
+
+
+help_option = click.help_option(callback=_print_and_exit(lambda ctx: ctx.get_help()))
+version_option = click.option(
+    "--version",
+    is_flag=True,
+    expose_value=False,
+    is_eager=True,
+    help="Show the version and exit.",
+    callback=_print_and_exit(
+        lambda ctx: f"{ctx.find_root().info_name}, version {__version__}"
+    ),
+)
+
+
 @click.group()
-@click.version_option(package_name="schroeder")
+@version_option
+@help_option
 def cli() -> None:
     """Exact solver for the equation F(phi(z)) = phi'(0)^k F(z).
 
@@ -265,6 +295,7 @@ def cli() -> None:
 @out_option
 @sample_option
 @seed_option
+@help_option
 def analyze_cmd(map_path: str, fmt: str, out: Optional[str], sample_check: bool, seed: int) -> int:
     """Decide whether a full-rank solution exists for k = 1."""
     original, phi, _ = _load_map(map_path)
@@ -298,6 +329,7 @@ def analyze_cmd(map_path: str, fmt: str, out: Optional[str], sample_check: bool,
 @out_option
 @sample_option
 @seed_option
+@help_option
 def solve_cmd(
     map_path: str,
     degree: int,
@@ -346,6 +378,7 @@ def solve_cmd(
 )
 @format_option
 @out_option
+@help_option
 def solve_power_cmd(
     map_path: str, power: int, degree: int, fmt: str, out: Optional[str]
 ) -> int:
@@ -364,6 +397,7 @@ def solve_power_cmd(
 @click.argument("solution_path", metavar="SOLUTION")
 @format_option
 @out_option
+@help_option
 def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) -> int:
     """Check a solution document against the equation, term by term.
 
@@ -388,6 +422,7 @@ def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) 
 @click.argument("map_path", metavar="MAP")
 @format_option
 @out_option
+@help_option
 def matrix_cmd(map_path: str, fmt: str, out: Optional[str]) -> int:
     """Print the truncated operator matrix in the engine's Jordan coordinates."""
     _, phi, _ = _load_map(map_path)

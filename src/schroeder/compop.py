@@ -21,11 +21,12 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ExactMatrix
 from .maps import PolyMap, PowerMemo, monomial_power
-from .scalars import Scalar, abs_sq
+from .scalars import ZERO, Scalar, abs_sq
 from .series import Jet, MultiIndex, enumerate_monomials, order_key
 
 
@@ -117,17 +118,22 @@ def truncation_degree(diag: Sequence[Scalar]) -> int:
 
 @dataclass(frozen=True)
 class TruncatedCompOp:
-    """The operator matrix over monomials of degree 1..K.
+    """The operator matrix over monomials of degree 1..K, kept sparse.
 
-    `matrix` column j holds the coefficients of phi^basis[j]; applying
-    `matrix` to a coefficient vector of f yields the coefficients of
-    f(phi(z)).  `source` is phi truncated to degree K.
+    Column j of the matrix holds the coefficients of phi^basis[j];
+    applying it to a coefficient vector of f yields the coefficients of
+    f(phi(z)).  The matrix is lower triangular: `lower[i]` lists the
+    (column, entry) nonzeros of row i left of the diagonal, in column
+    order, and `diag[i]` is the diagonal entry lambda^basis[i].  `matrix`
+    is the dense N x N form, built on first use.  `source` is phi
+    truncated to degree K.
     """
 
     source: PolyMap
     degree: int
     basis: Tuple[MultiIndex, ...]
-    matrix: ExactMatrix
+    lower: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
+    diag: Tuple[Scalar, ...]
     index: Dict[MultiIndex, int]
 
     @property
@@ -139,7 +145,19 @@ class TruncatedCompOp:
         return self.source.dim
 
     def diagonal(self) -> Tuple[Scalar, ...]:
-        return self.matrix.diagonal_entries()
+        return self.diag
+
+    @cached_property
+    def matrix(self) -> ExactMatrix:
+        """The dense N x N matrix, built on first use; the solver never reads it."""
+        rows = []
+        for i, nonzeros in enumerate(self.lower):
+            row = [ZERO] * self.size
+            for j, x in nonzeros:
+                row[j] = x
+            row[i] = self.diag[i]
+            rows.append(row)
+        return ExactMatrix.from_rows(rows)
 
 
 def _upper_triangular_derivative(phi: PolyMap) -> ExactMatrix:
@@ -168,21 +186,32 @@ def build(phi: PolyMap, degree: int | None = None) -> TruncatedCompOp:
 
 
 def _build_at(phi: PolyMap, k: int) -> TruncatedCompOp:
-    """The operator truncated at degree k, for a k already known to suffice."""
+    """The operator truncated at degree k, for a k already known to suffice.
+
+    Each column phi^beta is scattered into the rows of its terms; a term
+    in a row above its column would break triangularity.
+    """
     _upper_triangular_derivative(phi)
     source = phi.truncate(k)
     basis = tuple(enumerate_monomials(phi.dim, k))
-    memo: PowerMemo = {}
-    columns = [monomial_power(source, beta, memo) for beta in basis]
-    rows = [
-        [columns[j].coefficient(alpha) for j in range(len(basis))]
-        for alpha in basis
-    ]
-    matrix = ExactMatrix.from_rows(rows)
-    if not matrix.is_lower_triangular():
-        raise RuntimeError("operator matrix is not lower triangular")
     index = {alpha: i for i, alpha in enumerate(basis)}
-    return TruncatedCompOp(source, k, basis, matrix, index)
+    memo: PowerMemo = {}
+    lower: List[List[Tuple[int, Scalar]]] = [[] for _ in basis]
+    diag = [ZERO] * len(basis)
+    for j, beta in enumerate(basis):
+        for alpha, x in monomial_power(source, beta, memo).coeffs.items():
+            i = index[alpha]
+            if i < j:
+                raise RuntimeError(
+                    f"operator matrix is not lower triangular in column {j}"
+                )
+            if i == j:
+                diag[i] = x
+            else:
+                lower[i].append((j, x))
+    return TruncatedCompOp(
+        source, k, basis, tuple(tuple(row) for row in lower), tuple(diag), index
+    )
 
 
 def jet_vector(op: TruncatedCompOp, f: Jet) -> Tuple[Scalar, ...]:

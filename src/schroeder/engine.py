@@ -26,16 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .compop import (
-    TruncatedCompOp,
-    _build_at,
-    resonances,
-    truncation_degree,
-    vector_jet,
-)
+from .compop import TruncatedCompOp, _build_at, resonances, truncation_degree
 from .linalg import (
     ExactMatrix,
     JordanBasis,
+    SparseVector,
     incremental_jordanize,
     inverse,
     mat_pow,
@@ -194,23 +189,22 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
 
 
 def _report(prep: _Prep) -> AnalysisReport:
-    u = prep.op.matrix
+    op = prep.op
     n = prep.phi.dim
-    corner = u.corner(n)
-    diag_u = u.diagonal_entries()
     seen: List[Scalar] = []
     for lam in prep.jordan.diagonal_entries():
         if lam not in seen:
             seen.append(lam)
     records = []
     for mu in seen:
-        orig = len(triangular_kernel(corner, mu))
-        kb = triangular_kernel(u, mu)
-        proj = vectors_rank([v[:n] for v in kb])
+        # The first n rows hold only columns below n: they are the n x n corner.
+        orig = len(triangular_kernel(op.lower[:n], op.diag[:n], mu))
+        kb = triangular_kernel(op.lower, op.diag, mu)
+        proj = vectors_rank([[dict(v).get(j, ZERO) for j in range(n)] for v in kb])
         witnesses = tuple(
             alpha
-            for i, alpha in enumerate(prep.op.basis)
-            if sum(alpha) >= 2 and diag_u[i] == mu
+            for alpha, x in zip(op.basis, op.diag)
+            if sum(alpha) >= 2 and x == mu
         )
         records.append(
             EigenvalueRecord(
@@ -225,8 +219,8 @@ def _report(prep: _Prep) -> AnalysisReport:
         )
     return AnalysisReport(
         dimension=n,
-        truncation_degree=prep.op.degree,
-        basis_size=prep.op.size,
+        truncation_degree=op.degree,
+        basis_size=op.size,
         eigenvalues=tuple(records),
         full_rank=all(r.full_rank_possible for r in records),
     )
@@ -315,13 +309,18 @@ def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[
     for bi, block in enumerate(chains.original_blocks):
         chain = chains.chains[chains.provenance[bi]]
         s = block.length
-        base = [vector_jet(prep.op, v) for v in reversed(chain.vectors[:s])]
+        base = [_jet(prep.op, v) for v in reversed(chain.vectors[:s])]
         lifted: List[Optional[Jet]] = [None] * s
         for i in range(s, 0, -1):
             rhs = lifted[i] if i < s else None
             lifted[i - 1] = lifter.lift(base[i - 1], rhs, block.eigenvalue)
         out.append((block.eigenvalue, [j for j in lifted if j is not None]))
     return out
+
+
+def _jet(op: TruncatedCompOp, v: SparseVector) -> Jet:
+    """The jet with a sparse vector's coefficients, in the operator's basis order."""
+    return Jet(op.dim, op.degree, {op.basis[j]: x for j, x in v})
 
 
 def component_rank(components: PolyMap) -> int:
@@ -374,7 +373,7 @@ def _construct(
     report = _report(prep)
     if gate and not report.full_rank:
         raise NoFullRankError(report)
-    chains = incremental_jordanize(prep.op.matrix, phi.dim)
+    chains = incremental_jordanize(prep.op.lower, prep.op.diag, phi.dim)
     comps: List[Jet] = []
     infos: List[ComponentInfo] = []
     for bi, (lam, block_jets) in enumerate(_lifted_blocks(prep, chains)):

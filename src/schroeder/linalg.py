@@ -1,35 +1,44 @@
 """Exact linear algebra over Gaussian rationals.
 
-Provides kernels, ranks and inverses via exact Gaussian
-elimination on dense matrices (leading-entry pivoting; no magnitude
-concerns over an exact field), plus routines that use the structure of
-the lower-triangular, sparse composition operator:
+Provides kernels, ranks and inverses via exact Gaussian elimination on
+small dense matrices (leading-entry pivoting; no magnitude concerns over
+an exact field), plus routines that use the structure of the
+lower-triangular, sparse composition operator.  Those take the operator
+in its sparse lower-triangular form: ``lower[i]`` lists the (column,
+entry) nonzeros of row i left of the diagonal, and ``diag[i]`` is the
+diagonal entry.  No N x N matrix is formed.
 
-* `triangular_kernel` finds a kernel basis of a lower-triangular
-  ``M - mu`` in one forward sweep over the nonzeros of M, without forming
-  the shifted matrix or eliminating it.
-* `jordan_chains_triangular` finds the chains of a (small) triangular
-  matrix for one eigenvalue through the kernel filtration
+* `triangular_kernel` finds a kernel basis of ``M - mu`` in one forward
+  sweep over the nonzeros of M, without forming the shifted matrix or
+  eliminating it.
+* `jordan_chains_triangular` finds the chains of a (small, dense)
+  triangular matrix for one eigenvalue through the kernel filtration
   ker((M - lambda)^p).
-* `incremental_jordanize` appends the rows of a lower-triangular matrix
-  below a protected Jordan corner one at a time, maintaining a chain
-  basis and recording which original corner block each final chain
-  extends.  Its chain vectors are sparse while it works.
+* `incremental_jordanize` appends the rows of M below a protected
+  Jordan corner one at a time, maintaining a chain basis and recording
+  which original corner block each final chain extends.  A row is
+  coupled only with the chains that have support on its nonzero columns.
 
 Chain storage convention: ``vectors[0]`` is the eigenvector and
-``(M - lambda) vectors[i] = vectors[i-1]``.  Matrices are dense and
-immutable; vectors are plain tuples of scalars, and sparse working
-vectors are dicts from coordinate to nonzero scalar.
+``(M - lambda) vectors[i] = vectors[i-1]``.  Dense matrices are
+immutable `ExactMatrix` objects and dense vectors are plain tuples of
+scalars.  The sparse routines return sparse vectors: tuples of
+(coordinate, nonzero entry) pairs in increasing coordinate order; while
+they work, vectors are dicts from coordinate to nonzero scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import ONE, ZERO, Scalar, scalar_inv
 
 Vector = Tuple[Scalar, ...]
+#: A sparse vector: (coordinate, nonzero entry) pairs, coordinates increasing.
+SparseVector = Tuple[Tuple[int, Scalar], ...]
+#: Per row, the (column, entry) nonzeros left of the diagonal.
+LowerRows = Sequence[Sequence[Tuple[int, Scalar]]]
 
 
 class SingularMatrixError(ValueError):
@@ -273,32 +282,39 @@ def _set_nonzero(v: Dict[int, Scalar], j: int, x: Scalar) -> None:
         v[j] = x
 
 
-def _nonzeros_left(row: Vector, i: int) -> List[Tuple[int, Scalar]]:
-    """(column, entry) for the nonzeros of a row left of column i."""
-    return [(j, x) for j, x in enumerate(row[:i]) if not x.is_zero()]
+def _frozen(v: Dict[int, Scalar]) -> SparseVector:
+    return tuple(sorted(v.items()))
 
 
-def triangular_kernel(m: ExactMatrix, mu: Scalar) -> List[Vector]:
-    """A basis of the null space of m - mu for a lower-triangular m.
+def _check_lower(lower: LowerRows, diag: Sequence[Scalar]) -> int:
+    """The size of a sparse lower-triangular matrix, after checking its shape."""
+    if len(lower) != len(diag):
+        raise ValueError(f"{len(lower)} rows but {len(diag)} diagonal entries")
+    for i, row in enumerate(lower):
+        for j, _ in row:
+            if not 0 <= j < i:
+                raise ValueError("matrix is not lower triangular")
+    return len(diag)
+
+
+def triangular_kernel(lower: LowerRows, diag: Sequence[Scalar], mu: Scalar) -> List[SparseVector]:
+    """A basis of the null space of M - mu for a sparse lower-triangular M.
 
     One forward sweep over the rows keeps a sparse candidate vector per
-    zero diagonal entry of m - mu seen so far; the candidates span the
+    zero diagonal entry of M - mu seen so far; the candidates span the
     solutions of the rows swept, supported on those rows.  A row with a
     nonzero diagonal entry fills in each candidate's coordinate by
     substitution.  A row with a zero diagonal entry is a constraint: if
     candidates violate it, the sparsest violator is cleared from the
     others and dropped.  Then the row starts the candidate e_i.  The cost
-    is O(nonzeros * multiplicity of mu), and m - mu is never formed.
+    is O(nonzeros * multiplicity of mu), and M - mu is never formed.
     Only the span is canonical, not the basis (unlike `kernel_basis`).
     """
-    m._square()
-    if not m.is_lower_triangular():
-        raise ValueError("matrix is not lower triangular")
+    _check_lower(lower, diag)
     candidates: List[Dict[int, Scalar]] = []
-    for i, row in enumerate(m.entries):
-        nonzeros = _nonzeros_left(row, i)
-        sums = [_sparse_dot(nonzeros, c) for c in candidates]
-        d = row[i] - mu
+    for i, nonzeros in enumerate(lower):
+        sums = [_sparse_dot(nonzeros, c) for c in candidates] if nonzeros else []
+        d = diag[i] - mu
         if not d.is_zero():
             for c, s in zip(candidates, sums):
                 if not s.is_zero():
@@ -313,7 +329,7 @@ def triangular_kernel(m: ExactMatrix, mu: Scalar) -> List[Vector]:
                     _sparse_axpy(candidates[k], -(sums[k] * inv), candidates[p])
             del candidates[p]
         candidates.append({i: ONE})
-    return [tuple(c.get(j, ZERO) for j in range(m.cols)) for c in candidates]
+    return [_frozen(c) for c in candidates]
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
@@ -328,10 +344,15 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class JordanChain:
-    """Vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}."""
+    """Vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}.
+
+    The vectors are dense from `jordan_chains_triangular` and
+    `transition_to_jordan_triangular`, and sparse from
+    `incremental_jordanize`.
+    """
 
     eigenvalue: Scalar
-    vectors: Tuple[Vector, ...]
+    vectors: Tuple[Vector, ...] | Tuple[SparseVector, ...]
 
     @property
     def length(self) -> int:
@@ -355,12 +376,11 @@ class JordanBasis:
     """A chain basis of a matrix with provenance into a protected corner.
 
     `provenance` maps an original corner-block index to the index of the
-    chain extending it.  `chain_matrix()` stacks all chain vectors as
-    columns, each chain in top-to-eigenvector order, so that
-    ``matrix @ S == S @ jordan_form()`` holds exactly.
+    chain extending it.  For dense chains, `chain_matrix()` stacks all
+    chain vectors as columns, each chain in top-to-eigenvector order, so
+    that ``M @ S == S @ jordan_form()`` holds exactly.
     """
 
-    matrix: ExactMatrix
     chains: Tuple[JordanChain, ...]
     provenance: Dict[int, int]
     original_blocks: Tuple[Block, ...]
@@ -469,35 +489,25 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     return chains
 
 
-def _parse_jordan_corner(corner: ExactMatrix) -> List[Block]:
-    """Split a lower-triangular Jordan-form matrix into its blocks."""
-    n = corner.rows
+def _parse_jordan_corner(lower: LowerRows, diag: Sequence[Scalar]) -> List[Block]:
+    """Split a sparse lower-triangular Jordan-form matrix into its blocks."""
+    n = len(diag)
     blocks: List[Block] = []
     i = 0
     while i < n:
-        lam = corner.at(i, i)
+        lam = diag[i]
         length = 1
-        while (
-            i + length < n
-            and corner.at(i + length, i + length - 1) == ONE
-            and corner.at(i + length, i + length) == lam
-        ):
+        while i + length < n and diag[i + length] == lam and list(lower[i + length]) == [
+            (i + length - 1, ONE)
+        ]:
             length += 1
         blocks.append(Block(lam, length, i))
         i += length
+    starts = {b.offset for b in blocks}
     for i in range(n):
-        for j in range(n):
-            expect = ZERO
-            if i == j:
-                expect = corner.at(i, i)
-            elif i == j + 1 and any(
-                b.offset <= j and i < b.offset + b.length for b in blocks
-            ):
-                expect = ONE
-            if corner.at(i, j) != expect:
-                raise ValueError(
-                    f"corner is not in lower Jordan form at entry ({i}, {j})"
-                )
+        expect = [] if i in starts else [(i - 1, ONE)]
+        if list(lower[i]) != expect:
+            raise ValueError(f"corner is not in lower Jordan form in row {i}")
     return blocks
 
 
@@ -512,8 +522,8 @@ class _MutableChain:
         self.provenance = provenance
 
 
-def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
-    """Jordanize a lower-triangular matrix by appending rows below a corner.
+def incremental_jordanize(lower: LowerRows, diag: Sequence[Scalar], n: int) -> JordanBasis:
+    """Jordanize a sparse lower-triangular matrix by appending rows below a corner.
 
     The upper-left n x n corner must already be a lower-triangular
     Jordan-form matrix.  Rows n+1..N are absorbed one at a time: every
@@ -524,31 +534,35 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
     cleared against it.  Chains are never renormalized, which preserves
     the corner projections of each original block's extending chain.
 
-    Chain vectors are sparse while rows are appended: couplings are dotted
-    against the new row's nonzeros only, and a chain whose couplings all
-    vanish keeps a zero coordinate without any division.
+    `support` maps each coordinate to the chains with a vector that may
+    be nonzero there.  A row is dotted only with the chains in the
+    support of its nonzero columns; every other chain has all-zero
+    couplings and keeps a zero coordinate without any arithmetic.  The
+    chains come back as sparse vectors.
     """
-    u._square()
-    if not u.is_lower_triangular():
-        raise ValueError("matrix is not lower triangular")
-    if not 1 <= n <= u.rows:
+    big = _check_lower(lower, diag)
+    if not 1 <= n <= big:
         raise ValueError(f"corner size {n} out of range")
-    blocks = _parse_jordan_corner(u.corner(n))
-    big = u.rows
+    blocks = _parse_jordan_corner(lower[:n], diag[:n])
     chains: List[_MutableChain] = []
+    support: List[Set[int]] = [set() for _ in range(big)]
     for j, b in enumerate(blocks):
         vecs = [{b.offset + i: ONE} for i in range(b.length - 1, -1, -1)]
         chains.append(_MutableChain(b.eigenvalue, vecs, j))
+        for i in range(b.length):
+            support[b.offset + i].add(j)
 
     for r in range(n, big):
-        row = u.entries[r]
-        d = row[r]
-        nonzeros = _nonzeros_left(row, r)
-        couplings = [[_sparse_dot(nonzeros, v) for v in c.vectors] for c in chains]
+        d = diag[r]
+        nonzeros = lower[r]
+        touched = sorted(set().union(*(support[j] for j, _ in nonzeros)))
+        couplings = {
+            i: [_sparse_dot(nonzeros, v) for v in chains[i].vectors] for i in touched
+        }
         eligible = [
             i
-            for i, c in enumerate(chains)
-            if c.eigenvalue == d and not couplings[i][0].is_zero()
+            for i in touched
+            if chains[i].eigenvalue == d and not couplings[i][0].is_zero()
         ]
         winner: Optional[int] = None
         if eligible:
@@ -566,7 +580,10 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
                 for k in range(len(c.vectors)):
                     _sparse_axpy(c.vectors[k], -gamma, w.vectors[k])
                     couplings[i][k] = couplings[i][k] - gamma * wc[k]
-        for i, c in enumerate(chains):
+                    for j in w.vectors[k]:
+                        support[j].add(i)
+        for i in touched:
+            c = chains[i]
             a = couplings[i]
             if i == winner or all(x.is_zero() for x in a):
                 continue
@@ -580,26 +597,25 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
             else:
                 for j in range(k - 1):
                     _set_nonzero(c.vectors[j], r, a[j + 1])
+            support[r].add(i)
         if winner is not None:
             w = chains[winner]
             a = couplings[winner]
             for j in range(len(w.vectors) - 1):
                 _set_nonzero(w.vectors[j], r, a[j + 1])
             w.vectors.insert(0, {r: a[0]})
+            support[r].add(winner)
         else:
+            support[r].add(len(chains))
             chains.append(_MutableChain(d, [{r: ONE}], None))
 
     final = tuple(
-        JordanChain(
-            c.eigenvalue,
-            tuple(tuple(v.get(j, ZERO) for j in range(big)) for v in c.vectors),
-        )
-        for c in chains
+        JordanChain(c.eigenvalue, tuple(_frozen(v) for v in c.vectors)) for c in chains
     )
     provenance = {
         c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
     }
-    return JordanBasis(u, final, provenance, tuple(blocks))
+    return JordanBasis(final, provenance, tuple(blocks))
 
 
 def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[JordanBasis, ExactMatrix]:
@@ -627,7 +643,7 @@ def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[JordanBasis, ExactM
     for c in chains:
         blocks.append(Block(c.eigenvalue, c.length, pos))
         pos += c.length
-    basis = JordanBasis(a, tuple(chains), {j: j for j in range(len(chains))}, tuple(blocks))
+    basis = JordanBasis(tuple(chains), {j: j for j in range(len(chains))}, tuple(blocks))
     j = basis.jordan_form()
     s = basis.chain_matrix()
     if mat_mul(a, s) != mat_mul(s, j):

@@ -15,8 +15,9 @@ structural equality coincides with mathematical equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -28,14 +29,20 @@ def order_key(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
     return (sum(alpha), tuple(-e for e in alpha))
 
 
-def _compositions_desc(total: int, parts: int) -> Iterator[MultiIndex]:
-    """All exponent tuples with the given sum, first coordinate largest first."""
+@lru_cache(maxsize=256)
+def _compositions_desc(total: int, parts: int) -> Tuple[MultiIndex, ...]:
+    """All exponent tuples with the given sum, first coordinate largest first.
+
+    Cached per (total, parts); the result is a tuple, so no caller can
+    change what the cache holds.
+    """
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions_desc(total - head, parts - 1):
-            yield (head,) + tail
+        return ((total,),)
+    return tuple(
+        (head,) + tail
+        for head in range(total, -1, -1)
+        for tail in _compositions_desc(total - head, parts - 1)
+    )
 
 
 def enumerate_monomials(n: int, max_degree: int) -> List[MultiIndex]:

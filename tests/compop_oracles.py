@@ -1,0 +1,35 @@
+"""The dense operator construction of the first release, kept as a test oracle.
+
+`dense_operator` forms every column phi^beta as a jet and reads all N
+coefficients of each, so it builds the N x N `ExactMatrix` entry by
+entry and checks triangularity by scanning every entry above the
+diagonal.  It checks `compop._build_at`, which scatters each column's
+terms into sparse rows and never forms the dense matrix.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Tuple
+
+from schroeder.linalg import ExactMatrix
+from schroeder.maps import PolyMap, monomial_power
+from schroeder.series import MultiIndex, enumerate_monomials
+
+
+def dense_operator(
+    phi: PolyMap, k: int
+) -> Tuple[Tuple[MultiIndex, ...], ExactMatrix, Dict[MultiIndex, int]]:
+    """(basis, matrix, index) of the composition operator truncated at degree k."""
+    source = phi.truncate(k)
+    basis = tuple(enumerate_monomials(phi.dim, k))
+    memo: dict = {}
+    columns = [monomial_power(source, beta, memo) for beta in basis]
+    rows = [
+        [columns[j].coefficient(alpha) for j in range(len(basis))]
+        for alpha in basis
+    ]
+    matrix = ExactMatrix.from_rows(rows)
+    if not matrix.is_lower_triangular():
+        raise RuntimeError("operator matrix is not lower triangular")
+    index = {alpha: i for i, alpha in enumerate(basis)}
+    return basis, matrix, index

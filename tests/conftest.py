@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from schroeder.linalg import ExactMatrix
+from schroeder.linalg import ExactMatrix, JordanBasis, JordanChain, SparseVector
 from schroeder.maps import PolyMap
 from schroeder.scalars import ONE, ZERO, Scalar
 from schroeder.series import Jet, MultiIndex
@@ -114,6 +114,39 @@ def random_lower_matrix(
                 row.append(ZERO)
         rows.append(row)
     return ExactMatrix.from_rows(rows)
+
+
+def sparse_lower(m: ExactMatrix) -> Tuple[List[List[Tuple[int, Scalar]]], Tuple[Scalar, ...]]:
+    """A dense square matrix as (per-row off-diagonal nonzeros, diagonal).
+
+    This is the form `triangular_kernel` and `incremental_jordanize`
+    take.  Nonzeros right of the diagonal are kept, so that those
+    routines see, and refuse, a matrix that is not lower triangular.
+    """
+    diag = m.diagonal_entries()
+    rows = [
+        [(j, x) for j, x in enumerate(row) if j != i and not x.is_zero()]
+        for i, row in enumerate(m.entries)
+    ]
+    return rows, diag
+
+
+def dense_vector(v: SparseVector, size: int) -> Tuple[Scalar, ...]:
+    """A sparse vector as a dense tuple; it must store no zero."""
+    out = [ZERO] * size
+    for j, x in v:
+        assert not x.is_zero(), f"stored zero at coordinate {j}"
+        out[j] = x
+    return tuple(out)
+
+
+def dense_chains(basis: JordanBasis, size: int) -> JordanBasis:
+    """The same chain basis with dense chain vectors."""
+    chains = tuple(
+        JordanChain(c.eigenvalue, tuple(dense_vector(v, size) for v in c.vectors))
+        for c in basis.chains
+    )
+    return JordanBasis(chains, basis.provenance, basis.original_blocks)
 
 
 #: Attracting eigenvalues with pairwise-coprime denominators.  Products of

@@ -1,12 +1,14 @@
 """Dense linear-algebra routes of the first release, kept as test oracles.
 
-`incremental_jordanize` is the row-append Jordanization with dense
-length-N chain vectors that dots every vector with every whole row, and
-`report_dimensions` is the dense route `analyze` used to take: shift the
-whole operator by mu and eliminate it with `kernel_basis`.  They check
-`linalg.incremental_jordanize` and `linalg.triangular_kernel`, which work
-on sparse vectors and never form the shifted operator.  `chain_is_valid`
-replays the chain relation of a Jordan chain exactly.
+`incremental_jordanize` is the row-append Jordanization on a dense
+matrix, with dense length-N chain vectors that it dots with every whole
+row; only its result is written in the library's sparse form, so that
+the two results compare with ==.  `report_dimensions` is the dense route
+`analyze` used to take: shift the whole operator by mu and eliminate it
+with `kernel_basis`.  They check `linalg.incremental_jordanize` and
+`linalg.triangular_kernel`, which take the operator's sparse rows and
+never form the shifted operator.  `chain_is_valid` replays the chain
+relation of a dense Jordan chain exactly.
 
 The kernel-dimension sequence and null spaces come from sympy's
 `DomainMatrix` over Q or Q(i), which shares no code with `linalg`.
@@ -17,11 +19,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from schroeder.linalg import (
+    Block,
     ExactMatrix,
     JordanBasis,
     JordanChain,
     Vector,
-    _parse_jordan_corner,
     kernel_basis,
     mat_vec,
     vectors_rank,
@@ -51,6 +53,38 @@ def chain_is_valid(m: ExactMatrix, chain: JordanChain) -> bool:
     return True
 
 
+def parse_jordan_corner(corner: ExactMatrix) -> List[Block]:
+    """Split a dense lower-triangular Jordan-form matrix into its blocks."""
+    n = corner.rows
+    blocks: List[Block] = []
+    i = 0
+    while i < n:
+        lam = corner.at(i, i)
+        length = 1
+        while (
+            i + length < n
+            and corner.at(i + length, i + length - 1) == ONE
+            and corner.at(i + length, i + length) == lam
+        ):
+            length += 1
+        blocks.append(Block(lam, length, i))
+        i += length
+    for i in range(n):
+        for j in range(n):
+            expect = ZERO
+            if i == j:
+                expect = corner.at(i, i)
+            elif i == j + 1 and any(
+                b.offset <= j and i < b.offset + b.length for b in blocks
+            ):
+                expect = ONE
+            if corner.at(i, j) != expect:
+                raise ValueError(
+                    f"corner is not in lower Jordan form at entry ({i}, {j})"
+                )
+    return blocks
+
+
 class _Chain:
     def __init__(self, eigenvalue: Scalar, vectors: List[List[Scalar]], provenance: Optional[int]):
         self.eigenvalue = eigenvalue
@@ -66,7 +100,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
     """
     if not u.is_lower_triangular():
         raise ValueError("matrix is not lower triangular")
-    blocks = _parse_jordan_corner(u.corner(n))
+    blocks = parse_jordan_corner(u.corner(n))
     big = u.rows
     chains: List[_Chain] = []
     for j, b in enumerate(blocks):
@@ -132,12 +166,19 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
             chains.append(_Chain(d, [v], None))
 
     final = tuple(
-        JordanChain(c.eigenvalue, tuple(tuple(v) for v in c.vectors)) for c in chains
+        JordanChain(
+            c.eigenvalue,
+            tuple(
+                tuple((j, x) for j, x in enumerate(v) if not x.is_zero())
+                for v in c.vectors
+            ),
+        )
+        for c in chains
     )
     provenance = {
         c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
     }
-    return JordanBasis(u, final, provenance, tuple(blocks))
+    return JordanBasis(final, provenance, tuple(blocks))
 
 
 def report_dimensions(u: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, int, int]:

@@ -39,6 +39,7 @@ from conftest import (
     random_poly_map,
     sc,
     sc_fraction_pool,
+    sparse_lower,
 )
 from test_cli import COUPLED_DOC, DIAGONAL_DOC, OBSTRUCTED_DOC, run_cli
 from test_jordan import append_row, lower_jordan, oracle_block_sizes
@@ -90,7 +91,7 @@ def test_criterion_01_obstructed_example_has_no_full_rank_solution():
     assert quarter.projected_dimension == 0
 
     op = build(phi)
-    chains = incremental_jordanize(op.matrix, 2)
+    chains = incremental_jordanize(op.lower, op.diag, 2)
     assert chains.block_sizes(sc(1, 4)) == [2]
 
     scaled_z2 = Jet.monomial(2, 2, (0, 1), sc(16))
@@ -216,7 +217,7 @@ def test_criterion_05_block_structure_matches_rank_oracle_on_200_matrices():
                     row.append(ZERO)
             rows.append(row)
         m = ExactMatrix.from_rows(rows)
-        incremental = incremental_jordanize(m, 1)
+        incremental = incremental_jordanize(*sparse_lower(m), 1)
         for lam in set(m.diagonal_entries()):
             expect = oracle_block_sizes(m, lam)
             assert incremental.block_sizes(lam) == expect
@@ -237,17 +238,17 @@ def test_criterion_06_row_append_merges_exactly_when_coupled_at_eigenvalue():
             corner = lower_jordan([(lam, k)])
 
             merged = incremental_jordanize(
-                append_row(corner, filler + [coupling], lam), k
+                *sparse_lower(append_row(corner, filler + [coupling], lam)), k
             )
             assert merged.block_sizes(lam) == [k + 1]
 
             no_coupling = incremental_jordanize(
-                append_row(corner, filler + [ZERO], lam), k
+                *sparse_lower(append_row(corner, filler + [ZERO], lam)), k
             )
             assert no_coupling.block_sizes(lam) == [1, k]
 
             off_diag = incremental_jordanize(
-                append_row(corner, filler + [coupling], other), k
+                *sparse_lower(append_row(corner, filler + [coupling], other)), k
             )
             assert off_diag.block_sizes(lam) == [k]
             assert off_diag.block_sizes(other) == [1]
@@ -258,7 +259,7 @@ def test_criterion_06_row_append_merges_exactly_when_coupled_at_eigenvalue():
         coeffs[n - 1] = ONE
         coeffs[n + k - 1] = ONE
         m = append_row(corner, coeffs, lam)
-        result = incremental_jordanize(m, n + k)
+        result = incremental_jordanize(*sparse_lower(m), n + k)
         assert result.block_sizes(lam) == sorted([n, k + 1])
         assert oracle_block_sizes(m, lam) == sorted([n, k + 1])
 

@@ -347,9 +347,12 @@ def test_in_process_runs_keep_no_redirected_stream_alive(docs):
         (["analyze", docs["obstructed"]], 2),
         (["solve", docs["diagonal"], "--degree", "3"], 0),
         (["analyze", str(docs["root"] / "missing.json")], 1),
+        (["--help"], 0),
+        (["analyze", "--help"], 0),
+        (["--version"], 0),
     )
     refs = []
-    for i in range(30):
+    for i in range(36):
         args, expected = requests[i % len(requests)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -360,6 +363,22 @@ def test_in_process_runs_keep_no_redirected_stream_alive(docs):
         del out, err
     gc.collect()
     assert sum(ref() is not None for ref in refs) == 0
+
+
+def test_version_from_source_checkout():
+    """`--version` reads the package's own version, not installed metadata."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main_in_process("--version")
+    assert code == 0
+    assert out.getvalue().endswith(", version 0.1.0\n")
+
+
+def test_pyproject_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == schroeder.__version__
 
 
 #: A row operation row_i += t * row_j; products of them are unimodular.

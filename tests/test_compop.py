@@ -10,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resonance_oracles as oracle
+from compop_oracles import dense_operator
+from schroeder import compop
 from schroeder.compop import (
     UnsupportedSpectrumError,
     build,
@@ -200,6 +202,63 @@ def test_operator_entries_four_variable_coupling(coupled_map):
     assert op.matrix.at(op.index[z1z3], op.index[z1z2]) == sc(1, 16)
     assert op.matrix.at(op.index[z1z3], op.index[z1z3]) == sc(1, 8)
     assert op.matrix.corner(4) == coupled_map.linear_part().transpose()
+
+
+def _jordan_block_map(rng, dim, degree, gaussian):
+    """A random map whose derivative is one upper Jordan block."""
+    lam = rng.choice(NONRESONANT_POOL)
+    phi = random_poly_map(rng, dim, [lam] * dim, degree, upper_density=0, gaussian=gaussian)
+    comps = []
+    for i, c in enumerate(phi.components):
+        if i + 1 < dim:
+            unit = tuple(int(t == i + 1) for t in range(dim))
+            c = c + Jet.monomial(dim, degree, unit)
+        comps.append(c)
+    return PolyMap(tuple(comps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from(["diagonal", "jordan", "triangular"]),
+    st.booleans(),
+)
+def test_sparse_build_matches_dense_oracle(seed, dim, k, linear, gaussian):
+    rng = random.Random(seed)
+    degree = rng.randint(1, 3)
+    if linear == "jordan":
+        phi = _jordan_block_map(rng, dim, degree, gaussian)
+    else:
+        diag = [rng.choice(NONRESONANT_POOL) for _ in range(dim)]
+        density = 0 if linear == "diagonal" else 0.6
+        phi = random_poly_map(
+            rng, dim, diag, degree, upper_density=density, gaussian=gaussian
+        )
+    op = compop._build_at(phi, k)
+    basis, matrix, index = dense_operator(phi, k)
+    assert op.basis == basis
+    assert op.index == index
+    assert op.matrix == matrix
+    assert op.diagonal() == matrix.diagonal_entries()
+    assert all(j < i for i, row in enumerate(op.lower) for j, _ in row)
+    assert all(not x.is_zero() for row in op.lower for _, x in row)
+
+
+def test_build_refuses_a_term_above_its_column(monkeypatch):
+    """The per-column check: phi_2 = z2/4 + z1 puts z1 (row 0) in column z2 (1)."""
+    phi = PolyMap(
+        (
+            jet_of(2, 2, [((1, 0), sc(1, 2))]),
+            jet_of(2, 2, [((0, 1), sc(1, 4)), ((1, 0), sc(1))]),
+        )
+    )
+    with pytest.raises(ValueError):
+        build(phi)
+    monkeypatch.setattr(compop, "_upper_triangular_derivative", lambda phi: None)
+    with pytest.raises(RuntimeError, match="not lower triangular in column 1"):
+        compop._build_at(phi, 2)
 
 
 def test_operator_diagonal_law():

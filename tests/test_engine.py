@@ -206,12 +206,12 @@ def test_analyze_large_diagonal_family(ds, size):
 
 
 def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
-    """Only n-sized blocks reach `_rref` or `shift`; the N x N operator never does."""
+    """Only n-sized blocks reach `_rref`, `shift` or `ExactMatrix`; the N x N operator never does."""
     n = coupled_map.dim
     size = truncated_operator(coupled_map).size
     assert size > n
-    eliminated, shifted = [], []
-    rref, shift = linalg._rref, ExactMatrix.shift
+    eliminated, shifted, built = [], [], []
+    rref, shift, init = linalg._rref, ExactMatrix.shift, ExactMatrix.__init__
 
     def counted_rref(rows):
         eliminated.append((len(rows), len(rows[0]) if rows else 0))
@@ -221,8 +221,13 @@ def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
         shifted.append(m.rows)
         return shift(m, lam)
 
+    def counted_init(m, rows, cols, entries):
+        built.append((rows, cols))
+        init(m, rows, cols, entries)
+
     monkeypatch.setattr(linalg, "_rref", counted_rref)
     monkeypatch.setattr(ExactMatrix, "shift", counted_shift)
+    monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
     for run in (
         lambda: analyze(coupled_map),
         lambda: solve(coupled_map, degree=4),
@@ -230,9 +235,66 @@ def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
     ):
         eliminated.clear()
         shifted.clear()
+        built.clear()
         run()
         assert eliminated and all(min(shape) <= n for shape in eliminated)
         assert all(rows <= n for rows in shifted)
+        assert built and all(rows <= n and cols <= n for rows, cols in built)
+
+
+def diagonal_family(ds):
+    """lambda_i = 1/d_i, plus z1^2/3 in components 2..n."""
+    n = len(ds)
+    square = (2,) + (0,) * (n - 1)
+    return PolyMap(
+        tuple(
+            jet_of(
+                n,
+                2,
+                [(tuple(int(j == i) for j in range(n)), sc(1, d))]
+                + ([(square, sc(1, 3))] if i else []),
+            )
+            for i, d in enumerate(ds)
+        )
+    )
+
+
+def test_large_sparse_operator_analysis():
+    """N = 1286: d = (2, 4, 8, 16, 256) truncates at K = 8 in five variables."""
+    report = analyze(diagonal_family((2, 4, 8, 16, 256)))
+    assert report.truncation_degree == 8
+    assert report.basis_size == 1286
+    assert [(r.kernel_dimension, r.projected_dimension) for r in report.eigenvalues] == [
+        (1, 1),
+        (1, 0),
+        (2, 1),
+        (3, 1),
+        (7, 1),
+    ]
+    assert report.full_rank is False
+
+
+def test_jordanize_dots_only_coupled_chains(monkeypatch):
+    """A row is dotted only with chains supported on its nonzero columns.
+
+    Dotting every appended row with every chain took 125,578 `_sparse_dot`
+    calls for this solve (N = 494); the support index must stay under a
+    tenth of that.
+    """
+    phi = diagonal_family((2, 4, 8, 256))
+    report = analyze(phi)
+    assert report.basis_size == 494
+    calls = []
+    dot = linalg._sparse_dot
+
+    def counted_dot(nonzeros, v):
+        calls.append(1)
+        return dot(nonzeros, v)
+
+    monkeypatch.setattr(linalg, "_sparse_dot", counted_dot)
+    sol = solve(phi, degree=report.truncation_degree, mode="independent")
+    assert verify(phi, sol.components).passed
+    assert 0 < len(calls) < 12558
 
 
 def test_truncated_operator_diagonal(diagonal_map):

@@ -24,7 +24,14 @@ from schroeder.scalars import ONE, ZERO, Scalar
 
 import linalg_oracles as oracle
 from linalg_oracles import chain_is_valid
-from conftest import random_lower_matrix, random_poly_map, sc, sc_fraction_pool
+from conftest import (
+    dense_chains,
+    random_lower_matrix,
+    random_poly_map,
+    sc,
+    sc_fraction_pool,
+    sparse_lower,
+)
 
 
 def oracle_block_sizes(m: ExactMatrix, lam: Scalar) -> List[int]:
@@ -120,10 +127,10 @@ def test_transition_orders_eigenvalues_by_first_occurrence():
 def test_incremental_requires_jordan_corner():
     bad = ExactMatrix.from_rows([[sc(1, 2), ZERO], [sc(5), sc(1, 2)]])
     with pytest.raises(ValueError):
-        incremental_jordanize(bad, 2)
+        incremental_jordanize(*sparse_lower(bad), 2)
     not_lower = ExactMatrix.from_rows([[sc(1, 2), ONE], [ZERO, sc(1, 3)]])
     with pytest.raises(ValueError):
-        incremental_jordanize(not_lower, 1)
+        incremental_jordanize(*sparse_lower(not_lower), 1)
 
 
 def test_both_routes_match_oracle_on_random_matrices():
@@ -132,7 +139,7 @@ def test_both_routes_match_oracle_on_random_matrices():
     for _ in range(60):
         size = rng.randint(2, 6)
         m = random_lower_matrix(rng, size, pool, gaussian=True)
-        basis = incremental_jordanize(m, 1)
+        basis = dense_chains(incremental_jordanize(*sparse_lower(m), 1), size)
         for c in basis.chains:
             assert chain_is_valid(m, c)
         s = basis.chain_matrix()
@@ -168,7 +175,7 @@ def test_extending_chain_preserves_corner_projection():
             row += [rng.choice(pool)] + [ZERO] * (total - r - 1)
             rows.append(row)
         m = ExactMatrix.from_rows(rows)
-        jb = incremental_jordanize(m, n)
+        jb = dense_chains(incremental_jordanize(*sparse_lower(m), n), total)
         for bi, block in enumerate(jb.original_blocks):
             chain = jb.chains[jb.provenance[bi]]
             assert chain.eigenvalue == block.eigenvalue
@@ -190,21 +197,22 @@ def test_one_block_append_branches():
         filler = [sc_fraction_pool(rng) for _ in range(k - 1)]
 
         merged = incremental_jordanize(
-            append_row(corner, filler + [sc(5)], lam), k
+            *sparse_lower(append_row(corner, filler + [sc(5)], lam)), k
         )
         assert merged.block_sizes(lam) == [k + 1]
         assert len(merged.chains) == 1
         assert merged.provenance == {0: 0}
 
-        shifted = incremental_jordanize(
-            append_row(corner, filler + [ZERO], lam), k
+        shifted = dense_chains(
+            incremental_jordanize(*sparse_lower(append_row(corner, filler + [ZERO], lam)), k),
+            k + 1,
         )
         assert shifted.block_sizes(lam) == [1, k]
         assert shifted.chains[-1].length == 1
         assert shifted.chains[-1].vectors[0][k] == ONE
 
         off_eigen = incremental_jordanize(
-            append_row(corner, filler + [sc(5)], other), k
+            *sparse_lower(append_row(corner, filler + [sc(5)], other)), k
         )
         assert off_eigen.block_sizes(lam) == [k]
         assert off_eigen.block_sizes(other) == [1]
@@ -218,7 +226,7 @@ def test_two_block_append_longest_absorbs():
         coeffs[n - 1] = ONE
         coeffs[n + k - 1] = ONE
         m = append_row(corner, coeffs, lam)
-        jb = incremental_jordanize(m, n + k)
+        jb = incremental_jordanize(*sparse_lower(m), n + k)
         assert jb.block_sizes(lam) == sorted([n, k + 1])
         assert oracle_block_sizes(m, lam) == sorted([n, k + 1])
         grown = jb.chains[jb.provenance[1]]
@@ -247,7 +255,7 @@ def test_incremental_matches_oracle_with_jordan_corners():
             row += [rng.choice(pool)] + [ZERO] * (total - r - 1)
             rows.append(row)
         m = ExactMatrix.from_rows(rows)
-        jb = incremental_jordanize(m, n)
+        jb = dense_chains(incremental_jordanize(*sparse_lower(m), n), total)
         for lam in set(m.diagonal_entries()):
             assert jb.block_sizes(lam) == oracle_block_sizes(m, lam)
         for c in jb.chains:
@@ -273,8 +281,10 @@ def test_incremental_matches_dense_oracle_on_operators(seed, dim, gaussian):
     pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
     diag = [rng.choice(pool) for _ in range(dim)]
     phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
-    u = truncated_operator(phi).matrix
-    assert incremental_jordanize(u, dim) == oracle.incremental_jordanize(u, dim)
+    op = truncated_operator(phi)
+    assert incremental_jordanize(op.lower, op.diag, dim) == oracle.incremental_jordanize(
+        op.matrix, dim
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,4 +295,4 @@ def test_incremental_matches_dense_oracle_on_sparse_matrices(seed, size, gaussia
     m = random_lower_matrix(
         rng, size, pool, gaussian=gaussian, density=rng.choice([0.2, 0.4, 0.7])
     )
-    assert incremental_jordanize(m, 1) == oracle.incremental_jordanize(m, 1)
+    assert incremental_jordanize(*sparse_lower(m), 1) == oracle.incremental_jordanize(m, 1)

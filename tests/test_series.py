@@ -47,6 +47,18 @@ def test_order_three_variables_degree_two():
     ]
 
 
+def test_cached_monomial_lists_cannot_be_corrupted():
+    """Each call returns a fresh list, so mutating one leaves later calls intact."""
+    first = monomials_of_degree(2, 2)
+    first.clear()
+    assert monomials_of_degree(2, 2) == [(2, 0), (1, 1), (0, 2)]
+    every = enumerate_monomials(2, 2)
+    every.append((9, 9))
+    every[0] = (7, 7)
+    assert enumerate_monomials(2, 2) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert monomials_of_degree(3, 0) == [(0, 0, 0)]
+
+
 def test_order_is_graded_then_first_difference():
     assert order_key((0, 2)) < order_key((3, 0))
     assert order_key((2, 1)) < order_key((1, 2))
