@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, SparseVector
 from .maps import PolyMap, PowerMemo, monomial_power
 from .scalars import ZERO, Scalar, abs_sq
 from .series import Jet, MultiIndex, enumerate_monomials, order_key
@@ -219,8 +219,10 @@ def jet_vector(op: TruncatedCompOp, f: Jet) -> Tuple[Scalar, ...]:
     return tuple(f.coefficient(alpha) for alpha in op.basis)
 
 
-def vector_jet(op: TruncatedCompOp, vec: Sequence[Scalar]) -> Jet:
-    """The jet with the given coefficients in the operator's basis order."""
-    if len(vec) != op.size:
-        raise ValueError(f"vector length {len(vec)} does not match basis size {op.size}")
-    return Jet.build(op.dim, op.degree, list(zip(op.basis, vec)))
+def vector_jet(op: TruncatedCompOp, vec: SparseVector) -> Jet:
+    """The jet with a sparse vector's coefficients in the operator's basis order."""
+    if vec and not (vec[0][0] >= 0 and vec[-1][0] < op.size):
+        raise ValueError(
+            f"coordinates {vec[0][0]}..{vec[-1][0]} are outside basis size {op.size}"
+        )
+    return Jet(op.dim, op.degree, {op.basis[j]: x for j, x in vec})

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .compop import TruncatedCompOp, _build_at, resonances, truncation_degree
+from .compop import TruncatedCompOp, _build_at, resonances, truncation_degree, vector_jet
 from .linalg import (
     ExactMatrix,
-    JordanBasis,
-    SparseVector,
+    SparseJordanBasis,
     incremental_jordanize,
     inverse,
     mat_pow,
@@ -297,7 +296,7 @@ class _Lifter:
         return Jet(self.n, self.out, g)
 
 
-def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[Jet]]]:
+def _lifted_blocks(prep: _Prep, chains: SparseJordanBasis) -> List[Tuple[Scalar, List[Jet]]]:
     """Per original block, in corner order: (eigenvalue, [f_1..f_s]) lifted to the work degree.
 
     Within a block the components satisfy f_i(psi(z)) = lambda f_i + f_{i+1}
@@ -309,18 +308,13 @@ def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[
     for bi, block in enumerate(chains.original_blocks):
         chain = chains.chains[chains.provenance[bi]]
         s = block.length
-        base = [_jet(prep.op, v) for v in reversed(chain.vectors[:s])]
+        base = [vector_jet(prep.op, v) for v in reversed(chain.vectors[:s])]
         lifted: List[Optional[Jet]] = [None] * s
         for i in range(s, 0, -1):
             rhs = lifted[i] if i < s else None
             lifted[i - 1] = lifter.lift(base[i - 1], rhs, block.eigenvalue)
         out.append((block.eigenvalue, [j for j in lifted if j is not None]))
     return out
-
-
-def _jet(op: TruncatedCompOp, v: SparseVector) -> Jet:
-    """The jet with a sparse vector's coefficients, in the operator's basis order."""
-    return Jet(op.dim, op.degree, {op.basis[j]: x for j, x in v})
 
 
 def component_rank(components: PolyMap) -> int:

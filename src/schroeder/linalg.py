@@ -344,15 +344,10 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class JordanChain:
-    """Vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}.
-
-    The vectors are dense from `jordan_chains_triangular` and
-    `transition_to_jordan_triangular`, and sparse from
-    `incremental_jordanize`.
-    """
+    """Vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}."""
 
     eigenvalue: Scalar
-    vectors: Tuple[Vector, ...] | Tuple[SparseVector, ...]
+    vectors: Tuple[Vector, ...]
 
     @property
     def length(self) -> int:
@@ -376,9 +371,9 @@ class JordanBasis:
     """A chain basis of a matrix with provenance into a protected corner.
 
     `provenance` maps an original corner-block index to the index of the
-    chain extending it.  For dense chains, `chain_matrix()` stacks all
-    chain vectors as columns, each chain in top-to-eigenvector order, so
-    that ``M @ S == S @ jordan_form()`` holds exactly.
+    chain extending it.  `chain_matrix()` stacks all chain vectors as
+    columns, each chain in top-to-eigenvector order, so that
+    ``M @ S == S @ jordan_form()`` holds exactly.
     """
 
     chains: Tuple[JordanChain, ...]
@@ -402,6 +397,34 @@ class JordanBasis:
                     rows[pos + i + 1][pos + i] = ONE
             pos += c.length
         return ExactMatrix.from_rows(rows)
+
+    def block_sizes(self, lam: Scalar) -> List[int]:
+        return sorted(c.length for c in self.chains if c.eigenvalue == lam)
+
+
+@dataclass(frozen=True)
+class SparseChain:
+    """A Jordan chain as in `JordanChain`, held as sparse vectors."""
+
+    eigenvalue: Scalar
+    vectors: Tuple[SparseVector, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.vectors)
+
+
+@dataclass(frozen=True)
+class SparseJordanBasis:
+    """The chain basis `incremental_jordanize` returns, as `JordanBasis`.
+
+    Its chains are sparse, and it has no chain matrix: forming one is the
+    N x N densification the sparse routines exist to avoid.
+    """
+
+    chains: Tuple[SparseChain, ...]
+    provenance: Dict[int, int]
+    original_blocks: Tuple[Block, ...]
 
     def block_sizes(self, lam: Scalar) -> List[int]:
         return sorted(c.length for c in self.chains if c.eigenvalue == lam)
@@ -522,7 +545,9 @@ class _MutableChain:
         self.provenance = provenance
 
 
-def incremental_jordanize(lower: LowerRows, diag: Sequence[Scalar], n: int) -> JordanBasis:
+def incremental_jordanize(
+    lower: LowerRows, diag: Sequence[Scalar], n: int
+) -> SparseJordanBasis:
     """Jordanize a sparse lower-triangular matrix by appending rows below a corner.
 
     The upper-left n x n corner must already be a lower-triangular
@@ -538,7 +563,7 @@ def incremental_jordanize(lower: LowerRows, diag: Sequence[Scalar], n: int) -> J
     be nonzero there.  A row is dotted only with the chains in the
     support of its nonzero columns; every other chain has all-zero
     couplings and keeps a zero coordinate without any arithmetic.  The
-    chains come back as sparse vectors.
+    chains come back sparse, as a `SparseJordanBasis`.
     """
     big = _check_lower(lower, diag)
     if not 1 <= n <= big:
@@ -610,12 +635,12 @@ def incremental_jordanize(lower: LowerRows, diag: Sequence[Scalar], n: int) -> J
             chains.append(_MutableChain(d, [{r: ONE}], None))
 
     final = tuple(
-        JordanChain(c.eigenvalue, tuple(_frozen(v) for v in c.vectors)) for c in chains
+        SparseChain(c.eigenvalue, tuple(_frozen(v) for v in c.vectors)) for c in chains
     )
     provenance = {
         c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
     }
-    return JordanBasis(final, provenance, tuple(blocks))
+    return SparseJordanBasis(final, provenance, tuple(blocks))
 
 
 def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[JordanBasis, ExactMatrix]:

@@ -19,7 +19,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from schroeder.linalg import ExactMatrix, JordanBasis, JordanChain, SparseVector
+from schroeder.linalg import (
+    ExactMatrix,
+    JordanBasis,
+    JordanChain,
+    SparseJordanBasis,
+    SparseVector,
+)
 from schroeder.maps import PolyMap
 from schroeder.scalars import ONE, ZERO, Scalar
 from schroeder.series import Jet, MultiIndex
@@ -140,7 +146,12 @@ def dense_vector(v: SparseVector, size: int) -> Tuple[Scalar, ...]:
     return tuple(out)
 
 
-def dense_chains(basis: JordanBasis, size: int) -> JordanBasis:
+def sparse_vector(v: Sequence[Scalar]) -> SparseVector:
+    """A dense vector as a sparse one: its nonzeros, coordinates increasing."""
+    return tuple((j, x) for j, x in enumerate(v) if not x.is_zero())
+
+
+def dense_chains(basis: SparseJordanBasis, size: int) -> JordanBasis:
     """The same chain basis with dense chain vectors."""
     chains = tuple(
         JordanChain(c.eigenvalue, tuple(dense_vector(v, size) for v in c.vectors))

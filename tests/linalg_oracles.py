@@ -21,8 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 from schroeder.linalg import (
     Block,
     ExactMatrix,
-    JordanBasis,
     JordanChain,
+    SparseChain,
+    SparseJordanBasis,
     Vector,
     kernel_basis,
     mat_vec,
@@ -92,7 +93,7 @@ class _Chain:
         self.provenance = provenance
 
 
-def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
+def incremental_jordanize(u: ExactMatrix, n: int) -> SparseJordanBasis:
     """The row-append Jordanization on dense chain vectors.
 
     Same contract, update formulas and choices as
@@ -166,7 +167,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
             chains.append(_Chain(d, [v], None))
 
     final = tuple(
-        JordanChain(
+        SparseChain(
             c.eigenvalue,
             tuple(
                 tuple((j, x) for j, x in enumerate(v) if not x.is_zero())
@@ -178,7 +179,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
     provenance = {
         c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
     }
-    return JordanBasis(final, provenance, tuple(blocks))
+    return SparseJordanBasis(final, provenance, tuple(blocks))
 
 
 def report_dimensions(u: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, int, int]:

@@ -27,7 +27,7 @@ from schroeder.maps import PolyMap, compose
 from schroeder.scalars import I, Scalar, abs_sq
 from schroeder.series import Jet, monomial_count
 
-from conftest import NONRESONANT_POOL, jet_of, random_poly_map, sc
+from conftest import NONRESONANT_POOL, jet_of, random_poly_map, sc, sparse_vector
 
 
 def test_spectrum_rejections():
@@ -285,7 +285,7 @@ def test_operator_action_is_composition():
                 for alpha in op.basis
             ],
         )
-        via_matrix = vector_jet(op, mat_vec(op.matrix, jet_vector(op, f)))
+        via_matrix = vector_jet(op, sparse_vector(mat_vec(op.matrix, jet_vector(op, f))))
         direct = compose(f, op.source.truncate(4))
         assert via_matrix == direct
 
@@ -293,9 +293,11 @@ def test_operator_action_is_composition():
 def test_vector_jet_round_trip(diagonal_map):
     op = build(diagonal_map, 3)
     f = jet_of(2, 3, [((1, 0), sc(2)), ((1, 1), I), ((0, 3), sc(-1, 7))])
-    assert vector_jet(op, jet_vector(op, f)) == f
+    assert vector_jet(op, sparse_vector(jet_vector(op, f))) == f
     with pytest.raises(ValueError):
-        vector_jet(op, (sc(1),))
+        vector_jet(op, ((op.size, sc(1)),))
+    with pytest.raises(ValueError):
+        vector_jet(op, ((-1, sc(1)),))
 
 
 def test_build_degree_override(diagonal_map):

@@ -129,8 +129,10 @@ def test_incremental_requires_jordan_corner():
     with pytest.raises(ValueError):
         incremental_jordanize(*sparse_lower(bad), 2)
     not_lower = ExactMatrix.from_rows([[sc(1, 2), ONE], [ZERO, sc(1, 3)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not lower triangular"):
         incremental_jordanize(*sparse_lower(not_lower), 1)
+    with pytest.raises(ValueError, match="2 rows but 1 diagonal entries"):
+        incremental_jordanize([[], []], (sc(1, 2),), 1)
 
 
 def test_both_routes_match_oracle_on_random_matrices():

@@ -126,10 +126,10 @@ def test_triangular_kernel_matches_sympy(seed, size, gaussian):
 
 def test_triangular_kernel_requires_lower_triangular():
     upper = ExactMatrix.from_rows([[sc(1, 2), ONE], [ZERO, sc(1, 2)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not lower triangular"):
         triangular_kernel(*sparse_lower(upper), sc(1, 2))
-    with pytest.raises(ValueError):
-        triangular_kernel(*sparse_lower(ExactMatrix.zero(2, 3)), ZERO)
+    with pytest.raises(ValueError, match="2 rows but 1 diagonal entries"):
+        triangular_kernel([[], []], (ZERO,), ZERO)
 
 
 def test_triangular_kernel_constraint_rows():
