@@ -412,22 +412,20 @@ def _remix(block_jets: List[Jet], lam: Scalar, power: int, work: int) -> List[Je
     """
     s = len(block_jets)
     top_pow = _jet_pow(block_jets[s - 1], power - 1)
-    h = []
-    for i in range(1, s + 1):
-        scale = scalar_inv(lam ** ((power - 1) * (s - i)))
-        h.append((block_jets[i - 1] * top_pow).scale(scale))
+    products = [f * top_pow for f in block_jets]
+    scales = [scalar_inv(lam ** ((power - 1) * (s - i))) for i in range(1, s + 1)]
     basis, _ = transition_to_jordan_triangular(mat_pow(_jordan_block_upper(lam, s), power))
     if len(basis.chains) != 1:
         raise RuntimeError("k-th power of a derivative block did not stay a single block")
     chain = basis.chains[0].vectors
     out = []
     for i in range(s):
-        acc = Jet.zero(block_jets[0].dim, work)
+        acc: Dict[MultiIndex, Scalar] = {}
         for j in range(s):
             c = chain[j][i]
             if not c.is_zero():
-                acc = acc + h[j].scale(c)
-        out.append(acc)
+                add_into(acc, products[j].coeffs, c * scales[j])
+        out.append(Jet(block_jets[0].dim, work, acc))
     return out
 
 
@@ -438,8 +436,9 @@ def _jordan_block_upper(lam: Scalar, s: int) -> ExactMatrix:
 
 
 def _jet_pow(f: Jet, e: int) -> Jet:
-    out = Jet.build(f.dim, f.degree, [((0,) * f.dim, ONE)])
-    for _ in range(e):
+    """f^e for e >= 1."""
+    out = f
+    for _ in range(e - 1):
         out = out * f
     return out
 

@@ -11,15 +11,17 @@ three-argument `math.gcd` that restores the canonical form; no operation
 reduces the real and imaginary parts separately.  Sums over equal
 denominators just add numerators (over different ones, only the factors
 the denominators share can cancel), and a product with a real factor
-skips the imaginary cross products.  `re` and `im` give the parts as
-reduced `fractions.Fraction` values.
+skips the imaginary cross products.  `mul_add(x, y, acc)` gives
+``acc + x*y`` for one step of a sum of products with one reduction in
+place of two.  `re` and `im` give the parts as reduced
+`fractions.Fraction` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -86,7 +88,15 @@ class Scalar:
         out._a, out._b, out._d = -self._a, -self._b, self._d
         return out
 
-    def __mul__(self, other: Scalar) -> Scalar:
+    def __mul__(self, other: Scalar, acc: Optional[Scalar] = None) -> Scalar:
+        """self * other, or acc + self * other as `mul_add`, reduced once.
+
+        The product stays unreduced and is added to `acc` over the least
+        common denominator of the two; one `gcd(a, b, d)` then restores
+        the canonical form.  It must be the full gcd: the unreduced
+        product is not canonical, so the shared-factor shortcut of `_sum`
+        does not hold.
+        """
         a, b, c, e = self._a, self._b, other._a, other._b
         if not e:
             a, b = a * c, b * c
@@ -95,6 +105,17 @@ class Scalar:
         else:
             a, b = a * c - b * e, a * e + b * c
         d = self._d * other._d
+        if acc is not None:
+            f = acc._d
+            if f == d:
+                a += acc._a
+                b += acc._b
+            else:
+                g = gcd(f, d)
+                s, t = f // g, d // g
+                a = a * s + acc._a * t
+                b = b * s + acc._b * t
+                d *= s
         g = gcd(a, b, d) if d != 1 else 1
         out = _new(Scalar)
         if g == 1:
@@ -164,6 +185,10 @@ def _sum(x: Scalar, a2: int, b2: int, e: int) -> Scalar:
         out._a, out._b, out._d = a // g, b // g, d // g
     return out
 
+
+# mul_add(x, y, acc) is acc + x*y, or x*y when acc is None: one step of
+# a sum of products at one reduction, where `*` then `+` cost two.
+mul_add = Scalar.__mul__
 
 ZERO = Scalar(Fraction(0), Fraction(0))
 ONE = Scalar(Fraction(1), Fraction(0))

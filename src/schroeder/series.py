@@ -10,16 +10,23 @@ A jet is a power series kept only through a fixed total degree.  The
 coefficient table is sparse and canonical: zero coefficients are never
 stored, and no stored exponent exceeds the truncation degree, so
 structural equality coincides with mathematical equality.
+
+Products are graded: `jet_mul` groups the right factor's terms by total
+degree, so each left term meets only the terms whose product stays within
+the truncation, and every coefficient accumulates through
+`scalars.mul_add` at one gcd reduction per product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, mul_add
 
 MultiIndex = Tuple[int, ...]
 
@@ -176,41 +183,50 @@ def add_into(
 
     Terms above total degree `cap` are skipped and sums that cancel are
     removed, so a canonical table stays canonical.  Sums of jets are
-    accumulated through this, one table per result.
+    accumulated through this, one table per result; a scaled term costs
+    one `mul_add`.
     """
+    get = acc.get
     for alpha, c in coeffs.items():
         if cap is not None and sum(alpha) > cap:
             continue
+        prev = get(alpha)
         if scale is not None:
-            c = c * scale
-        prev = acc.get(alpha)
-        if prev is None:
-            if not c.is_zero():
-                acc[alpha] = c
-            continue
-        s = prev + c
-        if s.is_zero():
-            del acc[alpha]
+            s = mul_add(c, scale, prev)
+        elif prev is None:
+            s = c
         else:
+            s = prev + c
+        if s:
             acc[alpha] = s
+        elif prev is not None:
+            del acc[alpha]
 
 
 def jet_mul(f: Jet, g: Jet) -> Jet:
-    """Product truncated at the smaller of the two degrees."""
+    """Product truncated at the smaller of the two degrees.
+
+    The terms of `g` are grouped by total degree once, so each term of
+    `f` meets only the terms whose product survives the truncation.
+    Every coefficient accumulates through `mul_add`; sums that cancel
+    are dropped once at the end.
+    """
     f._check(g)
     deg = min(f.degree, g.degree)
+    by_degree: List[List[Tuple[MultiIndex, Scalar]]] = [[] for _ in range(deg + 1)]
+    for b, cb in g.coeffs.items():
+        db = sum(b)
+        if db <= deg:
+            by_degree[db].append((b, cb))
+    # up_to[r]: the terms of g of degree at most r.
+    up_to = list(accumulate(by_degree))
     acc: Dict[MultiIndex, Scalar] = {}
+    get = acc.get
     for a, ca in f.coeffs.items():
-        da = sum(a)
-        if da > deg:
+        room = deg - sum(a)
+        if room < 0:
             continue
-        for b, cb in g.coeffs.items():
-            if da + sum(b) > deg:
-                continue
-            gamma = tuple(x + y for x, y in zip(a, b))
-            s = acc.get(gamma, ZERO) + ca * cb
-            if s.is_zero():
-                acc.pop(gamma, None)
-            else:
-                acc[gamma] = s
-    return Jet(f.dim, deg, acc)
+        for b, cb in up_to[room]:
+            gamma = tuple(map(add, a, b))
+            acc[gamma] = mul_add(ca, cb, get(gamma))
+    return Jet(f.dim, deg, {gamma: c for gamma, c in acc.items() if c})

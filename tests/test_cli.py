@@ -183,7 +183,8 @@ def test_solve_and_verify_round_trip(docs):
     )
     assert res.returncode == 0
     assert res.stdout == ""
-    saved = json.loads(open(sol_path, encoding="utf-8").read())
+    with open(sol_path, encoding="utf-8") as fh:
+        saved = json.loads(fh.read())
     assert saved["kind"] == "solution" and saved["full_rank"] is True
 
     check = run_cli("verify", docs["diagonal"], sol_path)

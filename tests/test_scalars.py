@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroeder.scalars import I, ONE, ZERO, Scalar, abs_sq, scalar_inv
+from schroeder.scalars import I, ONE, ZERO, Scalar, abs_sq, mul_add, scalar_inv
 
 import scalar_oracles as oracle
 
@@ -181,3 +181,38 @@ def test_operations_match_the_fraction_oracle(x, y, n):
     assert (a == b) == (oa == ob)
     assert (a != b) == (oa != ob)
     assert a == Scalar(*x) and hash(a) == hash(Scalar(*x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gaussians,
+    gaussians,
+    gaussians,
+    st.sampled_from(["none", "any", "product-denominator", "cancel"]),
+    st.integers(-(2**70), 2**70),
+)
+def test_mul_add_matches_the_fraction_oracle(x, y, z, case, n):
+    a, oa = Scalar(*x), oracle.Scalar(*x)
+    b, ob = Scalar(*y), oracle.Scalar(*y)
+    product = oa * ob
+    if case == "none":
+        acc, expect = None, product
+    else:
+        if case == "any":
+            # Drawn like x and y, so denominators are often equal or share
+            # a large factor with the product's.
+            parts = z
+        elif case == "product-denominator":
+            # Canonical over exactly the unreduced denominator of x*y.
+            d = a._d * b._d
+            parts = (Fraction(1 + d * n, d), Fraction(z[1].numerator, d))
+            assert Scalar(*parts)._d == d
+        else:
+            parts = (-product.re, -product.im)
+        acc = Scalar(*parts)
+        expect = oracle.Scalar(*parts) + product
+    got = mul_add(a, b, acc)
+    assert_matches(got, expect)
+    assert got == mul_add(b, a, acc)
+    if case == "cancel":
+        assert got == ZERO and (got._a, got._b, got._d) == (0, 0, 1)

@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroeder.scalars import ONE, ZERO, Scalar
+from schroeder.scalars import I, ONE, ZERO, Scalar
 from schroeder.series import (
     Jet,
+    add_into,
     enumerate_monomials,
+    jet_mul,
     monomial_count,
     monomials_of_degree,
     order_key,
     unit_index,
 )
 
+import series_oracles as oracle
 from conftest import sc
 
 
@@ -194,3 +197,73 @@ def test_random_mul_against_dense_reference():
                 if all(e >= 0 for e in b):
                     expect = expect + f.coefficient(a) * g.coefficient(b)
             assert prod.coefficient(gamma) == expect
+
+
+# Real coefficients, or Gaussian ones that include the imaginary units.
+real_coeffs = st.builds(Scalar, small_fracs, st.just(Fraction(0)))
+gaussian_coeffs = st.one_of(small_scalars, st.sampled_from([ONE, -ONE, I, -I]))
+coeff_kinds = st.sampled_from([real_coeffs, gaussian_coeffs])
+
+
+@st.composite
+def jet_pairs(draw):
+    """Two jets in one dimension, with degrees that may differ.
+
+    In two or more variables, half the time the pair is (u + v, u - v)
+    with u free of z2 and v = z2 * w, w free of z2.  Every cross term of
+    the product then has z2-degree 1, which neither u^2 nor v^2 reach, so
+    each of those coefficients cancels to exactly zero.
+    """
+    dim = draw(st.integers(1, 3))
+    df, dg = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    coeffs = draw(coeff_kinds)
+    top = max(df, dg)
+    mons = [(0,) * dim] + enumerate_monomials(dim, max(top, 1))
+
+    def jet(support):
+        terms = st.lists(st.tuples(st.sampled_from(support), coeffs), max_size=7)
+        return Jet.build(dim, top, draw(terms))
+
+    if dim >= 2 and draw(st.booleans()):
+        free = [m for m in mons if m[1] == 0]
+        u = jet(free)
+        v = jet([m[:1] + (1,) + m[2:] for m in free])
+        u, v = u + v, u - v
+    else:
+        u, v = jet(mons), jet(mons)
+    return u.truncate(df), v.truncate(dg)
+
+
+def assert_no_zero_stored(table) -> None:
+    assert all(not c.is_zero() for c in table.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(jet_pairs())
+def test_graded_product_matches_the_pairwise_oracle(pair):
+    f, g = pair
+    for x, y in ((f, g), (g, f)):
+        got = jet_mul(x, y)
+        assert got == oracle.jet_mul(x, y)
+        assert got.degree == min(x.degree, y.degree)
+        assert_no_zero_stored(got.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jet_pairs(),
+    st.one_of(st.none(), st.just(ZERO), st.just(-ONE), gaussian_coeffs),
+    st.one_of(st.none(), st.integers(0, 5)),
+    st.booleans(),
+)
+def test_add_into_matches_the_pairwise_oracle(pair, scale, cap, cancel):
+    f, g = pair
+    start = dict(g.coeffs)
+    if cancel:
+        # Then adding the scaled f cancels every term it reaches.
+        oracle.add_into(start, f.coeffs, -(ONE if scale is None else scale))
+    got, expect = dict(start), dict(start)
+    add_into(got, f.coeffs, scale, cap)
+    oracle.add_into(expect, f.coeffs, scale, cap)
+    assert got == expect
+    assert_no_zero_stored(got)
