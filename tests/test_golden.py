@@ -1,19 +1,23 @@
-"""Golden machine documents for the three fixture maps.
+"""Golden outputs of the CLI for the three fixture maps.
 
 Each case runs one `schroeder` command in-process on a fixture map with
 `--format machine` and compares the document it writes with the file of
-the same name under `tests/golden/`, byte for byte.  The `verify` cases
-check the committed solution documents.  Two more maps are fixtures
-conjugated by a unimodular matrix and carry it as their `"conjugator"`,
-so the CLI's conjugation in and transport back are pinned as well.
-After a change that is meant to alter the output, regenerate every file
-with
+the same name under `tests/golden/`, byte for byte; the same command
+with `--format text` must print the `.txt` file beside it.  The `verify`
+cases check the committed solution documents.  Two more maps are
+fixtures conjugated by a unimodular matrix and carry it as their
+`"conjugator"`, so the CLI's conjugation in and transport back are
+pinned as well.  The `--help` page of the group and of each subcommand
+is pinned as `help*.txt`.  After a change that is meant to alter the
+output, regenerate every file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -143,17 +147,47 @@ def _cases() -> List[Tuple[str, str, List[str], int]]:
 
 CASES = _cases()
 
+#: The subcommands whose `--help` pages are pinned.
+COMMANDS = ("analyze", "solve", "solve-power", "verify", "matrix")
 
-def render(map_name: str, args: List[str], workdir: Path) -> Tuple[bytes, int]:
-    """The machine document one command writes, and its exit code."""
+#: (golden file name, arguments) of every pinned help page.
+HELP_PAGES = [("help.txt", ["--help"])] + [
+    (f"help.{command}.txt", [command, "--help"]) for command in COMMANDS
+]
+
+
+def text_name(golden: str) -> str:
+    """The text output's golden file for a machine document's."""
+    return golden.removesuffix(".json") + ".txt"
+
+
+def _stdout_of(args: List[str]) -> Tuple[bytes, int]:
+    """What `schroeder <args>` prints to stdout, and its exit code.
+
+    The help width is fixed at the 78 columns click uses without a
+    terminal, so the pages do not depend on the one running the tests.
+    """
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.cli.main(
+            args, prog_name="schroeder", standalone_mode=False, terminal_width=78
+        )
+    return buffer.getvalue().encode("utf-8"), code
+
+
+def render(map_name: str, args: List[str], workdir: Path, fmt: str = "machine") -> Tuple[bytes, int]:
+    """The document (machine) or report (text) one command writes, and its exit code.
+
+    The machine document goes through `--out`, the text to stdout.
+    """
     map_path = workdir / f"{map_name}.map.json"
     map_path.write_text(json.dumps(DOCUMENTS[map_name]), encoding="utf-8")
-    out_path = workdir / "out.json"
     command, *rest = args
-    code = cli.cli.main(
-        [command, str(map_path), *rest, "--format", "machine", "--out", str(out_path)],
-        standalone_mode=False,
-    )
+    argv = [command, str(map_path), *rest, "--format", fmt]
+    if fmt == "text":
+        return _stdout_of(argv)
+    out_path = workdir / "out.json"
+    code = cli.cli.main([*argv, "--out", str(out_path)], standalone_mode=False)
     return out_path.read_bytes(), code
 
 
@@ -180,15 +214,37 @@ def test_machine_document_matches_golden(golden, map_name, args, code, tmp_path)
     assert data == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "golden, map_name, args, code", CASES, ids=[text_name(case[0]) for case in CASES]
+)
+def test_text_output_matches_golden(golden, map_name, args, code, tmp_path):
+    data, got = render(map_name, args, tmp_path, "text")
+    assert got == code
+    assert data == (GOLDEN / text_name(golden)).read_bytes()
+
+
+@pytest.mark.parametrize("golden, args", HELP_PAGES, ids=[page[0] for page in HELP_PAGES])
+def test_help_page_matches_golden(golden, args):
+    data, code = _stdout_of(args)
+    assert code == 0
+    assert data == (GOLDEN / golden).read_bytes()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
+
+    def write(golden: str, data: bytes, got: int, code: int) -> None:
+        if got != code:
+            raise SystemExit(f"{golden}: exit code {got}, expected {code}")
+        (GOLDEN / golden).write_bytes(data)
+        print(f"wrote {GOLDEN / golden}", file=sys.stderr)
+
     with tempfile.TemporaryDirectory() as tmp:
         for golden, map_name, args, code in CASES:
-            data, got = render(map_name, args, Path(tmp))
-            if got != code:
-                raise SystemExit(f"{golden}: exit code {got}, expected {code}")
-            (GOLDEN / golden).write_bytes(data)
-            print(f"wrote {GOLDEN / golden}", file=sys.stderr)
+            write(golden, *render(map_name, args, Path(tmp)), code)
+            write(text_name(golden), *render(map_name, args, Path(tmp), "text"), code)
+    for golden, args in HELP_PAGES:
+        write(golden, *_stdout_of(args), 0)
 
 
 if __name__ == "__main__":
