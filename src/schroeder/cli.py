@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import click
 
@@ -20,6 +20,7 @@ from . import __version__, documents
 from .compop import TruncatedCompOp, UnsupportedSpectrumError
 from .documents import DocumentError
 from .engine import (
+    DEFAULT_DEGREE,
     AnalysisReport,
     InvalidMapError,
     NoFullRankError,
@@ -165,6 +166,15 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise DocumentError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
+def _render(obj: Any, to_json: Callable, to_text: Callable, fmt: str, out: Optional[str]) -> None:
+    """Emit obj as a machine document or as text.
+
+    Callers pass `documents.*_json` looked up when the command runs, so
+    a rebound module attribute is the one called.
+    """
+    _emit(documents.dump(to_json(obj)) if fmt == "machine" else to_text(obj), out)
+
+
 def _load_map(path: str) -> Tuple[PolyMap, PolyMap, Optional[ExactMatrix]]:
     """The map phi as given, the map C phi C^-1 the engine sees, and C^-1 (None without C)."""
     phi, conj = documents.parse_map_document(documents.load(path))
@@ -240,6 +250,13 @@ sample_option = click.option(
     is_flag=True,
     help="Float-sample the map near 0 and warn if it fails to contract.",
 )
+degree_option = click.option(
+    "--degree",
+    type=click.IntRange(min=1),
+    default=DEFAULT_DEGREE,
+    show_default=True,
+    help="Output degree; raised to the operator truncation degree when smaller.",
+)
 seed_option = click.option(
     "--seed",
     type=int,
@@ -302,22 +319,13 @@ def analyze_cmd(map_path: str, fmt: str, out: Optional[str], sample_check: bool,
     if sample_check:
         _sample_check(original, seed)
     report = analyze(phi)
-    if fmt == "machine":
-        _emit(documents.dump(documents.analysis_json(report)), out)
-    else:
-        _emit(_analysis_text(report), out)
+    _render(report, documents.analysis_json, _analysis_text, fmt, out)
     return 0 if report.full_rank else 2
 
 
 @cli.command("solve")
 @click.argument("map_path", metavar="MAP")
-@click.option(
-    "--degree",
-    type=click.IntRange(min=1),
-    default=10,
-    show_default=True,
-    help="Output degree; raised to the operator truncation degree when smaller.",
-)
+@degree_option
 @click.option(
     "--mode",
     type=click.Choice(["full-rank", "independent"]),
@@ -346,16 +354,10 @@ def solve_cmd(
     try:
         sol = solve(phi, degree=degree, mode=mode)
     except NoFullRankError as exc:
-        if fmt == "machine":
-            _emit(documents.dump(documents.analysis_json(exc.report)), out)
-        else:
-            _emit(_analysis_text(exc.report), out)
+        _render(exc.report, documents.analysis_json, _analysis_text, fmt, out)
         return 2
     sol = _transport_back(sol, original, conj_inv)
-    if fmt == "machine":
-        _emit(documents.dump(documents.solution_json(sol)), out)
-    else:
-        _emit(_solution_text(sol), out)
+    _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 
 
@@ -369,13 +371,7 @@ def solve_cmd(
     show_default=True,
     help="Exponent on the derivative factor.",
 )
-@click.option(
-    "--degree",
-    type=click.IntRange(min=1),
-    default=10,
-    show_default=True,
-    help="Output degree; raised to the operator truncation degree when smaller.",
-)
+@degree_option
 @format_option
 @out_option
 @help_option
@@ -385,10 +381,7 @@ def solve_power_cmd(
     """Construct a truncated solution of F(phi(z)) = phi'(0)^k F(z)."""
     original, phi, conj_inv = _load_map(map_path)
     sol = _transport_back(solve_power(phi, power, degree=degree), original, conj_inv)
-    if fmt == "machine":
-        _emit(documents.dump(documents.solution_json(sol)), out)
-    else:
-        _emit(_solution_text(sol), out)
+    _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 
 
@@ -411,10 +404,7 @@ def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) 
         report = verify(phi, f, power)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    if fmt == "machine":
-        _emit(documents.dump(documents.verify_json(report)), out)
-    else:
-        _emit(_verify_text(report), out)
+    _render(report, documents.verify_json, _verify_text, fmt, out)
     return 0 if report.passed else 2
 
 
@@ -426,15 +416,16 @@ def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) 
 def matrix_cmd(map_path: str, fmt: str, out: Optional[str]) -> int:
     """Print the truncated operator matrix in the engine's Jordan coordinates."""
     _, phi, _ = _load_map(map_path)
-    op = truncated_operator(phi)
-    if fmt == "machine":
-        _emit(documents.dump(documents.operator_json(op)), out)
-    else:
-        _emit(_operator_text(op), out)
+    _render(truncated_operator(phi), documents.operator_json, _operator_text, fmt, out)
     return 0
 
 
 def main() -> None:
+    # Exact coefficients can outgrow CPython's int <-> str digit limit;
+    # lift it for this run and give the caller back its own.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = cli.main(standalone_mode=False)
     except click.exceptions.Abort:
@@ -450,12 +441,13 @@ def main() -> None:
         InvalidMapError,
         UnsupportedSpectrumError,
         SingularMatrixError,
+        RuntimeError,
     ) as exc:
         click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
-    except RuntimeError as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     sys.exit(int(code) if isinstance(code, int) else 0)
 
 

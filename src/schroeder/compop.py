@@ -144,9 +144,6 @@ class TruncatedCompOp:
     def dim(self) -> int:
         return self.source.dim
 
-    def diagonal(self) -> Tuple[Scalar, ...]:
-        return self.diag
-
     @cached_property
     def matrix(self) -> ExactMatrix:
         """The dense N x N matrix, built on first use; the solver never reads it."""
@@ -169,19 +166,12 @@ def _upper_triangular_derivative(phi: PolyMap) -> ExactMatrix:
     return linear
 
 
-def build(phi: PolyMap, degree: int | None = None) -> TruncatedCompOp:
+def build(phi: PolyMap) -> TruncatedCompOp:
     """The truncated operator of phi at the collision-complete degree.
 
-    Requires an upper-triangular derivative; pass `degree` to override
-    the automatic truncation degree upward (never downward).
+    Requires an upper-triangular derivative.
     """
     k = truncation_degree(_upper_triangular_derivative(phi).diagonal_entries())
-    if degree is not None:
-        if degree < k:
-            raise ValueError(
-                f"truncation degree {degree} is below the required degree {k}"
-            )
-        k = degree
     return _build_at(phi, k)
 
 

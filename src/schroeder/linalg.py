@@ -67,54 +67,13 @@ class ExactMatrix:
             [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> ExactMatrix:
-        return ExactMatrix.from_rows([[ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
-    def diagonal(values: Sequence[Scalar]) -> ExactMatrix:
-        n = len(values)
-        return ExactMatrix.from_rows(
-            [[values[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
-
     def at(self, i: int, j: int) -> Scalar:
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self) -> ExactMatrix:
         return ExactMatrix.from_rows(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
-
-    def __add__(self, other: ExactMatrix) -> ExactMatrix:
-        self._same_shape(other)
-        return ExactMatrix.from_rows(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: ExactMatrix) -> ExactMatrix:
-        self._same_shape(other)
-        return ExactMatrix.from_rows(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def scale(self, s: Scalar) -> ExactMatrix:
-        return ExactMatrix.from_rows([[s * a for a in row] for row in self.entries])
-
-    def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
-        return mat_mul(self, other)
 
     def shift(self, lam: Scalar) -> ExactMatrix:
         """self - lam * I (square matrices only); only the diagonal changes."""
@@ -127,10 +86,6 @@ class ExactMatrix:
                 for i, row in enumerate(self.entries)
             ),
         )
-
-    def corner(self, n: int) -> ExactMatrix:
-        """The upper-left n x n block."""
-        return ExactMatrix.from_rows([list(self.entries[i][:n]) for i in range(n)])
 
     def is_lower_triangular(self) -> bool:
         return all(
@@ -149,12 +104,6 @@ class ExactMatrix:
     def diagonal_entries(self) -> Vector:
         self._square()
         return tuple(self.entries[i][i] for i in range(self.rows))
-
-    def _same_shape(self, other: ExactMatrix) -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
     def _square(self) -> None:
         if self.rows != self.cols:
@@ -352,9 +301,6 @@ class JordanChain:
     @property
     def length(self) -> int:
         return len(self.vectors)
-
-    def eigenvector(self) -> Vector:
-        return self.vectors[0]
 
 
 @dataclass(frozen=True)

@@ -95,17 +95,24 @@ def _power(phi: PolyMap, alpha: MultiIndex, memo: PowerMemo) -> Jet:
     cached = memo.get(alpha)
     if cached is not None:
         return cached
-    total = sum(alpha)
-    n = phi.source_dim
-    if total == 0:
-        out = Jet.build(n, phi.degree, [((0,) * n, ONE)])
-    elif total == 1:
-        out = phi.components[alpha.index(1)]
-    else:
+    # phi^alpha = phi^(alpha - e_i) * phi_i, i the first nonzero index: walk
+    # down to an exponent in the memo or of degree <= 1, multiply back up.
+    steps = []
+    while alpha not in memo and sum(alpha) > 1:
         i = next(j for j, e in enumerate(alpha) if e > 0)
-        smaller = tuple(e - 1 if j == i else e for j, e in enumerate(alpha))
-        out = _power(phi, smaller, memo) * phi.components[i]
-    memo[alpha] = out
+        steps.append((alpha, i))
+        alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+    out = memo.get(alpha)
+    if out is None:
+        n = phi.source_dim
+        if sum(alpha) == 0:
+            out = Jet.build(n, phi.degree, [((0,) * n, ONE)])
+        else:
+            out = phi.components[alpha.index(1)]
+        memo[alpha] = out
+    for beta, i in reversed(steps):
+        out = out * phi.components[i]
+        memo[beta] = out
     return out
 
 

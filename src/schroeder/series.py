@@ -165,9 +165,6 @@ class Jet:
         """The degree-d part, as a jet of the same truncation degree."""
         return Jet(self.dim, self.degree, {a: c for a, c in self.coeffs.items() if sum(a) == d})
 
-    def max_term_degree(self) -> int:
-        return max((sum(a) for a in self.coeffs), default=0)
-
     def _check(self, other: Jet) -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")

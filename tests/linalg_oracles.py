@@ -101,7 +101,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> SparseJordanBasis:
     """
     if not u.is_lower_triangular():
         raise ValueError("matrix is not lower triangular")
-    blocks = parse_jordan_corner(u.corner(n))
+    blocks = parse_jordan_corner(ExactMatrix.from_rows([row[:n] for row in u.entries[:n]]))
     big = u.rows
     chains: List[_Chain] = []
     for j, b in enumerate(blocks):
@@ -186,7 +186,7 @@ def report_dimensions(u: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, int, int
     """(corner kernel, kernel, n-prefix rank of the kernel) by dense elimination of u - mu."""
     kb = kernel_basis(u.shift(mu))
     return (
-        len(kernel_basis(u.corner(n).shift(mu))),
+        len(kernel_basis(ExactMatrix.from_rows([row[:n] for row in u.entries[:n]]).shift(mu))),
         len(kb),
         vectors_rank([v[:n] for v in kb]),
     )

@@ -114,9 +114,8 @@ def test_criterion_02_diagonal_example_operator_and_full_rank_solution():
     phi = _diagonal()
     op = truncated_operator(phi)
     assert op.degree == 2
-    assert op.matrix == ExactMatrix.diagonal(
-        [sc(1, 2), sc(1, 4), sc(1, 4), sc(1, 8), sc(1, 16)]
-    )
+    assert op.diag == (sc(1, 2), sc(1, 4), sc(1, 4), sc(1, 8), sc(1, 16))
+    assert not any(op.lower)
 
     sol = solve(phi)
     assert sol.degree == 10

@@ -337,6 +337,63 @@ def main_in_process(*args: str) -> int:
     return stop.value.code
 
 
+def test_verify_walks_past_the_recursion_limit(tmp_path):
+    """phi^alpha for |alpha| = 1200 is built without one frame per degree."""
+    map_path, sol_path, out_path = tmp_path / "map.json", tmp_path / "sol.json", tmp_path / "out.json"
+    map_path.write_text(
+        dump({"dimension": 1, "components": [[{"monomial": [1], "coefficient": "1/2"}]]}),
+        encoding="utf-8",
+    )
+    term = {"monomial": [1200], "coefficient": {"re": "1", "im": "0"}}
+    solution = {"kind": "solution", "dimension": 1, "power": 1, "degree": 1200,
+                "components": [[term]]}
+    sol_path.write_text(dump(solution), encoding="utf-8")
+    code = main_in_process(
+        "verify", str(map_path), str(sol_path), "--format", "machine", "--out", str(out_path)
+    )
+    assert code == 2
+    report = load(str(out_path))
+    assert report["clean_degree"] == 1199
+    assert report["first_failure"]["monomial"] == [1200]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit"
+)
+def test_numbers_past_the_int_str_digit_limit(tmp_path):
+    """A 5000-digit denominator is read, solved with, written and verified.
+
+    `cli.main` lifts CPython's 4300-digit int <-> str limit for its run
+    and gives the caller back the limit it had.
+    """
+    doc = {
+        "dimension": 1,
+        "components": [[
+            {"monomial": [1], "coefficient": "1/2"},
+            {"monomial": [2], "coefficient": "1/1" + "0" * 4999},
+        ]],
+    }
+    map_path, sol_path = tmp_path / "map.json", tmp_path / "sol.json"
+    map_path.write_text(dump(doc), encoding="utf-8")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main_in_process("analyze", str(map_path)) == 0
+            assert main_in_process("solve", str(map_path), "--degree", "4") == 0
+            made = main_in_process(
+                "solve", str(map_path), "--degree", "4",
+                "--format", "machine", "--out", str(sol_path),
+            )
+            assert made == 0
+            assert main_in_process("verify", str(map_path), str(sol_path)) == 0
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert "verdict: exact through degree 4" in out.getvalue()
+    assert len(load(str(sol_path))["components"][0][1]["coefficient"]["re"]) > 5000
+
+
 def test_in_process_runs_keep_no_redirected_stream_alive(docs):
     """`cli.main` holds no reference to the streams it wrote to.
 

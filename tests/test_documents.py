@@ -110,7 +110,7 @@ def test_parse_map_document_rejections():
     assert "constant" in str(info.value)
 
 
-def test_parse_map_degree_is_max_term_degree():
+def test_parse_map_degree_is_the_highest_term_degree():
     doc = {
         "dimension": 1,
         "components": [

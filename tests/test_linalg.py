@@ -14,6 +14,7 @@ from schroeder.linalg import (
     SingularMatrixError,
     inverse,
     kernel_basis,
+    mat_mul,
     mat_pow,
     mat_vec,
     rank,
@@ -39,12 +40,11 @@ def test_constructors_and_accessors():
     m = ExactMatrix.from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
     assert m.rows == 2 and m.cols == 2
     assert m.at(1, 0) == sc(3)
-    assert m.row(0) == (sc(1), sc(2))
-    assert m.column(1) == (sc(2), sc(4))
+    assert m.entries[0] == (sc(1), sc(2))
     assert m.transpose().at(0, 1) == sc(3)
+    assert m.transpose().entries[1] == (sc(2), sc(4))
     assert ExactMatrix.identity(3).at(2, 2) == ONE
-    assert ExactMatrix.diagonal([sc(5), sc(7)]).at(1, 1) == sc(7)
-    assert ExactMatrix.zero(2, 3).at(1, 2) == ZERO
+    assert ExactMatrix.identity(3).at(2, 1) == ZERO
 
 
 def test_ragged_rows_rejected():
@@ -57,7 +57,6 @@ def test_shift_corner_triangular_checks():
         [[sc(2), sc(0), sc(0)], [sc(1), sc(3), sc(0)], [sc(0), sc(4), sc(5)]]
     )
     assert m.shift(sc(2)).at(0, 0) == ZERO
-    assert m.corner(2) == ExactMatrix.from_rows([[sc(2), sc(0)], [sc(1), sc(3)]])
     assert m.is_lower_triangular()
     assert not m.is_upper_triangular()
     assert m.transpose().is_upper_triangular()
@@ -66,14 +65,14 @@ def test_shift_corner_triangular_checks():
 
 def test_matmul_and_pow():
     a = ExactMatrix.from_rows([[sc(1), sc(1)], [sc(0), sc(1)]])
-    assert (a @ a).at(0, 1) == sc(2)
+    assert mat_mul(a, a).at(0, 1) == sc(2)
     assert mat_pow(a, 5).at(0, 1) == sc(5)
     assert mat_pow(a, 0) == ExactMatrix.identity(2)
     assert mat_vec(a, (sc(3), sc(4))) == (sc(7), sc(4))
 
 
 def test_rank_known_cases():
-    assert rank(ExactMatrix.zero(3, 3)) == 0
+    assert rank(ExactMatrix.from_rows([[ZERO] * 3] * 3)) == 0
     assert rank(ExactMatrix.identity(4)) == 4
     m = ExactMatrix.from_rows([[sc(1), sc(2)], [sc(2), sc(4)]])
     assert rank(m) == 1
@@ -120,7 +119,8 @@ def test_triangular_kernel_matches_sympy(seed, size, gaussian):
     assert vectors_rank(ker) == len(ker)
     dims = (len(ker), vectors_rank([v[:n] for v in ker]))
     assert dims == oracle.nullspace_dimensions(m, mu, n)
-    corner = len(triangular_kernel(*sparse_lower(m.corner(n)), mu))
+    top = ExactMatrix.from_rows([row[:n] for row in m.entries[:n]])
+    corner = len(triangular_kernel(*sparse_lower(top), mu))
     assert (corner,) + dims == oracle.report_dimensions(m, n, mu)
 
 
@@ -153,7 +153,10 @@ def test_shift_changes_only_the_diagonal():
     rng = random.Random(53)
     m = random_matrix(rng, 4, 4, gaussian=True)
     lam = Scalar.of(Fraction(1, 3), 1)
-    assert m.shift(lam) == m - ExactMatrix.identity(4).scale(lam)
+    assert m.shift(lam).entries == tuple(
+        tuple(x - lam if i == j else x for j, x in enumerate(row))
+        for i, row in enumerate(m.entries)
+    )
 
 
 def test_inverse_round_trip_and_singular():
@@ -166,8 +169,8 @@ def test_inverse_round_trip_and_singular():
                 inverse(m)
             continue
         found += 1
-        assert m @ inverse(m) == ExactMatrix.identity(3)
-        assert inverse(m) @ m == ExactMatrix.identity(3)
+        assert mat_mul(m, inverse(m)) == ExactMatrix.identity(3)
+        assert mat_mul(inverse(m), m) == ExactMatrix.identity(3)
 
 
 def test_rank_sequence_oracle_on_explicit_jordan_matrix():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from schroeder.linalg import ExactMatrix, inverse
+from schroeder.linalg import ExactMatrix, inverse, mat_mul
 from schroeder.maps import (
     PolyMap,
     compose,
@@ -16,7 +17,7 @@ from schroeder.maps import (
     matrix_map,
     monomial_power,
 )
-from schroeder.scalars import ONE
+from schroeder.scalars import ONE, Scalar
 from schroeder.series import Jet
 
 from conftest import jet_of, random_poly_map, sc, sc_fraction_pool
@@ -36,8 +37,8 @@ def test_linear_part_and_is_linear(obstructed_map, diagonal_map):
     assert m.at(0, 0) == sc(1, 2)
     assert m.at(1, 1) == sc(1, 4)
     assert m.at(0, 1).is_zero() and m.at(1, 0).is_zero()
-    assert max(c.max_term_degree() for c in obstructed_map.components) == 2
-    assert max(c.max_term_degree() for c in diagonal_map.components) == 1
+    assert max(sum(a) for c in obstructed_map.components for a in c.coeffs) == 2
+    assert max(sum(a) for c in diagonal_map.components for a in c.coeffs) == 1
 
 
 def test_identity_and_matrix_map_round_trip():
@@ -54,7 +55,7 @@ def test_identity_and_matrix_map_round_trip():
     b = ExactMatrix.from_rows(
         [[sc_fraction_pool(rng) for _ in range(n)] for _ in range(n)]
     )
-    assert map_compose(matrix_map(a, 3), matrix_map(b, 3)) == matrix_map(a @ b, 3)
+    assert map_compose(matrix_map(a, 3), matrix_map(b, 3)) == matrix_map(mat_mul(a, b), 3)
 
 
 def test_monomial_power_matches_direct_product(obstructed_map):
@@ -64,6 +65,21 @@ def test_monomial_power_matches_direct_product(obstructed_map):
     direct = phi.component(0) * phi.component(0) * phi.component(1)
     assert p == direct
     assert (2, 1) in memo and (1, 1) in memo
+
+
+def test_monomial_power_walks_down_without_recursion():
+    # A fresh memo and a degree far past the recursion limit.
+    phi = PolyMap((jet_of(1, 1000, [((1,), sc(1, 2))]),))
+    half = Scalar.of(Fraction(1, 2**1000))
+    assert monomial_power(phi, (1000,)) == Jet.monomial(1, 1000, (1000,), half)
+    # phi^alpha = phi^(alpha - e_i) * phi_i with i the first nonzero index,
+    # and every power on the way is memoized.
+    memo = {}
+    monomial_power(phi.truncate(3), (3,), memo)
+    assert sorted(memo) == [(1,), (2,), (3,)]
+    memo = {}
+    monomial_power(PolyMap((Jet.monomial(2, 4, (1, 0)),) * 2), (2, 1), memo)
+    assert sorted(memo) == [(0, 1), (1, 1), (2, 1)]
 
 
 def test_compose_single_variable_chain_rule():
@@ -101,7 +117,7 @@ def test_composition_linear_part_is_product():
     rng = random.Random(23)
     f = random_poly_map(rng, 3, [sc(1, 2), sc(1, 3), sc(1, 5)], 3)
     g = random_poly_map(rng, 3, [sc(2, 7), sc(3, 8), sc(1, 4)], 3)
-    assert map_compose(f, g).linear_part() == f.linear_part() @ g.linear_part()
+    assert map_compose(f, g).linear_part() == mat_mul(f.linear_part(), g.linear_part())
 
 
 def test_matrix_apply_matches_composition():
@@ -116,7 +132,7 @@ def test_conjugation_round_trip_and_linear_part():
     phi = random_poly_map(rng, 2, [sc(1, 2), sc(1, 3)], 4)
     d = ExactMatrix.from_rows([[sc(1), sc(0)], [sc(1), sc(1)]])
     psi = conjugate_map(phi, d)
-    assert psi.linear_part() == (d @ phi.linear_part()) @ inverse(d)
+    assert psi.linear_part() == mat_mul(mat_mul(d, phi.linear_part()), inverse(d))
     assert conjugate_map(psi, inverse(d)) == phi
 
 
