@@ -165,7 +165,7 @@ def _stdout_of(args: List[str]) -> Tuple[bytes, int]:
     """What `schroeder <args>` prints to stdout, and its exit code.
 
     The help width is fixed at the 78 columns click uses without a
-    terminal, so the pages do not depend on the one running the tests.
+    terminal, so the pages do not depend on the terminal the tests run in.
     """
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):

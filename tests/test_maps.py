@@ -70,8 +70,8 @@ def test_monomial_power_matches_direct_product(obstructed_map):
 def test_monomial_power_walks_down_without_recursion():
     # A fresh memo and a degree far past the recursion limit.
     phi = PolyMap((jet_of(1, 1000, [((1,), sc(1, 2))]),))
-    half = Scalar.of(Fraction(1, 2**1000))
-    assert monomial_power(phi, (1000,)) == Jet.monomial(1, 1000, (1000,), half)
+    coeff = Scalar.of(Fraction(1, 2**1000))
+    assert monomial_power(phi, (1000,)) == Jet.monomial(1, 1000, (1000,), coeff)
     # phi^alpha = phi^(alpha - e_i) * phi_i with i the first nonzero index,
     # and every power on the way is memoized.
     memo = {}
