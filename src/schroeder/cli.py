@@ -220,8 +220,13 @@ def _sample_check(phi: PolyMap, seed: int, samples: int = 8, radius: float = 0.0
         if norm == 0:
             continue
         z = [x * radius / norm for x in raw]
-        w = [_eval_jet(c, z) for c in phi.components]
-        if sum(abs(x) ** 2 for x in w) >= sum(abs(x) ** 2 for x in z):
+        # A value too large for a float, or a NaN, is a failed sample.
+        try:
+            w = [_eval_jet(c, z) for c in phi.components]
+            contracts = sum(abs(x) ** 2 for x in w) < sum(abs(x) ** 2 for x in z)
+        except OverflowError:
+            contracts = False
+        if not contracts:
             bad += 1
     if bad:
         click.echo(

@@ -24,12 +24,13 @@ only need a triangular derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .compop import TruncatedCompOp, _build_at, resonances, truncation_degree, vector_jet
 from .linalg import (
     ExactMatrix,
-    SparseJordanBasis,
+    JordanBasis,
     incremental_jordanize,
     inverse,
     mat_pow,
@@ -142,7 +143,6 @@ class VerifyReport:
 @dataclass(frozen=True)
 class _Prep:
     phi: PolyMap
-    jordan: ExactMatrix
     conjugator: ExactMatrix
     psi: PolyMap
     op: TruncatedCompOp
@@ -174,8 +174,8 @@ def detect_resonance(phi: PolyMap) -> List[Tuple[MultiIndex, Scalar]]:
 
 def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
     linear = validate_map(phi)
-    basis, jordan = transition_to_jordan_triangular(linear.transpose())
-    conj = basis.chain_matrix().transpose()
+    chain_matrix, jordan = transition_to_jordan_triangular(linear.transpose())
+    conj = chain_matrix.transpose()
     diag = jordan.diagonal_entries()
     k = truncation_degree(diag)
     work = k if degree is None else max(k, degree)
@@ -184,14 +184,14 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
     if psi.linear_part().diagonal_entries() != diag:
         raise RuntimeError("conjugation changed the diagonal of the derivative")
     op = _build_at(psi, k)
-    return _Prep(phi, jordan, conj, psi, op, work)
+    return _Prep(phi, conj, psi, op, work)
 
 
 def _report(prep: _Prep) -> AnalysisReport:
     op = prep.op
     n = prep.phi.dim
     seen: List[Scalar] = []
-    for lam in prep.jordan.diagonal_entries():
+    for lam in op.diag[:n]:
         if lam not in seen:
             seen.append(lam)
     records = []
@@ -296,19 +296,23 @@ class _Lifter:
         return Jet(self.n, self.out, g)
 
 
-def _lifted_blocks(prep: _Prep, chains: SparseJordanBasis) -> List[Tuple[Scalar, List[Jet]]]:
+def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[Jet]]]:
     """Per original block, in corner order: (eigenvalue, [f_1..f_s]) lifted to the work degree.
 
     Within a block the components satisfy f_i(psi(z)) = lambda f_i + f_{i+1}
     and the last one is an eigenfunction; they are lifted last-first so
-    each right-hand side is already complete.
+    each right-hand side is already complete.  At the operator degree
+    there is nothing to lift, and the chain jets are returned as they are.
     """
-    lifter = _Lifter(prep.psi, prep.op.degree, prep.work)
+    lifter = _Lifter(prep.psi, prep.op.degree, prep.work) if prep.work > prep.op.degree else None
     out = []
     for bi, block in enumerate(chains.original_blocks):
         chain = chains.chains[chains.provenance[bi]]
         s = block.length
         base = [vector_jet(prep.op, v) for v in reversed(chain.vectors[:s])]
+        if lifter is None:
+            out.append((block.eigenvalue, base))
+            continue
         lifted: List[Optional[Jet]] = [None] * s
         for i in range(s, 0, -1):
             rhs = lifted[i] if i < s else None
@@ -407,17 +411,15 @@ def _remix(block_jets: List[Jet], lam: Scalar, power: int, work: int) -> List[Je
 
     h_i = f_i * f_s^(power - 1) / lambda^((power - 1)(s - i)) satisfies
     h_i(psi) = lambda^power h_i + h_{i+1}: a chain of one Jordan block of
-    lambda^power.  Recombining the h_i by the chain basis of J^power, for
-    J the block of lambda, makes the components follow J^power itself.
+    lambda^power.  Recombining the h_i by the chain of J^power from
+    `_power_chain`, for J the block of lambda, makes the components
+    follow J^power itself.
     """
     s = len(block_jets)
     top_pow = _jet_pow(block_jets[s - 1], power - 1)
     products = [f * top_pow for f in block_jets]
     scales = [scalar_inv(lam ** ((power - 1) * (s - i))) for i in range(1, s + 1)]
-    basis, _ = transition_to_jordan_triangular(mat_pow(_jordan_block_upper(lam, s), power))
-    if len(basis.chains) != 1:
-        raise RuntimeError("k-th power of a derivative block did not stay a single block")
-    chain = basis.chains[0].vectors
+    chain = _power_chain(lam, s, power)
     out = []
     for i in range(s):
         acc: Dict[MultiIndex, Scalar] = {}
@@ -429,10 +431,29 @@ def _remix(block_jets: List[Jet], lam: Scalar, power: int, work: int) -> List[Je
     return out
 
 
-def _jordan_block_upper(lam: Scalar, s: int) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        [[lam if j == i else ONE if j == i + 1 else ZERO for j in range(s)] for i in range(s)]
-    )
+def _power_chain(lam: Scalar, s: int, power: int) -> List[List[Scalar]]:
+    """The normalized Jordan chain of J^power, for J the upper s x s block of lambda.
+
+    J^power - lambda^power carries c_t = C(power, t) lambda^(power - t) on
+    its t-th superdiagonal, t >= 1.  The chain starts at v_1 = e_1, and
+    each v_{j+1} solves (J^power - lambda^power) v_{j+1} = v_j from the
+    bottom up with a zero first coordinate, dividing by c_1 =
+    power * lambda^(power - 1), which is nonzero since lambda is.  That
+    solution is unique, so it is the chain the kernel filtration returns
+    after normalization, and J^power stays a single block.
+    """
+    c = [Scalar.of(comb(power, t)) * lam ** (power - t) if t <= power else ZERO for t in range(s)]
+    chain = [[ONE] + [ZERO] * (s - 1)]
+    for _ in range(1, s):
+        prev = chain[-1]
+        v = [ZERO] * s
+        for i in range(s - 2, -1, -1):
+            acc = prev[i]
+            for t in range(2, s - i):
+                acc = acc - c[t] * v[i + t]
+            v[i + 1] = acc / c[1]
+        chain.append(v)
+    return chain
 
 
 def _jet_pow(f: Jet, e: int) -> Jet:

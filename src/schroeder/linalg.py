@@ -13,18 +13,20 @@ diagonal entry.  No N x N matrix is formed.
   eliminating it.
 * `jordan_chains_triangular` finds the chains of a (small, dense)
   triangular matrix for one eigenvalue through the kernel filtration
-  ker((M - lambda)^p).
+  ker((M - lambda)^p); `transition_to_jordan_triangular` stacks them into
+  a chain matrix S and a Jordan form J with M S = S J.
 * `incremental_jordanize` appends the rows of M below a protected
   Jordan corner one at a time, maintaining a chain basis and recording
   which original corner block each final chain extends.  A row is
   coupled only with the chains that have support on its nonzero columns.
 
-Chain storage convention: ``vectors[0]`` is the eigenvector and
-``(M - lambda) vectors[i] = vectors[i-1]``.  Dense matrices are
-immutable `ExactMatrix` objects and dense vectors are plain tuples of
-scalars.  The sparse routines return sparse vectors: tuples of
-(coordinate, nonzero entry) pairs in increasing coordinate order; while
-they work, vectors are dicts from coordinate to nonzero scalar.
+Chain storage convention: a `JordanChain` holds sparse vectors, tuples
+of (coordinate, nonzero entry) pairs in increasing coordinate order;
+``vectors[0]`` is the eigenvector and ``(M - lambda) vectors[i] =
+vectors[i-1]``.  `jordan_chains_triangular` finds and normalizes each
+chain on dense vectors (plain tuples of scalars) and converts it once;
+`incremental_jordanize` works on dicts from coordinate to nonzero
+scalar.  Dense matrices are immutable `ExactMatrix` objects.
 """
 
 from __future__ import annotations
@@ -293,10 +295,10 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class JordanChain:
-    """Vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}."""
+    """Sparse vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}."""
 
     eigenvalue: Scalar
-    vectors: Tuple[Vector, ...]
+    vectors: Tuple[SparseVector, ...]
 
     @property
     def length(self) -> int:
@@ -317,69 +319,23 @@ class JordanBasis:
     """A chain basis of a matrix with provenance into a protected corner.
 
     `provenance` maps an original corner-block index to the index of the
-    chain extending it.  `chain_matrix()` stacks all chain vectors as
-    columns, each chain in top-to-eigenvector order, so that
-    ``M @ S == S @ jordan_form()`` holds exactly.
+    chain extending it.  There is no chain matrix: forming one is the
+    N x N densification the sparse routines exist to avoid.
     """
 
     chains: Tuple[JordanChain, ...]
     provenance: Dict[int, int]
     original_blocks: Tuple[Block, ...]
 
-    def chain_matrix(self) -> ExactMatrix:
-        cols: List[Vector] = []
-        for c in self.chains:
-            cols.extend(reversed(c.vectors))
-        return ExactMatrix.from_rows(cols).transpose()
-
-    def jordan_form(self) -> ExactMatrix:
-        n = sum(c.length for c in self.chains)
-        rows = [[ZERO] * n for _ in range(n)]
-        pos = 0
-        for c in self.chains:
-            for i in range(c.length):
-                rows[pos + i][pos + i] = c.eigenvalue
-                if i + 1 < c.length:
-                    rows[pos + i + 1][pos + i] = ONE
-            pos += c.length
-        return ExactMatrix.from_rows(rows)
-
     def block_sizes(self, lam: Scalar) -> List[int]:
         return sorted(c.length for c in self.chains if c.eigenvalue == lam)
 
 
-@dataclass(frozen=True)
-class SparseChain:
-    """A Jordan chain as in `JordanChain`, held as sparse vectors."""
-
-    eigenvalue: Scalar
-    vectors: Tuple[SparseVector, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vectors)
-
-
-@dataclass(frozen=True)
-class SparseJordanBasis:
-    """The chain basis `incremental_jordanize` returns, as `JordanBasis`.
-
-    Its chains are sparse, and it has no chain matrix: forming one is the
-    N x N densification the sparse routines exist to avoid.
-    """
-
-    chains: Tuple[SparseChain, ...]
-    provenance: Dict[int, int]
-    original_blocks: Tuple[Block, ...]
-
-    def block_sizes(self, lam: Scalar) -> List[int]:
-        return sorted(c.length for c in self.chains if c.eigenvalue == lam)
-
-
-def _normalize_chain(chain: JordanChain) -> JordanChain:
-    """Canonical form: leading eigenvector coordinate 1, and that coordinate
-    zeroed in all higher chain vectors by shift moves."""
-    vecs = [list(v) for v in chain.vectors]
+def _normalize_chain(lam: Scalar, vectors: Sequence[Vector]) -> JordanChain:
+    """Canonical form of a dense chain, returned sparse: leading eigenvector
+    coordinate 1, and that coordinate zeroed in all higher chain vectors by
+    shift moves."""
+    vecs = [list(v) for v in vectors]
     lead = next((i for i, x in enumerate(vecs[0]) if not x.is_zero()), None)
     if lead is None:
         raise ValueError("zero eigenvector in chain")
@@ -391,7 +347,9 @@ def _normalize_chain(chain: JordanChain) -> JordanChain:
             continue
         for i in range(shift, len(vecs)):
             vecs[i] = [x - mu * y for x, y in zip(vecs[i], vecs[i - shift])]
-    return JordanChain(chain.eigenvalue, tuple(tuple(v) for v in vecs))
+    return JordanChain(
+        lam, tuple(tuple((j, x) for j, x in enumerate(v) if not x.is_zero()) for v in vecs)
+    )
 
 
 def _extend_independent(
@@ -418,9 +376,10 @@ def _extend_independent(
 def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     """A maximal independent set of chains of a triangular matrix for lam.
 
-    Returns normalized chains sorted by decreasing length; the empty list
-    when lam is not a diagonal entry.  Block sizes agree with the
-    differences of the sequence dim ker((M - lam)^p).
+    The chains are found and normalized on dense vectors and returned
+    sparse, sorted by decreasing length; the empty list when lam is not a
+    diagonal entry.  Block sizes agree with the differences of the
+    sequence dim ker((M - lam)^p).
     """
     m._square()
     if not (m.is_lower_triangular() or m.is_upper_triangular()):
@@ -453,7 +412,7 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
             for _ in range(p - 1):
                 vecs.append(mat_vec(shifted, vecs[-1]))
             vecs.reverse()
-            chains.append(_normalize_chain(JordanChain(lam, tuple(vecs))))
+            chains.append(_normalize_chain(lam, vecs))
         carried = [mat_vec(shifted, v) for v in carried + list(tops)]
     return chains
 
@@ -493,7 +452,7 @@ class _MutableChain:
 
 def incremental_jordanize(
     lower: LowerRows, diag: Sequence[Scalar], n: int
-) -> SparseJordanBasis:
+) -> JordanBasis:
     """Jordanize a sparse lower-triangular matrix by appending rows below a corner.
 
     The upper-left n x n corner must already be a lower-triangular
@@ -509,7 +468,7 @@ def incremental_jordanize(
     be nonzero there.  A row is dotted only with the chains in the
     support of its nonzero columns; every other chain has all-zero
     couplings and keeps a zero coordinate without any arithmetic.  The
-    chains come back sparse, as a `SparseJordanBasis`.
+    chains come back sparse, as a `JordanBasis`.
     """
     big = _check_lower(lower, diag)
     if not 1 <= n <= big:
@@ -581,42 +540,46 @@ def incremental_jordanize(
             chains.append(_MutableChain(d, [{r: ONE}], None))
 
     final = tuple(
-        SparseChain(c.eigenvalue, tuple(_frozen(v) for v in c.vectors)) for c in chains
+        JordanChain(c.eigenvalue, tuple(_frozen(v) for v in c.vectors)) for c in chains
     )
     provenance = {
         c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
     }
-    return SparseJordanBasis(final, provenance, tuple(blocks))
+    return JordanBasis(final, provenance, tuple(blocks))
 
 
-def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[JordanBasis, ExactMatrix]:
-    """Chains and Jordan form of a triangular matrix.
+def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[ExactMatrix, ExactMatrix]:
+    """Chain matrix and Jordan form of a triangular matrix.
 
-    Returns (basis, J) where J is lower-triangular Jordan and the chain
-    matrix S of the basis satisfies a @ S == S @ J, i.e. T a T^-1 == J for
-    T = S^-1.  Distinct eigenvalues appear in order of first occurrence on
-    the diagonal; blocks of one eigenvalue are sorted by increasing length.
+    Returns (S, J) where J is lower-triangular Jordan and a @ S == S @ J,
+    i.e. T a T^-1 == J for T = S^-1.  The columns of S are the chains of
+    `jordan_chains_triangular`, each from its top vector down to its
+    eigenvector.  Distinct eigenvalues appear in order of first occurrence
+    on the diagonal; blocks of one eigenvalue are sorted by increasing length.
     """
     a._square()
     if not (a.is_lower_triangular() or a.is_upper_triangular()):
         raise ValueError("matrix is not triangular")
+    n = a.rows
     seen: List[Scalar] = []
     for lam in a.diagonal_entries():
         if lam not in seen:
             seen.append(lam)
-    chains: List[JordanChain] = []
+    cols: List[List[Scalar]] = []
+    jordan = [[ZERO] * n for _ in range(n)]
     for lam in seen:
-        found = jordan_chains_triangular(a, lam)
-        found.sort(key=lambda c: c.length)
-        chains.extend(found)
-    blocks: List[Block] = []
-    pos = 0
-    for c in chains:
-        blocks.append(Block(c.eigenvalue, c.length, pos))
-        pos += c.length
-    basis = JordanBasis(tuple(chains), {j: j for j in range(len(chains))}, tuple(blocks))
-    j = basis.jordan_form()
-    s = basis.chain_matrix()
+        for chain in sorted(jordan_chains_triangular(a, lam), key=lambda c: c.length):
+            for i, v in enumerate(reversed(chain.vectors)):
+                pos = len(cols)
+                jordan[pos][pos] = lam
+                if i:
+                    jordan[pos][pos - 1] = ONE
+                col = [ZERO] * n
+                for j, x in v:
+                    col[j] = x
+                cols.append(col)
+    s = ExactMatrix.from_rows(cols).transpose()
+    j = ExactMatrix.from_rows(jordan)
     if mat_mul(a, s) != mat_mul(s, j):
         raise RuntimeError("jordanization failed to satisfy a@S == S@J")
-    return basis, j
+    return s, j

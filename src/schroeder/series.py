@@ -11,14 +11,15 @@ coefficient table is sparse and canonical: zero coefficients are never
 stored, and no stored exponent exceeds the truncation degree, so
 structural equality coincides with mathematical equality.
 
-Products are graded: `jet_mul` groups the right factor's terms by total
-degree, so each left term meets only the terms whose product stays within
-the truncation, and every coefficient accumulates through
-`scalars.mul_add` at one gcd reduction per product.
+Products are graded: `jet_mul` groups the right factor's terms by the
+total degrees that occur, so each left term meets only the terms whose
+product stays within the truncation, and every coefficient accumulates
+through `scalars.mul_add` at one gcd reduction per product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -203,27 +204,29 @@ def add_into(
 def jet_mul(f: Jet, g: Jet) -> Jet:
     """Product truncated at the smaller of the two degrees.
 
-    The terms of `g` are grouped by total degree once, so each term of
-    `f` meets only the terms whose product survives the truncation.
-    Every coefficient accumulates through `mul_add`; sums that cancel
-    are dropped once at the end.
+    The terms of `g` are grouped by the total degrees that occur, once,
+    so each term of `f` meets only the terms whose product survives the
+    truncation, found by bisecting those degrees.  Every coefficient
+    accumulates through `mul_add`; sums that cancel are dropped once at
+    the end.
     """
     f._check(g)
     deg = min(f.degree, g.degree)
-    by_degree: List[List[Tuple[MultiIndex, Scalar]]] = [[] for _ in range(deg + 1)]
+    by_degree: Dict[int, List[Tuple[MultiIndex, Scalar]]] = {}
     for b, cb in g.coeffs.items():
         db = sum(b)
         if db <= deg:
-            by_degree[db].append((b, cb))
-    # up_to[r]: the terms of g of degree at most r.
-    up_to = list(accumulate(by_degree))
+            by_degree.setdefault(db, []).append((b, cb))
+    degrees = sorted(by_degree)
+    # up_to[i]: the terms of g of degree at most degrees[i].
+    up_to = list(accumulate(by_degree[d] for d in degrees))
     acc: Dict[MultiIndex, Scalar] = {}
     get = acc.get
     for a, ca in f.coeffs.items():
-        room = deg - sum(a)
-        if room < 0:
+        room = bisect_right(degrees, deg - sum(a))
+        if not room:
             continue
-        for b, cb in up_to[room]:
+        for b, cb in up_to[room - 1]:
             gamma = tuple(map(add, a, b))
             acc[gamma] = mul_add(ca, cb, get(gamma))
     return Jet(f.dim, deg, {gamma: c for gamma, c in acc.items() if c})

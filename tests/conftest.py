@@ -19,13 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from schroeder.linalg import (
-    ExactMatrix,
-    JordanBasis,
-    JordanChain,
-    SparseJordanBasis,
-    SparseVector,
-)
+from schroeder.linalg import ExactMatrix, SparseVector
 from schroeder.maps import PolyMap
 from schroeder.scalars import ONE, ZERO, Scalar
 from schroeder.series import Jet, MultiIndex
@@ -149,15 +143,6 @@ def dense_vector(v: SparseVector, size: int) -> Tuple[Scalar, ...]:
 def sparse_vector(v: Sequence[Scalar]) -> SparseVector:
     """A dense vector as a sparse one: its nonzeros, coordinates increasing."""
     return tuple((j, x) for j, x in enumerate(v) if not x.is_zero())
-
-
-def dense_chains(basis: SparseJordanBasis, size: int) -> JordanBasis:
-    """The same chain basis with dense chain vectors."""
-    chains = tuple(
-        JordanChain(c.eigenvalue, tuple(dense_vector(v, size) for v in c.vectors))
-        for c in basis.chains
-    )
-    return JordanBasis(chains, basis.provenance, basis.original_blocks)
 
 
 #: Attracting eigenvalues with pairwise-coprime denominators.  Products of

@@ -7,8 +7,8 @@ the two results compare with ==.  `report_dimensions` is the dense route
 `analyze` used to take: shift the whole operator by mu and eliminate it
 with `kernel_basis`.  They check `linalg.incremental_jordanize` and
 `linalg.triangular_kernel`, which take the operator's sparse rows and
-never form the shifted operator.  `chain_is_valid` replays the chain
-relation of a dense Jordan chain exactly.
+never form the shifted operator.  `chain_is_valid` densifies a Jordan
+chain and replays its chain relation exactly.
 
 The kernel-dimension sequence and null spaces come from sympy's
 `DomainMatrix` over Q or Q(i), which shares no code with `linalg`.
@@ -21,10 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 from schroeder.linalg import (
     Block,
     ExactMatrix,
+    JordanBasis,
     JordanChain,
-    SparseChain,
-    SparseJordanBasis,
-    Vector,
     kernel_basis,
     mat_vec,
     vectors_rank,
@@ -40,17 +38,18 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 
 def chain_is_valid(m: ExactMatrix, chain: JordanChain) -> bool:
-    """Replay (M - lam) along the chain and check the shift relation exactly."""
+    """Replay (M - lam) along the densified chain and check the shift relation exactly."""
     shifted = m.shift(chain.eigenvalue)
-    prev: Optional[Vector] = None
-    for v in chain.vectors:
+    prev = tuple([ZERO] * m.rows)
+    for sparse in chain.vectors:
+        v = [ZERO] * m.cols
+        for j, x in sparse:
+            v[j] = x
         if all(x.is_zero() for x in v):
             return False
-        image = mat_vec(shifted, v)
-        expect = prev if prev is not None else tuple([ZERO] * m.rows)
-        if image != expect:
+        if mat_vec(shifted, v) != prev:
             return False
-        prev = v
+        prev = tuple(v)
     return True
 
 
@@ -93,7 +92,7 @@ class _Chain:
         self.provenance = provenance
 
 
-def incremental_jordanize(u: ExactMatrix, n: int) -> SparseJordanBasis:
+def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
     """The row-append Jordanization on dense chain vectors.
 
     Same contract, update formulas and choices as
@@ -167,7 +166,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> SparseJordanBasis:
             chains.append(_Chain(d, [v], None))
 
     final = tuple(
-        SparseChain(
+        JordanChain(
             c.eigenvalue,
             tuple(
                 tuple((j, x) for j, x in enumerate(v) if not x.is_zero())
@@ -179,7 +178,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> SparseJordanBasis:
     provenance = {
         c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
     }
-    return SparseJordanBasis(final, provenance, tuple(blocks))
+    return JordanBasis(final, provenance, tuple(blocks))
 
 
 def report_dimensions(u: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, int, int]:

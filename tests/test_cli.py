@@ -254,6 +254,29 @@ def test_sample_check_warns_on_stderr_only(docs):
     assert quiet.returncode == 0
     assert quiet.stderr == ""
 
+    # z/2 + 10^400 z^2: its coefficient is too large for a float.
+    huge = docs["root"] / "huge.json"
+    huge.write_text(
+        dump(
+            {
+                "dimension": 1,
+                "components": [
+                    [
+                        {"monomial": [1], "coefficient": "1/2"},
+                        {"monomial": [2], "coefficient": "1" + "0" * 400},
+                    ]
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    plain = run_cli("analyze", str(huge))
+    sampled = run_cli("analyze", str(huge), "--sample-check")
+    assert plain.returncode == sampled.returncode == 0
+    assert sampled.stdout == plain.stdout
+    assert "failed to contract" in sampled.stderr
+    assert "Traceback" not in sampled.stderr
+
 
 def test_error_exit_codes(docs, tmp_path):
     missing = run_cli("analyze", str(tmp_path / "nope.json"))

@@ -405,6 +405,17 @@ def test_solve_respects_requested_degree(diagonal_map):
     assert solve(diagonal_map, degree=1).degree == 2
 
 
+def test_nothing_is_lifted_at_the_truncation_degree(coupled_map, monkeypatch):
+    k = analyze(coupled_map).truncation_degree
+    expect = solve(coupled_map, degree=k + 1).components.truncate(k)
+
+    def refuse(*args):
+        raise AssertionError("a lifter was built at the truncation degree")
+
+    monkeypatch.setattr(engine, "_Lifter", refuse)
+    assert solve(coupled_map, degree=k).components == expect
+
+
 def test_random_nonresonant_maps_solve_and_verify():
     rng = random.Random(61)
     for _ in range(8):

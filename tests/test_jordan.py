@@ -1,4 +1,5 @@
-"""Jordan chains: the filtration route, the row-append route, and oracles."""
+"""Jordan chains: the filtration route, the row-append route, the closed
+form for a power of one block, and oracles."""
 
 from __future__ import annotations
 
@@ -10,22 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroeder.engine import truncated_operator
+from schroeder.engine import _power_chain, truncated_operator
 from schroeder.linalg import (
+    Block,
     ExactMatrix,
     JordanChain,
     incremental_jordanize,
     inverse,
     jordan_chains_triangular,
     mat_mul,
+    mat_pow,
     transition_to_jordan_triangular,
+    vectors_rank,
 )
 from schroeder.scalars import ONE, ZERO, Scalar
 
 import linalg_oracles as oracle
 from linalg_oracles import chain_is_valid
 from conftest import (
-    dense_chains,
+    dense_vector,
     random_lower_matrix,
     random_poly_map,
     sc,
@@ -70,11 +74,11 @@ def append_row(corner: ExactMatrix, coeffs, diag: Scalar) -> ExactMatrix:
 def test_chain_validity_checker():
     lam = sc(1, 2)
     m = lower_jordan([(lam, 2)])
-    good = JordanChain(lam, ((ZERO, ONE), (ONE, ZERO)))
+    good = JordanChain(lam, (((1, ONE),), ((0, ONE),)))
     assert chain_is_valid(m, good)
-    flipped = JordanChain(lam, ((ONE, ZERO), (ZERO, ONE)))
+    flipped = JordanChain(lam, (((0, ONE),), ((1, ONE),)))
     assert not chain_is_valid(m, flipped)
-    zero_vec = JordanChain(lam, ((ZERO, ZERO),))
+    zero_vec = JordanChain(lam, ((),))
     assert not chain_is_valid(m, zero_vec)
 
 
@@ -93,10 +97,10 @@ def test_filtration_route_normalization_is_canonical():
     lam = sc(1, 2)
     m = lower_jordan([(lam, 2)])
     (chain,) = jordan_chains_triangular(m, lam)
-    lead = next(i for i, x in enumerate(chain.vectors[0]) if not x.is_zero())
-    assert chain.vectors[0][lead] == ONE
+    lead, x = chain.vectors[0][0]
+    assert x == ONE
     for v in chain.vectors[1:]:
-        assert v[lead].is_zero()
+        assert lead not in dict(v)
 
 
 def test_transition_satisfies_similarity_exactly():
@@ -105,13 +109,12 @@ def test_transition_satisfies_similarity_exactly():
     for _ in range(30):
         size = rng.randint(1, 6)
         m = random_lower_matrix(rng, size, pool, gaussian=True)
-        basis, j = transition_to_jordan_triangular(m)
-        s = basis.chain_matrix()
+        s, j = transition_to_jordan_triangular(m)
         assert mat_mul(m, s) == mat_mul(s, j)
         assert mat_mul(mat_mul(inverse(s), m), s) == j
         lengths = {}
-        for c in basis.chains:
-            lengths.setdefault(c.eigenvalue, []).append(c.length)
+        for b in oracle.parse_jordan_corner(j):
+            lengths.setdefault(b.eigenvalue, []).append(b.length)
         for lam, ls in lengths.items():
             assert ls == sorted(ls)
             assert sorted(ls) == oracle_block_sizes(m, lam)
@@ -120,9 +123,11 @@ def test_transition_satisfies_similarity_exactly():
 def test_transition_orders_eigenvalues_by_first_occurrence():
     a, b = sc(1, 3), sc(1, 2)
     m = ExactMatrix.from_rows([[a, ZERO, ZERO], [ZERO, b, ZERO], [ZERO, ZERO, a]])
-    basis, j = transition_to_jordan_triangular(m)
-    assert [c.eigenvalue for c in basis.chains] == [sc(1, 3), sc(1, 3), sc(1, 2)]
+    s, j = transition_to_jordan_triangular(m)
+    blocks = oracle.parse_jordan_corner(j)
+    assert [b.eigenvalue for b in blocks] == [sc(1, 3), sc(1, 3), sc(1, 2)]
     assert j.diagonal_entries() == (sc(1, 3), sc(1, 3), sc(1, 2))
+    assert mat_mul(m, s) == mat_mul(s, j)
 
 
 def test_incremental_requires_jordan_corner():
@@ -142,11 +147,11 @@ def test_both_routes_match_oracle_on_random_matrices():
     for _ in range(60):
         size = rng.randint(2, 6)
         m = random_lower_matrix(rng, size, pool, gaussian=True)
-        basis = dense_chains(incremental_jordanize(*sparse_lower(m), 1), size)
+        basis = incremental_jordanize(*sparse_lower(m), 1)
         for c in basis.chains:
             assert chain_is_valid(m, c)
-        s = basis.chain_matrix()
-        assert mat_mul(m, s) == mat_mul(s, basis.jordan_form())
+        vectors = [dense_vector(v, size) for c in basis.chains for v in c.vectors]
+        assert len(vectors) == vectors_rank(vectors) == size
         for lam in set(m.diagonal_entries()):
             expect = oracle_block_sizes(m, lam)
             assert basis.block_sizes(lam) == expect
@@ -178,13 +183,13 @@ def test_extending_chain_preserves_corner_projection():
             row += [rng.choice(pool)] + [ZERO] * (total - r - 1)
             rows.append(row)
         m = ExactMatrix.from_rows(rows)
-        jb = dense_chains(incremental_jordanize(*sparse_lower(m), n), total)
+        jb = incremental_jordanize(*sparse_lower(m), n)
         for bi, block in enumerate(jb.original_blocks):
             chain = jb.chains[jb.provenance[bi]]
             assert chain.eigenvalue == block.eigenvalue
             assert chain.length >= block.length
             tail = chain.vectors[chain.length - block.length :]
-            for tpos, v in enumerate(tail):
+            for tpos, v in enumerate(dense_vector(v, total) for v in tail):
                 window = list(v[block.offset : block.offset + block.length])
                 expect = [ZERO] * block.length
                 expect[block.length - 1 - tpos] = ONE
@@ -206,13 +211,12 @@ def test_one_block_append_branches():
         assert len(merged.chains) == 1
         assert merged.provenance == {0: 0}
 
-        shifted = dense_chains(
-            incremental_jordanize(*sparse_lower(append_row(corner, filler + [ZERO], lam)), k),
-            k + 1,
+        shifted = incremental_jordanize(
+            *sparse_lower(append_row(corner, filler + [ZERO], lam)), k
         )
         assert shifted.block_sizes(lam) == [1, k]
         assert shifted.chains[-1].length == 1
-        assert shifted.chains[-1].vectors[0][k] == ONE
+        assert dict(shifted.chains[-1].vectors[0])[k] == ONE
 
         off_eigen = incremental_jordanize(
             *sparse_lower(append_row(corner, filler + [sc(5)], other)), k
@@ -258,7 +262,7 @@ def test_incremental_matches_oracle_with_jordan_corners():
             row += [rng.choice(pool)] + [ZERO] * (total - r - 1)
             rows.append(row)
         m = ExactMatrix.from_rows(rows)
-        jb = dense_chains(incremental_jordanize(*sparse_lower(m), n), total)
+        jb = incremental_jordanize(*sparse_lower(m), n)
         for lam in set(m.diagonal_entries()):
             assert jb.block_sizes(lam) == oracle_block_sizes(m, lam)
         for c in jb.chains:
@@ -299,3 +303,32 @@ def test_incremental_matches_dense_oracle_on_sparse_matrices(seed, size, gaussia
         rng, size, pool, gaussian=gaussian, density=rng.choice([0.2, 0.4, 0.7])
     )
     assert incremental_jordanize(*sparse_lower(m), 1) == oracle.incremental_jordanize(m, 1)
+
+
+def upper_jordan_block(lam: Scalar, s: int) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [[lam if j == i else ONE if j == i + 1 else ZERO for j in range(s)] for i in range(s)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(2, 5),
+    st.integers(-9, 9).filter(bool),
+    st.integers(1, 9),
+    st.integers(-9, 9).filter(bool),
+    st.booleans(),
+)
+def test_power_chain_matches_the_filtration_route(s, power, a, d, b, gaussian):
+    """The closed-form chain of J^power equals the kernel filtration's.
+
+    The oracle is `transition_to_jordan_triangular` on the dense power:
+    its chain matrix holds the single chain from top vector down to the
+    eigenvector.
+    """
+    lam = Scalar.of(Fraction(a, d), Fraction(b, d + 1) if gaussian else 0)
+    chain_matrix, j = transition_to_jordan_triangular(mat_pow(upper_jordan_block(lam, s), power))
+    assert oracle.parse_jordan_corner(j) == [Block(lam**power, s, 0)]
+    expect = [[chain_matrix.at(i, s - 1 - k) for i in range(s)] for k in range(s)]
+    assert _power_chain(lam, s, power) == expect
