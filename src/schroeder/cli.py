@@ -187,18 +187,14 @@ def _load_map(path: str) -> Tuple[PolyMap, PolyMap, Optional[ExactMatrix]]:
     return phi, conjugate_map(phi, conj), conj_inv
 
 
-def _transport_back(
-    sol: SchroederSolution, phi: PolyMap, conj_inv: Optional[ExactMatrix]
-) -> SchroederSolution:
+def _transport_back(sol: SchroederSolution, conj_inv: Optional[ExactMatrix]) -> SchroederSolution:
     """The solution in the coordinates of the map as given.
 
     Both ranks survive: z -> Cz maps each homogeneous degree onto itself.
     """
     if conj_inv is None:
         return sol
-    return dataclasses.replace(
-        sol, map=phi, components=conjugate_map(sol.components, conj_inv)
-    )
+    return dataclasses.replace(sol, components=conjugate_map(sol.components, conj_inv))
 
 
 def _eval_jet(f: Jet, z: List[complex]) -> complex:
@@ -361,7 +357,7 @@ def solve_cmd(
     except NoFullRankError as exc:
         _render(exc.report, documents.analysis_json, _analysis_text, fmt, out)
         return 2
-    sol = _transport_back(sol, original, conj_inv)
+    sol = _transport_back(sol, conj_inv)
     _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 
@@ -384,8 +380,8 @@ def solve_power_cmd(
     map_path: str, power: int, degree: int, fmt: str, out: Optional[str]
 ) -> int:
     """Construct a truncated solution of F(phi(z)) = phi'(0)^k F(z)."""
-    original, phi, conj_inv = _load_map(map_path)
-    sol = _transport_back(solve_power(phi, power, degree=degree), original, conj_inv)
+    _, phi, conj_inv = _load_map(map_path)
+    sol = _transport_back(solve_power(phi, power, degree=degree), conj_inv)
     _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 

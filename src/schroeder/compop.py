@@ -16,6 +16,10 @@ as |lambda^alpha|^2 < min |lambda_j|^2; every comparison is in Q.
 `truncation_degree` is the largest |alpha| in that set (at least 1), so
 the K-truncated matrix carries the complete eigenvalue-collision
 structure.
+
+`build(phi, K)` is the one operator builder, for a K its caller has
+searched, and `eigenvalue_products` is the one table of lambda^alpha,
+which the lifter reads beyond K.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ExactMatrix, SparseVector
 from .maps import PolyMap, PowerMemo, monomial_power
-from .scalars import ZERO, Scalar, abs_sq
+from .scalars import ONE, ZERO, Scalar, abs_sq
 from .series import Jet, MultiIndex, enumerate_monomials, order_key
 
 
@@ -50,20 +54,20 @@ def _check_spectrum(diag: Sequence[Scalar]) -> None:
 def eigenvalue_products(
     diag: Sequence[Scalar], min_total: int, max_total: int
 ) -> List[Tuple[MultiIndex, Scalar]]:
-    """All (k, lambda^k) with min_total <= |k| <= max_total, in basis order.
+    """All (alpha, lambda^alpha) with min_total <= |alpha| <= max_total, in basis order.
 
-    The engine no longer calls this brute-force enumeration (see
-    `resonances`); `bench/tracer.py` still wraps it by name.
+    One multiplication per exponent: lambda^alpha = lambda^(alpha - e_i)
+    * lambda_i for the first i with alpha_i > 0, and alpha - e_i comes a
+    degree earlier in the basis.  The lifter's divisors come from here.
     """
-    n = len(diag)
+    table: Dict[MultiIndex, Scalar] = {(0,) * len(diag): ONE}
     out = []
-    for alpha in enumerate_monomials(n, max_total):
-        if sum(alpha) < min_total:
-            continue
-        prod = Scalar.of(1)
-        for lam, e in zip(diag, alpha):
-            prod = prod * lam**e
-        out.append((alpha, prod))
+    for alpha in enumerate_monomials(len(diag), max_total):
+        i = next(j for j, e in enumerate(alpha) if e)
+        prod = table[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]] * diag[i]
+        table[alpha] = prod
+        if sum(alpha) >= min_total:
+            out.append((alpha, prod))
     return out
 
 
@@ -157,29 +161,19 @@ class TruncatedCompOp:
         return ExactMatrix.from_rows(rows)
 
 
-def _upper_triangular_derivative(phi: PolyMap) -> ExactMatrix:
+def _upper_triangular_derivative(phi: PolyMap) -> None:
     if phi.dim != phi.source_dim:
         raise ValueError("composition operator requires a self-map")
-    linear = phi.linear_part()
-    if not linear.is_upper_triangular():
+    if not phi.linear_part().is_upper_triangular():
         raise ValueError("derivative at the origin must be upper triangular")
-    return linear
 
 
-def build(phi: PolyMap) -> TruncatedCompOp:
-    """The truncated operator of phi at the collision-complete degree.
+def build(phi: PolyMap, k: int) -> TruncatedCompOp:
+    """The operator of phi truncated at degree k; callers pass the K they searched.
 
-    Requires an upper-triangular derivative.
-    """
-    k = truncation_degree(_upper_triangular_derivative(phi).diagonal_entries())
-    return _build_at(phi, k)
-
-
-def _build_at(phi: PolyMap, k: int) -> TruncatedCompOp:
-    """The operator truncated at degree k, for a k already known to suffice.
-
-    Each column phi^beta is scattered into the rows of its terms; a term
-    in a row above its column would break triangularity.
+    Requires an upper-triangular derivative.  Each column phi^beta is
+    scattered into the rows of its terms; a term in a row above its
+    column would break triangularity.
     """
     _upper_triangular_derivative(phi)
     source = phi.truncate(k)

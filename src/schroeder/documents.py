@@ -40,6 +40,8 @@ def load(path: str) -> Any:
         raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def dump(data: Any) -> str:

@@ -6,16 +6,16 @@ with invertible derivative; the verdict is exact, computed from kernels
 of the truncated composition operator.
 
 `solve` (k = 1) and `solve_power` (any k >= 1) share one construction:
-conjugate the map so its derivative is an upper Jordan matrix, report,
-take the operator's Jordan chains, lift each chain to the output degree
+conjugate the map so its derivative is an upper Jordan matrix, take
+the operator's Jordan chains, lift each chain to the output degree
 by solving triangular coefficient systems (whose divisors
 lambda^alpha - lambda are nonzero above the operator's truncation
 degree), assemble the components, conjugate them back and check their
 ranks.  Only one step depends on k: for k >= 2 each block's components
 are multiplied by a power of its eigenfunction and remixed into chains
-of the k-th power factor.  `solve` may gate the construction on the
-full-rank verdict.  `verify` replays a solution against the equation
-term by term.
+of the k-th power factor.  Only `solve` in full-rank mode builds the
+analysis report, to gate the construction on its verdict.  `verify`
+replays a solution against the equation term by term.
 
 Conjugation in and out goes through `maps.conjugate_map`, so callers
 only need a triangular derivative.
@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .compop import TruncatedCompOp, _build_at, resonances, truncation_degree, vector_jet
+from .compop import (
+    TruncatedCompOp,
+    build,
+    eigenvalue_products,
+    resonances,
+    truncation_degree,
+    vector_jet,
+)
 from .linalg import (
     ExactMatrix,
     JordanBasis,
@@ -111,12 +118,10 @@ class ComponentInfo:
 class SchroederSolution:
     """A truncated solution F of F(phi(z)) = phi'(0)^power F(z)."""
 
-    map: PolyMap
     power: int
     degree: int
     components: PolyMap
     component_info: Tuple[ComponentInfo, ...]
-    analysis: AnalysisReport
     derivative_rank: int
     component_rank: int
 
@@ -183,7 +188,7 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
     # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
     if psi.linear_part().diagonal_entries() != diag:
         raise RuntimeError("conjugation changed the diagonal of the derivative")
-    op = _build_at(psi, k)
+    op = build(psi, k)
     return _Prep(phi, conj, psi, op, work)
 
 
@@ -250,9 +255,8 @@ class _Lifter:
     psi^alpha is (Lz)^alpha, so when the system reaches z^alpha the
     running coefficient holds both the lower-degree contributions and
     those of the degree-m terms solved before it.  The powers psi^alpha
-    and the table of products lambda^alpha (one multiplication each,
-    lambda^alpha = lambda^(alpha - e_i) * lambda_i) are shared by every
-    chain lifted with one lifter, and dropped with it.
+    and the table of products lambda^alpha from `eigenvalue_products`
+    are shared by every chain lifted with one lifter, and dropped with it.
     """
 
     def __init__(self, psi: PolyMap, base_degree: int, out_degree: int):
@@ -260,13 +264,9 @@ class _Lifter:
         self.base = base_degree
         self.out = out_degree
         self.n = psi.dim
-        diag = psi.linear_part().diagonal_entries()
         self.psi_memo: PowerMemo = {}
-        self.diag_power: Dict[MultiIndex, Scalar] = {(0,) * self.n: ONE}
-        for alpha in enumerate_monomials(self.n, out_degree):
-            i = next(j for j, e in enumerate(alpha) if e > 0)
-            smaller = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-            self.diag_power[alpha] = self.diag_power[smaller] * diag[i]
+        diag = psi.linear_part().diagonal_entries()
+        self.diag_power = dict(eigenvalue_products(diag, base_degree + 1, out_degree))
 
     def lift(self, g0: Jet, rhs: Optional[Jet], lam: Scalar) -> Jet:
         """Solve g(psi(z)) = lambda g + rhs through the output degree.
@@ -368,9 +368,10 @@ def _construct(
     """The construction behind `solve` and `solve_power`; `gate` demands a full-rank verdict."""
     request = DEFAULT_DEGREE if degree is None else degree
     prep = _prepare(phi, max(request, power))
-    report = _report(prep)
-    if gate and not report.full_rank:
-        raise NoFullRankError(report)
+    if gate:
+        report = _report(prep)
+        if not report.full_rank:
+            raise NoFullRankError(report)
     chains = incremental_jordanize(prep.op.lower, prep.op.diag, phi.dim)
     comps: List[Jet] = []
     infos: List[ComponentInfo] = []
@@ -395,12 +396,10 @@ def _construct(
             "components became dependent under truncation; request a higher degree"
         )
     return SchroederSolution(
-        map=phi,
         power=power,
         degree=prep.work,
         components=f_phi,
         component_info=tuple(infos),
-        analysis=report,
         derivative_rank=rank_d,
         component_rank=comp_rank,
     )

@@ -11,10 +11,10 @@ three-argument `math.gcd` that restores the canonical form; no operation
 reduces the real and imaginary parts separately.  Sums over equal
 denominators just add numerators (over different ones, only the factors
 the denominators share can cancel), and a product with a real factor
-skips the imaginary cross products.  `mul_add(x, y, acc)` gives
-``acc + x*y`` for one step of a sum of products with one reduction in
-place of two.  `re` and `im` give the parts as reduced
-`fractions.Fraction` values.
+skips the imaginary cross products.  The fused form
+``Scalar.__mul__(x, y, acc)`` gives ``acc + x*y`` for one step of a sum
+of products with one reduction in place of two.  `re` and `im` give the
+parts as reduced `fractions.Fraction` values.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class Scalar:
         return out
 
     def __mul__(self, other: Scalar, acc: Optional[Scalar] = None) -> Scalar:
-        """self * other, or acc + self * other as `mul_add`, reduced once.
+        """self * other, or acc + self * other when fused, reduced once.
 
         The product stays unreduced and is added to `acc` over the least
         common denominator of the two; one `gcd(a, b, d)` then restores
@@ -185,10 +185,6 @@ def _sum(x: Scalar, a2: int, b2: int, e: int) -> Scalar:
         out._a, out._b, out._d = a // g, b // g, d // g
     return out
 
-
-# mul_add(x, y, acc) is acc + x*y, or x*y when acc is None: one step of
-# a sum of products at one reduction, where `*` then `+` cost two.
-mul_add = Scalar.__mul__
 
 ZERO = Scalar(Fraction(0), Fraction(0))
 ONE = Scalar(Fraction(1), Fraction(0))

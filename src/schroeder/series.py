@@ -14,7 +14,8 @@ structural equality coincides with mathematical equality.
 Products are graded: `jet_mul` groups the right factor's terms by the
 total degrees that occur, so each left term meets only the terms whose
 product stays within the truncation, and every coefficient accumulates
-through `scalars.mul_add` at one gcd reduction per product.
+through the fused form `Scalar.__mul__(x, y, acc)` = acc + x*y, at one
+gcd reduction per product.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb
 from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .scalars import ONE, ZERO, Scalar, mul_add
+from .scalars import ONE, ZERO, Scalar
 
 MultiIndex = Tuple[int, ...]
 
@@ -182,15 +183,17 @@ def add_into(
     Terms above total degree `cap` are skipped and sums that cancel are
     removed, so a canonical table stays canonical.  Sums of jets are
     accumulated through this, one table per result; a scaled term costs
-    one `mul_add`.
+    one fused `Scalar.__mul__`.
     """
-    get = acc.get
+    # Read here, not bound at import: a rebound `Scalar.__mul__` must see
+    # every product.
+    mul, get = Scalar.__mul__, acc.get
     for alpha, c in coeffs.items():
         if cap is not None and sum(alpha) > cap:
             continue
         prev = get(alpha)
         if scale is not None:
-            s = mul_add(c, scale, prev)
+            s = mul(c, scale, prev)
         elif prev is None:
             s = c
         else:
@@ -207,8 +210,8 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
     The terms of `g` are grouped by the total degrees that occur, once,
     so each term of `f` meets only the terms whose product survives the
     truncation, found by bisecting those degrees.  Every coefficient
-    accumulates through `mul_add`; sums that cancel are dropped once at
-    the end.
+    accumulates through the fused `Scalar.__mul__`; sums that cancel are
+    dropped once at the end.
     """
     f._check(g)
     deg = min(f.degree, g.degree)
@@ -221,12 +224,12 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
     # up_to[i]: the terms of g of degree at most degrees[i].
     up_to = list(accumulate(by_degree[d] for d in degrees))
     acc: Dict[MultiIndex, Scalar] = {}
-    get = acc.get
+    mul, get = Scalar.__mul__, acc.get  # read per call, as in `add_into`
     for a, ca in f.coeffs.items():
         room = bisect_right(degrees, deg - sum(a))
         if not room:
             continue
         for b, cb in up_to[room - 1]:
             gamma = tuple(map(add, a, b))
-            acc[gamma] = mul_add(ca, cb, get(gamma))
+            acc[gamma] = mul(ca, cb, get(gamma))
     return Jet(f.dim, deg, {gamma: c for gamma, c in acc.items() if c})

@@ -3,7 +3,7 @@
 `dense_operator` forms every column phi^beta as a jet and reads all N
 coefficients of each, so it builds the N x N `ExactMatrix` entry by
 entry and checks triangularity by scanning every entry above the
-diagonal.  It checks `compop._build_at`, which scatters each column's
+diagonal.  It checks `compop.build`, which scatters each column's
 terms into sparse rows and never forms the dense matrix.
 """
 

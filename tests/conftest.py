@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
+from schroeder.compop import TruncatedCompOp, build, truncation_degree
 from schroeder.linalg import ExactMatrix, SparseVector
 from schroeder.maps import PolyMap
 from schroeder.scalars import ONE, ZERO, Scalar
@@ -32,6 +33,11 @@ def sc(num, den=1) -> Scalar:
 
 def jet_of(dim: int, degree: int, terms) -> Jet:
     return Jet.build(dim, degree, [(tuple(a), s) for a, s in terms])
+
+
+def operator_at_k(phi: PolyMap) -> TruncatedCompOp:
+    """`build` at the K that `truncation_degree` finds on phi's diagonal, as the engine does."""
+    return build(phi, truncation_degree(phi.linear_part().diagonal_entries()))
 
 
 @pytest.fixture

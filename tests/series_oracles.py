@@ -4,8 +4,8 @@
 truncation degree; both routines add each product through
 `Scalar.__mul__` and `Scalar.__add__` and drop a sum the moment it
 cancels.  They check `schroeder.series.jet_mul` and `add_into`, which
-group the right factor by degree and accumulate through
-`scalars.mul_add`, and share neither with them.
+group the right factor by degree and accumulate through the fused
+`Scalar.__mul__(x, y, acc)`, and share neither with them.
 """
 
 from __future__ import annotations

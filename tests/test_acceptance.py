@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from schroeder.compop import build, jet_vector, truncation_degree
+from schroeder.compop import jet_vector, truncation_degree
 from schroeder.engine import (
     NoFullRankError,
     analyze,
@@ -36,6 +36,7 @@ from conftest import (
     NONRESONANT_POOL,
     jet_of,
     koenigs_oracle,
+    operator_at_k,
     random_poly_map,
     sc,
     sc_fraction_pool,
@@ -90,7 +91,7 @@ def test_criterion_01_obstructed_example_has_no_full_rank_solution():
     assert quarter.geometric_multiplicity == 1
     assert quarter.projected_dimension == 0
 
-    op = build(phi)
+    op = operator_at_k(phi)
     chains = incremental_jordanize(op.lower, op.diag, 2)
     assert chains.block_sizes(sc(1, 4)) == [2]
 
@@ -137,7 +138,7 @@ def test_criterion_03_coupled_example_chain_and_full_rank_solution():
         quarter.projected_dimension,
     ) == (1, 2, 1)
 
-    op = build(phi)
+    op = operator_at_k(phi)
     shifted = op.matrix.shift(sc(1, 4))
     z2 = Jet.monomial(4, 3, (0, 1, 0, 0))
     partner = Jet.build(

@@ -4,6 +4,8 @@
 one of them breaks `bench/run.py --trace 1`.  This runs the tracer in a
 fresh process, as the benchmark does, on the obstructed fixture map:
 once through the library and once through the rebound `cli.main`.
+Between them the two runs must move every metric, so a rewrite that
+routes a stage around the name the tracer wraps shows up as a zero.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracer
 import schroeder
+from schroeder import Jet, Scalar
 from schroeder.documents import parse_map_document
 
 phi, _ = parse_map_document({
@@ -36,9 +39,18 @@ phi, _ = parse_map_document({
 t = tracer.Tracer()
 t.install()
 schroeder.analyze(phi)
-schroeder.solve(phi, 4, mode="independent")
+sol = schroeder.solve(phi, 4, mode="independent")
 schroeder.solve_power(phi, 2, 4)
-print(json.dumps({"metrics": sorted(tracer.METRICS), "snapshot": t.snapshot()}))
+schroeder.verify(phi, sol.components)
+schroeder.detect_resonance(phi)
+snapshot = t.snapshot()
+# Degrees 1, 1, 2 times 1, 1 stay within degree 3: six products, none dropped.
+f = Jet.build(2, 3, [((1, 0), Scalar.of(1)), ((0, 1), Scalar.of(2)), ((1, 1), Scalar.of(3))])
+g = Jet.build(2, 3, [((1, 0), Scalar.of(5)), ((0, 1), Scalar.of(7))])
+before = t.counts["scalars.mul_calls"]
+f * g
+print(json.dumps({"metrics": sorted(tracer.METRICS), "snapshot": snapshot,
+                  "jet_mul_products": t.counts["scalars.mul_calls"] - before}))
 """
 
 #: One `analyze --format machine` through the `schroeder.cli.main` the
@@ -90,13 +102,16 @@ def test_tracer_installs_and_reports_every_metric():
     result = _traced(SCRIPT)
     snapshot = result["snapshot"]
     assert set(result["metrics"]) <= set(snapshot)
-    for span in ("engine.analyze_s", "engine.solve_s", "engine.solve_power_s"):
-        assert snapshot[span] > 0
-    assert snapshot["trace.spans"] > 0
-    # The tracer rebinds `Scalar.__mul__`, `__add__` and `__sub__` on the
-    # class and reads `.re`/`.im` of every solution coefficient.
-    for counter in ("scalars.mul_calls", "scalars.add_calls", "scalars.max_bits"):
-        assert snapshot[counter] > 0, counter
+    # The CLI test below covers the `cli` and `documents` metrics.
+    zero = [
+        metric
+        for metric in result["metrics"]
+        if metric.split(".")[0] not in ("cli", "documents") and not snapshot[metric]
+    ]
+    assert zero == []
+    # The tracer counts the rebound `Scalar.__mul__`, so a product fused
+    # into an accumulator must go through the class attribute too.
+    assert result["jet_mul_products"] == 6
 
 
 def test_tracer_sees_the_cli_emit_its_document(tmp_path):

@@ -289,6 +289,14 @@ def test_error_exit_codes(docs, tmp_path):
     assert res.returncode == 1
     assert "error:" in res.stderr
 
+    # Bytes that are not UTF-8, as a map and as a solution document.
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff")
+    for argv in (["analyze", str(binary)], ["verify", docs["diagonal"], str(binary)]):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {binary} is not valid UTF-8")
+
     expanding_spectrum = tmp_path / "big.json"
     expanding_spectrum.write_text(
         dump(

@@ -27,7 +27,7 @@ from schroeder.maps import PolyMap, compose
 from schroeder.scalars import I, Scalar, abs_sq
 from schroeder.series import Jet, monomial_count
 
-from conftest import NONRESONANT_POOL, jet_of, random_poly_map, sc, sparse_vector
+from conftest import NONRESONANT_POOL, jet_of, operator_at_k, random_poly_map, sc, sparse_vector
 
 
 def test_spectrum_rejections():
@@ -151,11 +151,11 @@ def test_build_rejects_bad_maps():
         )
     )
     with pytest.raises(ValueError):
-        build(lower)
+        operator_at_k(lower)
 
 
 def test_operator_shape_and_diagonal(obstructed_map):
-    op = build(obstructed_map)
+    op = operator_at_k(obstructed_map)
     assert op.degree == 2
     assert op.size == monomial_count(2, 2) == 5
     assert op.basis == ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -172,7 +172,7 @@ def test_operator_shape_and_diagonal(obstructed_map):
 
 
 def test_operator_entries_quadratic_coupling(obstructed_map):
-    op = build(obstructed_map)
+    op = operator_at_k(obstructed_map)
     row = op.index[(2, 0)]
     col = op.index[(0, 1)]
     assert op.matrix.at(row, col) == sc(1, 16)
@@ -190,7 +190,7 @@ def test_operator_entries_quadratic_coupling(obstructed_map):
 
 
 def test_operator_entries_four_variable_coupling(coupled_map):
-    op = build(coupled_map)
+    op = operator_at_k(coupled_map)
     assert op.degree == 3
     assert op.size == monomial_count(4, 3) == 34
     e2 = (0, 1, 0, 0)
@@ -238,7 +238,7 @@ def test_sparse_build_matches_dense_oracle(seed, dim, k, linear, gaussian):
         phi = random_poly_map(
             rng, dim, diag, degree, upper_density=density, gaussian=gaussian
         )
-    op = compop._build_at(phi, k)
+    op = build(phi, k)
     basis, matrix, index = dense_operator(phi, k)
     assert op.basis == basis
     assert op.index == index
@@ -257,17 +257,17 @@ def test_build_refuses_a_term_above_its_column(monkeypatch):
         )
     )
     with pytest.raises(ValueError):
-        build(phi)
+        operator_at_k(phi)
     monkeypatch.setattr(compop, "_upper_triangular_derivative", lambda phi: None)
     with pytest.raises(RuntimeError, match="not lower triangular in column 1"):
-        compop._build_at(phi, 2)
+        build(phi, 2)
 
 
 def test_operator_diagonal_law():
     rng = random.Random(53)
     diag = [sc(1, 2), sc(1, 4)]
     phi = random_poly_map(rng, 2, diag, 3)
-    op = compop._build_at(phi, 3)
+    op = build(phi, 3)
     for alpha in op.basis:
         expect = diag[0] ** alpha[0] * diag[1] ** alpha[1]
         assert op.matrix.at(op.index[alpha], op.index[alpha]) == expect
@@ -278,7 +278,7 @@ def test_operator_action_is_composition():
     for _ in range(8):
         diag = [rng.choice(NONRESONANT_POOL) for _ in range(2)]
         phi = random_poly_map(rng, 2, diag, 4)
-        op = compop._build_at(phi, 4)
+        op = build(phi, 4)
         f = Jet.build(
             2,
             4,
@@ -293,7 +293,7 @@ def test_operator_action_is_composition():
 
 
 def test_vector_jet_round_trip(diagonal_map):
-    op = compop._build_at(diagonal_map, 3)
+    op = build(diagonal_map, 3)
     f = jet_of(2, 3, [((1, 0), sc(2)), ((1, 1), I), ((0, 3), sc(-1, 7))])
     assert vector_jet(op, sparse_vector(jet_vector(op, f))) == f
     with pytest.raises(ValueError):

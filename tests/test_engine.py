@@ -132,7 +132,6 @@ def test_one_truncation_degree_search_per_call(coupled_map, monkeypatch):
         lambda: truncated_operator(coupled_map),
         lambda: solve(coupled_map, degree=4),
         lambda: solve_power(coupled_map, 2, degree=4),
-        lambda: compop.build(coupled_map),
     ):
         calls.clear()
         run()

@@ -3,7 +3,7 @@
 Random maps come from `random_poly_map` with real or Gaussian
 coefficients and a diagonal, Jordan-block or general upper-triangular
 linear part.  Sums, compositions, matrix applications, the lambda^alpha
-table and whole `solve`/`solve_power` results must equal what the
+table of `compop.eigenvalue_products` and whole `solve`/`solve_power` results must equal what the
 oracles compute, exactly.
 """
 
@@ -13,12 +13,12 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lifting_oracles as oracle
 from conftest import random_lower_matrix, random_poly_map
-from schroeder import engine
+from schroeder import compop, engine
 from schroeder.engine import solve, solve_power
 from schroeder.maps import PolyMap, compose, matrix_apply
 from schroeder.scalars import ONE, Scalar
@@ -108,16 +108,27 @@ def test_matrix_apply_matches_oracle(drawn):
     assert matrix_apply(m.transpose(), phi) == oracle.matrix_apply(m.transpose(), phi)
 
 
-@settings(max_examples=30, deadline=None)
-@given(random_maps(), st.integers(1, 9))
-def test_eigenvalue_product_table_matches_direct_powering(drawn, out_degree):
-    phi, _, _ = drawn
-    lifter = engine._Lifter(phi, 1, out_degree)
-    diag = phi.linear_part().diagonal_entries()
-    exponents = [(0,) * phi.dim] + enumerate_monomials(phi.dim, out_degree)
-    assert set(lifter.diag_power) == set(exponents)
-    for alpha in exponents:
-        assert lifter.diag_power[alpha] == oracle.diag_power(diag, alpha)
+@st.composite
+def spectra(draw):
+    """1-4 eigenvalues from the real or the Gaussian pool, often repeated."""
+    pool = draw(st.sampled_from([REAL_POOL, GAUSSIAN_POOL]))
+    diag = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    if len(diag) > 1 and draw(st.booleans()):
+        diag[-1] = diag[0]
+    return tuple(diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectra(), st.integers(1, 7), st.integers(1, 7))
+@example((_s("1/2"), _s("1/2")), 3, 3)
+@example((_s(0, "1/2"), _s("1/3"), _s(0, "1/2")), 2, 4)
+def test_eigenvalue_product_table_matches_direct_powering(diag, lo, hi):
+    lo, hi = min(lo, hi), max(lo, hi)
+    table = compop.eigenvalue_products(diag, lo, hi)
+    want = [a for a in enumerate_monomials(len(diag), hi) if sum(a) >= lo]
+    assert [alpha for alpha, _ in table] == want
+    for alpha, prod in table:
+        assert prod == oracle.diag_power(diag, alpha)
 
 
 def _outcome(run):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroeder.scalars import I, ONE, ZERO, Scalar, abs_sq, mul_add, scalar_inv
+from schroeder.scalars import I, ONE, ZERO, Scalar, abs_sq, scalar_inv
 
 import scalar_oracles as oracle
 
@@ -192,6 +192,7 @@ def test_operations_match_the_fraction_oracle(x, y, n):
     st.integers(-(2**70), 2**70),
 )
 def test_mul_add_matches_the_fraction_oracle(x, y, z, case, n):
+    """The fused multiply-add `Scalar.__mul__(x, y, acc)` = acc + x*y."""
     a, oa = Scalar(*x), oracle.Scalar(*x)
     b, ob = Scalar(*y), oracle.Scalar(*y)
     product = oa * ob
@@ -211,8 +212,8 @@ def test_mul_add_matches_the_fraction_oracle(x, y, z, case, n):
             parts = (-product.re, -product.im)
         acc = Scalar(*parts)
         expect = oracle.Scalar(*parts) + product
-    got = mul_add(a, b, acc)
+    got = Scalar.__mul__(a, b, acc)
     assert_matches(got, expect)
-    assert got == mul_add(b, a, acc)
+    assert got == Scalar.__mul__(b, a, acc)
     if case == "cancel":
         assert got == ZERO and (got._a, got._b, got._d) == (0, 0, 1)
