@@ -11,11 +11,15 @@ the operator's Jordan chains, lift each chain to the output degree
 by solving triangular coefficient systems (whose divisors
 lambda^alpha - lambda are nonzero above the operator's truncation
 degree), assemble the components, conjugate them back and check their
-ranks.  Only one step depends on k: for k >= 2 each block's components
-are multiplied by a power of its eigenfunction and remixed into chains
-of the k-th power factor.  Only `solve` in full-rank mode builds the
+ranks.  The lifter keeps its running composition in a Gaussian-integer
+sum (`maps.IntSum`) and solves only the exponents that carry a
+composed or target coefficient; every other one has x = 0.  Only one
+step depends on k: for k >= 2 each block's components are multiplied
+by a power of its eigenfunction and remixed into chains of the k-th
+power factor.  Only `solve` in full-rank mode builds the
 analysis report, to gate the construction on its verdict.  `verify`
-replays a solution against the equation term by term.
+replays a solution against the equation term by term, composing
+through one `maps.PowerTable` of the map.
 
 Conjugation in and out goes through `maps.conjugate_map`, so callers
 only need a triangular derivative.
@@ -46,17 +50,9 @@ from .linalg import (
     triangular_kernel,
     vectors_rank,
 )
-from .maps import (
-    PolyMap,
-    PowerMemo,
-    compose,
-    conjugate_map,
-    map_compose,
-    matrix_apply,
-    monomial_power,
-)
+from .maps import IntSum, PolyMap, PowerTable, conjugate_map, map_compose, matrix_apply
 from .scalars import ONE, ZERO, Scalar, scalar_inv
-from .series import Jet, MultiIndex, add_into, enumerate_monomials, monomials_of_degree
+from .series import Jet, MultiIndex, add_into, monomials_of_degree, order_key
 
 DEFAULT_DEGREE = 10
 
@@ -250,23 +246,29 @@ class _Lifter:
     happens at or below the operator degree.
 
     Each coefficient is computed once from those already known.  `lift`
-    composes g0 with psi once and keeps that composition running: every
-    new term x*z^alpha adds x*psi^alpha to it.  The degree-m part of
-    psi^alpha is (Lz)^alpha, so when the system reaches z^alpha the
-    running coefficient holds both the lower-degree contributions and
-    those of the degree-m terms solved before it.  The powers psi^alpha
-    and the table of products lambda^alpha from `eigenvalue_products`
+    keeps the composition g(psi(z)) running in one Gaussian-integer sum
+    (`maps.IntSum`) over the common denominator of g's terms: it starts
+    as g0(psi(z)), and each solved layer adds x*psi^alpha for its terms,
+    above degree m, after one rescale if the layer's denominators grow
+    it.  The degree-m part of psi^alpha is (Lz)^alpha, which is
+    lambda^alpha z^alpha alone unless L has a Jordan block; only then do
+    the terms of a layer feed later exponents of the same layer, through
+    the layer's `Scalar` coefficients.  An exponent with neither a composed
+    nor a target coefficient has x = 0 and is skipped.  The powers of
+    psi and the table of products lambda^alpha from `eigenvalue_products`
     are shared by every chain lifted with one lifter, and dropped with it.
     """
 
     def __init__(self, psi: PolyMap, base_degree: int, out_degree: int):
-        self.psi = psi
         self.base = base_degree
         self.out = out_degree
         self.n = psi.dim
-        self.psi_memo: PowerMemo = {}
-        diag = psi.linear_part().diagonal_entries()
-        self.diag_power = dict(eigenvalue_products(diag, base_degree + 1, out_degree))
+        self.powers = PowerTable(psi)
+        linear = psi.linear_part()
+        self.jordan = not (linear.is_lower_triangular() and linear.is_upper_triangular())
+        self.diag_power = dict(
+            eigenvalue_products(linear.diagonal_entries(), base_degree + 1, out_degree)
+        )
 
     def lift(self, g0: Jet, rhs: Optional[Jet], lam: Scalar) -> Jet:
         """Solve g(psi(z)) = lambda g + rhs through the output degree.
@@ -274,13 +276,17 @@ class _Lifter:
         `g0` must satisfy the equation through the base degree and `rhs`
         must already be complete through the output degree.
         """
-        g0 = g0.truncate(self.out)
-        g = dict(g0.coeffs)
-        composed = compose(g0, self.psi, self.psi_memo).coeffs
+        out, mul = self.out, Scalar.__mul__  # read per call, as in `series.add_into`
+        g = dict(g0.truncate(out).coeffs)
         target = rhs.coeffs if rhs is not None else {}
-        for m in range(self.base + 1, self.out + 1):
+        acc = IntSum(self.powers)
+        acc.add(g.items(), self.base + 1, out)
+        for m in range(self.base + 1, out + 1):
+            composed = acc.pop(m)
             new_terms: Dict[MultiIndex, Scalar] = {}
             for alpha in monomials_of_degree(self.n, m):
+                if alpha not in composed and alpha not in target:
+                    continue  # a zero numerator: x = 0
                 divisor = self.diag_power[alpha] - lam
                 if divisor.is_zero():
                     raise RuntimeError(
@@ -290,10 +296,15 @@ class _Lifter:
                 if x.is_zero():
                     continue
                 new_terms[alpha] = x
-                psi_power = monomial_power(self.psi, alpha, self.psi_memo)
-                add_into(composed, psi_power.coeffs, x)
-            add_into(g, new_terms)
-        return Jet(self.n, self.out, g)
+                if self.jordan:
+                    # (Lz)^alpha past z^alpha feeds later exponents of this layer.
+                    for gamma, s in self.powers.linear_power(alpha).items():
+                        if gamma != alpha:
+                            composed[gamma] = mul(x, s, composed.get(gamma))
+            g.update(new_terms)
+            if m < out and new_terms:
+                acc.add(new_terms.items(), m + 1, out)
+        return Jet(self.n, out, g)
 
 
 def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[Jet]]]:
@@ -322,10 +333,13 @@ def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[
 
 
 def component_rank(components: PolyMap) -> int:
-    monomials = enumerate_monomials(components.source_dim, components.degree)
-    rows = [
-        [c.coefficient(a) for a in monomials] for c in components.components
-    ]
+    """The rank of the components' coefficient rows, read on their joint support.
+
+    A monomial that no component carries is a zero column; it never
+    pivots, so leaving it out keeps the rank.
+    """
+    support = sorted({a for c in components.components for a in c.coeffs}, key=order_key)
+    rows = [[c.coefficient(a) for a in support] for c in components.components]
     return vectors_rank(rows)
 
 

@@ -4,15 +4,27 @@ A `PolyMap` is a tuple of jets with no constant terms, all sharing one
 dimension and one truncation degree.  Composition and monomial powers
 are the workhorses here; both truncate every intermediate product so the
 cost stays bounded by the truncation degree.
+
+Composition runs over the Gaussian integers.  `PowerTable` scales phi by
+the lcm D of its denominators, so P = D*phi has integer coefficients,
+and memoizes the powers P^alpha; an `IntSum` adds multiples of them
+degree by degree on one denominator.  `compose`, `map_compose`,
+`conjugate_map` and the engine's lifter all go through these two, and a
+coefficient becomes a canonical `Scalar` once, when it is read.  In
+this module only `monomial_power`, which gives the operator builder its
+columns, still multiplies `Scalar` jets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import accumulate
+from math import lcm
+from operator import add, mul
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .linalg import ExactMatrix, inverse
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, from_ints
 from .series import Jet, MultiIndex, add_into, unit_index
 
 
@@ -83,25 +95,16 @@ def monomial_power(phi: PolyMap, alpha: MultiIndex, memo: Optional[PowerMemo] = 
 
     A shared memo makes enumerating all powers up to a degree cheap: each
     power is one jet multiplication away from a previously computed one.
+    The operator builder reads its columns from here, as `Scalar` jets.
     """
     if len(alpha) != phi.dim:
         raise ValueError(f"exponent length {len(alpha)} does not match {phi.dim} components")
     if memo is None:
         memo = {}
-    return _power(phi, alpha, memo)
-
-
-def _power(phi: PolyMap, alpha: MultiIndex, memo: PowerMemo) -> Jet:
     cached = memo.get(alpha)
     if cached is not None:
         return cached
-    # phi^alpha = phi^(alpha - e_i) * phi_i, i the first nonzero index: walk
-    # down to an exponent in the memo or of degree <= 1, multiply back up.
-    steps = []
-    while alpha not in memo and sum(alpha) > 1:
-        i = next(j for j, e in enumerate(alpha) if e > 0)
-        steps.append((alpha, i))
-        alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+    steps, alpha = _walk_down(alpha, memo)
     out = memo.get(alpha)
     if out is None:
         n = phi.source_dim
@@ -116,36 +119,219 @@ def _power(phi: PolyMap, alpha: MultiIndex, memo: PowerMemo) -> Jet:
     return out
 
 
-def compose(f: Jet, phi: PolyMap, memo: Optional[PowerMemo] = None) -> Jet:
+def _walk_down(alpha: MultiIndex, memo: Dict) -> Tuple[List[Tuple[MultiIndex, int]], MultiIndex]:
+    """Steps from alpha down to an exponent in `memo` or of degree <= 1.
+
+    phi^alpha = phi^(alpha - e_i) * phi_i with i the first nonzero index;
+    returns the (exponent, i) steps taken and the exponent reached, so
+    callers multiply back up without recursing once per degree.
+    """
+    steps = []
+    while alpha not in memo and sum(alpha) > 1:
+        i = next(j for j, e in enumerate(alpha) if e > 0)
+        steps.append((alpha, i))
+        alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+    return steps, alpha
+
+
+#: A polynomial held by degree, {degree: {monomial: value}}: int values
+#: over a real map, (re, im) pairs of ints over a Gaussian one.
+Graded = Dict[int, Dict[MultiIndex, Any]]
+
+
+class PowerTable:
+    """The powers of P = D*phi over the Gaussian integers, truncated at phi's degree.
+
+    D (`denom`) is the lcm of the denominators of phi's coefficients, so P
+    has Gaussian-integer coefficients and phi^alpha = P^alpha / D^|alpha|.
+    `power(alpha)` is P^alpha, graded; each power is one graded product
+    away from one already in the table, found by the same walk as
+    `monomial_power`.  A real map (`real`) holds plain ints and never
+    forms an imaginary part.  Every composition with phi that shares a
+    table shares its powers.
+    """
+
+    def __init__(self, phi: PolyMap):
+        self.phi = phi
+        terms = [
+            (i, alpha, s.ints()) for i, c in enumerate(phi.components) for alpha, s in c.coeffs.items()
+        ]
+        self.denom = denom = lcm(*[d for _, _, (_, _, d) in terms])
+        self.real = real = not any(b for _, _, (_, b, _) in terms)
+        #: D^e for 0 <= e <= phi.degree.
+        self.denom_powers = list(accumulate([denom] * phi.degree, mul, initial=1))
+        self._units: List[Graded] = [{} for _ in phi.components]
+        for i, alpha, (a, b, d) in terms:
+            k = denom // d
+            self._units[i].setdefault(sum(alpha), {})[alpha] = a * k if real else (a * k, b * k)
+        self._powers: Dict[MultiIndex, Graded] = {
+            unit_index(phi.dim, i): unit for i, unit in enumerate(self._units)
+        }
+        self._powers[(0,) * phi.dim] = {0: {(0,) * phi.source_dim: 1 if real else (1, 0)}}
+
+    def power(self, alpha: MultiIndex) -> Graded:
+        """P^alpha truncated at phi's degree; callers must not change it."""
+        table = self._powers
+        out = table.get(alpha)
+        if out is not None:
+            return out
+        steps, alpha = _walk_down(alpha, table)
+        out = table[alpha]
+        for beta, i in reversed(steps):
+            out = self._mul(out, self._units[i])
+            table[beta] = out
+        return out
+
+    def linear_power(self, alpha: MultiIndex) -> Dict[MultiIndex, Scalar]:
+        """(Lz)^alpha, the degree-|alpha| part of phi^alpha, as `Scalar`s; L = phi'(0)."""
+        k = sum(alpha)
+        part = self.power(alpha).get(k)
+        if part is None:
+            return {}
+        d = self.denom_powers[k]
+        if self.real:
+            return {gamma: from_ints(v, 0, d) for gamma, v in part.items()}
+        return {gamma: from_ints(v[0], v[1], d) for gamma, v in part.items()}
+
+    def _mul(self, f: Graded, g: Graded) -> Graded:
+        """The graded product f*g truncated at phi's degree.
+
+        A sum that cancels stays as a zero entry; it adds nothing where
+        the power is used, and most products never cancel.
+        """
+        deg = self.phi.degree
+        out: Graded = {}
+        for df, pf in f.items():
+            for dg, pg in g.items():
+                e = df + dg
+                if e > deg:
+                    continue
+                part = out.setdefault(e, {})
+                get = part.get
+                if self.real:
+                    for a, x in pf.items():
+                        for b, y in pg.items():
+                            gamma = tuple(map(add, a, b))
+                            part[gamma] = get(gamma, 0) + x * y
+                else:
+                    for a, (xa, xb) in pf.items():
+                        for b, (ya, yb) in pg.items():
+                            gamma = tuple(map(add, a, b))
+                            re, im = xa * ya - xb * yb, xa * yb + xb * ya
+                            prev = get(gamma)
+                            part[gamma] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return out
+
+
+class IntSum:
+    """A sum of terms x*phi^alpha, held as Gaussian integers by degree.
+
+    The degree-e part stands for (re + i*im) / (den * D^e), with D the
+    table's `denom` and `den` the lcm of the denominators of every x
+    added so far: `add` rescales the sum once when a batch of terms
+    grows `den`.  `im` stays None while every term is real.
+    """
+
+    def __init__(self, table: PowerTable):
+        self.table = table
+        self.den = 1
+        self.re: Graded = {}
+        self.im: Optional[Graded] = None if table.real else {}
+
+    def add(self, terms: Iterable[Tuple[MultiIndex, Scalar]], lo: int, hi: int) -> None:
+        """Add x*phi^alpha for each (alpha, x) of `terms`, at the degrees lo..hi only."""
+        ints = [(alpha, x.ints()) for alpha, x in terms]
+        den = lcm(self.den, *[d for _, (_, _, d) in ints])
+        k, self.den = den // self.den, den
+        if k != 1:
+            for parts in (self.re, self.im or {}):
+                for part in parts.values():
+                    for gamma in part:
+                        part[gamma] *= k
+        if self.im is None and any(b for _, (_, b, _) in ints):
+            self.im = {}
+        for alpha, (a, b, d) in ints:
+            k = den // d
+            self._add_power(alpha, a * k, b * k, lo, hi)
+
+    def _add_power(self, alpha: MultiIndex, a: int, b: int, lo: int, hi: int) -> None:
+        """Add ((a + b*i) / den) * phi^alpha at the degrees lo..hi."""
+        table = self.table
+        k = sum(alpha)
+        for e, part in table.power(alpha).items():
+            if e < lo or e > hi:
+                continue
+            s = table.denom_powers[e - k]
+            ma, mb = a * s, b * s
+            r = self.re.setdefault(e, {})
+            rget = r.get
+            if table.real:
+                for gamma, v in part.items():
+                    r[gamma] = rget(gamma, 0) + ma * v
+                if mb:
+                    i = self.im.setdefault(e, {})  # type: ignore[union-attr]
+                    iget = i.get
+                    for gamma, v in part.items():
+                        i[gamma] = iget(gamma, 0) + mb * v
+            else:
+                i = self.im.setdefault(e, {})  # type: ignore[union-attr]
+                iget = i.get
+                for gamma, (va, vb) in part.items():
+                    r[gamma] = rget(gamma, 0) + ma * va - mb * vb
+                    i[gamma] = iget(gamma, 0) + ma * vb + mb * va
+
+    def pop(self, e: int) -> Dict[MultiIndex, Scalar]:
+        """Remove the degree-e part and return its nonzero coefficients, reduced."""
+        re = self.re.pop(e, None)
+        if re is None:
+            return {}
+        im = self.im.pop(e, {}) if self.im is not None else {}
+        d = self.den * self.table.denom_powers[e]
+        out = {}
+        for gamma, a in re.items():
+            b = im.get(gamma, 0)
+            if a or b:
+                out[gamma] = from_ints(a, b, d)
+        return out
+
+
+def compose(f: Jet, phi: PolyMap, memo: Optional[PowerTable] = None) -> Jet:
     """The jet of f(phi(z)) truncated to min(f.degree, phi.degree).
 
     Exact through the truncation degree because phi has no constant term:
     a monomial of f of degree d only contributes terms of degree >= d.
-    Each term c*z^alpha of f adds c*phi^alpha into one coefficient table;
-    phi^alpha comes from `memo`, which calls composing with the same phi
-    may share.
+    The terms of f go on one denominator D_f; each adds
+    f_alpha * D_f * D^(e - |alpha|) * P^alpha, degree e by degree e, into
+    one Gaussian-integer sum over D_f * D^e (see `PowerTable` and
+    `IntSum`), and each output coefficient is reduced once.  `memo`, a
+    `PowerTable` of phi, lets compositions with the same phi share the
+    powers.
     """
     if f.dim != phi.dim:
         raise ValueError(f"jet in {f.dim} variables fed a {phi.dim}-component map")
-    if memo is None:
-        memo = {}
+    table = PowerTable(phi) if memo is None else memo
+    if table.phi is not phi:
+        raise ValueError("power table was built for another map")
     degree = min(f.degree, phi.degree)
-    cap = degree if phi.degree > degree else None
-    acc: Dict[MultiIndex, Scalar] = {}
-    for alpha, coeff in f.coeffs.items():
-        if sum(alpha) <= degree:
-            add_into(acc, _power(phi, alpha, memo).coeffs, coeff, cap)
-    return Jet(phi.source_dim, degree, acc)
+    terms = f.coeffs.items()
+    if f.degree > degree:
+        terms = [(alpha, c) for alpha, c in terms if sum(alpha) <= degree]
+    acc = IntSum(table)
+    acc.add(terms, 0, degree)
+    coeffs: Dict[MultiIndex, Scalar] = {}
+    for e in sorted(acc.re):
+        coeffs.update(acc.pop(e))
+    return Jet(phi.source_dim, degree, coeffs)
 
 
 def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
-    """Componentwise composition f(g(z))."""
+    """Componentwise composition f(g(z)), through one power table of g."""
     if f.source_dim != g.dim:
         raise ValueError(
             f"inner map has {g.dim} components, outer expects {f.source_dim}"
         )
-    memo: PowerMemo = {}
-    return PolyMap(tuple(compose(c, g, memo) for c in f.components))
+    table = PowerTable(g)
+    return PolyMap(tuple(compose(c, g, table) for c in f.components))
 
 
 def matrix_apply(m: ExactMatrix, phi: PolyMap) -> PolyMap:

@@ -14,14 +14,16 @@ the denominators share can cancel), and a product with a real factor
 skips the imaginary cross products.  The fused form
 ``Scalar.__mul__(x, y, acc)`` gives ``acc + x*y`` for one step of a sum
 of products with one reduction in place of two.  `re` and `im` give the
-parts as reduced `fractions.Fraction` values.
+parts as reduced `fractions.Fraction` values.  `Scalar.ints` and
+`from_ints` hand the three integers to the integer composition of `maps`
+and take its sums back, with one gcd per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -54,6 +56,10 @@ class Scalar:
     def of(re: RationalLike, im: RationalLike = 0) -> Scalar:
         """Build a scalar from ints, Fractions, or rational strings like "3/4"."""
         return Scalar(_frac(re), _frac(im))
+
+    def ints(self) -> Tuple[int, int, int]:
+        """The canonical integers (a, b, d) with self == (a + b*i) / d."""
+        return self._a, self._b, self._d
 
     @property
     def re(self) -> Fraction:
@@ -189,6 +195,17 @@ def _sum(x: Scalar, a2: int, b2: int, e: int) -> Scalar:
 ZERO = Scalar(Fraction(0), Fraction(0))
 ONE = Scalar(Fraction(1), Fraction(0))
 I = Scalar(Fraction(0), Fraction(1))
+
+
+def from_ints(a: int, b: int, d: int) -> Scalar:
+    """The canonical scalar (a + b*i) / d, for d > 0, at one gcd."""
+    g = gcd(a, b, d) if d != 1 else 1
+    out = _new(Scalar)
+    if g == 1:
+        out._a, out._b, out._d = a, b, d
+    else:
+        out._a, out._b, out._d = a // g, b // g, d // g
+    return out
 
 
 def scalar_inv(s: Scalar) -> Scalar:

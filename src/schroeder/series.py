@@ -15,7 +15,11 @@ Products are graded: `jet_mul` groups the right factor's terms by the
 total degrees that occur, so each left term meets only the terms whose
 product stays within the truncation, and every coefficient accumulates
 through the fused form `Scalar.__mul__(x, y, acc)` = acc + x*y, at one
-gcd reduction per product.
+gcd reduction per product.  Composition does not multiply jets: it runs
+over the Gaussian integers in `maps`.
+
+A jet prints its terms in monomial order, whatever order its table was
+filled in, so equal jets print equally.
 """
 
 from __future__ import annotations
@@ -129,6 +133,16 @@ class Jet:
     def terms(self) -> List[Tuple[MultiIndex, Scalar]]:
         """Stored terms in monomial order (constant first if present)."""
         return sorted(self.coeffs.items(), key=lambda kv: order_key(kv[0]))
+
+    def __repr__(self) -> str:
+        """The dataclass form, with `coeffs` listed in monomial order.
+
+        A dict shows its insertion order, which depends on how the jet
+        was computed; listing the terms in order makes equal jets print
+        equally.
+        """
+        body = ", ".join(f"{a!r}: {c!r}" for a, c in self.terms())
+        return f"{type(self).__qualname__}(dim={self.dim!r}, degree={self.degree!r}, coeffs={{{body}}})"
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -1,17 +1,26 @@
-"""The pairwise jet product and accumulation of the first release, kept as test oracles.
+"""Earlier jet products, sums and compositions, kept as test oracles.
 
 `jet_mul` visits every pair of terms and skips those above the
-truncation degree; both routines add each product through
+truncation degree; `add_into` and `jet_mul` add each product through
 `Scalar.__mul__` and `Scalar.__add__` and drop a sum the moment it
 cancels.  They check `schroeder.series.jet_mul` and `add_into`, which
 group the right factor by degree and accumulate through the fused
 `Scalar.__mul__(x, y, acc)`, and share neither with them.
+
+`compose` and `map_compose` are the `Scalar` composition route that
+`schroeder.maps` used before it composed over the Gaussian integers:
+every power phi^alpha is a `Scalar` jet from `maps.monomial_power`, and
+each term c*z^alpha of f adds c*phi^alpha into one coefficient table
+through `series.add_into`.  They share no power table and no integer
+sum with `maps.compose`, which they check.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from schroeder import series
+from schroeder.maps import PolyMap, PowerMemo, monomial_power
 from schroeder.scalars import ZERO, Scalar
 from schroeder.series import Jet, MultiIndex
 
@@ -60,3 +69,22 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
             else:
                 acc[gamma] = s
     return Jet(f.dim, deg, acc)
+
+
+def compose(f: Jet, phi: PolyMap, memo: Optional[PowerMemo] = None) -> Jet:
+    """f(phi(z)) truncated to min(f.degree, phi.degree), one scaled `add_into` per term."""
+    if memo is None:
+        memo = {}
+    degree = min(f.degree, phi.degree)
+    cap = degree if phi.degree > degree else None
+    acc: Dict[MultiIndex, Scalar] = {}
+    for alpha, coeff in f.coeffs.items():
+        if sum(alpha) <= degree:
+            series.add_into(acc, monomial_power(phi, alpha, memo).coeffs, coeff, cap)
+    return Jet(phi.source_dim, degree, acc)
+
+
+def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
+    """Componentwise f(g(z)) through one memo of powers of g."""
+    memo: PowerMemo = {}
+    return PolyMap(tuple(compose(c, g, memo) for c in f.components))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schroeder import compop, engine, linalg
 from schroeder.engine import (
@@ -18,10 +20,10 @@ from schroeder.engine import (
     truncated_operator,
     verify,
 )
-from schroeder.linalg import ExactMatrix, rank
+from schroeder.linalg import ExactMatrix, rank, vectors_rank
 from schroeder.maps import PolyMap, conjugate_map
 from schroeder.scalars import ONE, ZERO
-from schroeder.series import Jet
+from schroeder.series import Jet, enumerate_monomials
 
 from conftest import (
     NONRESONANT_POOL,
@@ -29,6 +31,7 @@ from conftest import (
     koenigs_oracle,
     random_poly_map,
     sc,
+    sc_fraction_pool,
 )
 
 
@@ -534,3 +537,25 @@ def test_solve_power_one_delegates(obstructed_map):
 def test_solve_power_rejects_bad_power(diagonal_map):
     with pytest.raises(ValueError):
         solve_power(diagonal_map, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4),
+    st.booleans(),
+)
+def test_component_rank_on_the_support_matches_the_dense_route(seed, n, degree, dim, gaussian):
+    rng = random.Random(seed)
+    monomials = enumerate_monomials(n, degree)
+    comps = []
+    for _ in range(dim):
+        if comps and rng.random() < 0.3:
+            # A combination of earlier components keeps the rank down.
+            a, b = rng.choice(comps), rng.choice(comps)
+            comps.append(a.scale(sc_fraction_pool(rng, gaussian=gaussian)) + b)
+            continue
+        terms = [(m, sc_fraction_pool(rng, gaussian=gaussian)) for m in rng.sample(monomials, min(3, len(monomials)))]
+        comps.append(Jet.build(n, degree, terms))
+    f = PolyMap(tuple(comps))
+    dense = [[c.coefficient(a) for a in monomials] for c in f.components]
+    assert engine.component_rank(f) == vectors_rank(dense)

@@ -3,7 +3,8 @@
 Random maps come from `random_poly_map` with real or Gaussian
 coefficients and a diagonal, Jordan-block or general upper-triangular
 linear part.  Sums, compositions, matrix applications, the lambda^alpha
-table of `compop.eigenvalue_products` and whole `solve`/`solve_power` results must equal what the
+table of `compop.eigenvalue_products`, whole `solve`/`solve_power`
+results and the first failure `verify` reports must equal what the
 oracles compute, exactly.
 """
 
@@ -13,15 +14,18 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lifting_oracles as oracle
+import series_oracles
 from conftest import random_lower_matrix, random_poly_map
 from schroeder import compop, engine
-from schroeder.engine import solve, solve_power
-from schroeder.maps import PolyMap, compose, matrix_apply
-from schroeder.scalars import ONE, Scalar
+from schroeder.engine import solve, solve_power, verify
+from schroeder.linalg import ExactMatrix, mat_mul, mat_pow
+from schroeder.maps import PolyMap, PowerTable, compose, conjugate_map, matrix_apply
+from schroeder.scalars import ONE, ZERO, Scalar
 from schroeder.series import Jet, enumerate_monomials, unit_index
 
 
@@ -91,7 +95,7 @@ def test_compose_matches_oracle(drawn, f_degree):
     phi, rng, gaussian = drawn
     diag = phi.linear_part().diagonal_entries()
     inner = random_poly_map(rng, phi.dim, diag, f_degree, gaussian=gaussian)
-    memo, oracle_memo = {}, {}
+    memo, oracle_memo = PowerTable(phi), {}
     for f in inner.components:
         f = _with_constant(f, rng)
         assert compose(f, phi, memo) == oracle.compose(f, phi, oracle_memo)
@@ -138,10 +142,10 @@ def _outcome(run):
         return (type(exc), str(exc))
 
 
-def _assert_lifts_match_oracle(phi: PolyMap, power: int) -> None:
+def _assert_lifts_match_oracle(phi: PolyMap, power: int, degree: int = 8) -> None:
     runs = (
-        lambda: solve(phi, degree=8, mode="independent"),
-        lambda: solve_power(phi, power, degree=8),
+        lambda: solve(phi, degree=degree, mode="independent"),
+        lambda: solve_power(phi, power, degree=degree),
     )
     for run in runs:
         fast = _outcome(run)
@@ -173,3 +177,107 @@ def test_jordan_block_with_nonlinear_terms_matches_oracle_lifter():
         jet([((0, 0, 1), "1/2"), ((2, 0, 0), "-2/3"), ((1, 2, 0), 1)]),
     ))
     _assert_lifts_match_oracle(phi, 2)
+
+
+@st.composite
+def jordan_maps(draw):
+    """A map whose linear part is one Jordan block of size 2 or 3 plus, maybe, one more eigenvalue.
+
+    The block's eigenvalue is repeated by construction and drawn from
+    the real or the Gaussian pool, so each lifted layer feeds itself
+    through the block's superdiagonal.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    block = draw(st.integers(2, 3))
+    dim = draw(st.integers(block, 3))
+    gaussian = draw(st.booleans())
+    pool = GAUSSIAN_POOL if gaussian else REAL_POOL
+    lam = rng.choice(pool)
+    diag = [lam] * block + [rng.choice(pool) for _ in range(dim - block)]
+    phi = random_poly_map(
+        rng, dim, diag, 3, upper_density=0.0, term_density=0.25, gaussian=gaussian
+    )
+    comps = list(phi.components)
+    for i in range(block - 1):
+        link = _s(rng.choice([1, -1, 2]), rng.choice([0, 1]) if gaussian else 0)
+        comps[i] = Jet.build(dim, 3, list(comps[i].coeffs.items()) + [(unit_index(dim, i + 1), link)])
+    return PolyMap(tuple(comps))
+
+
+@settings(max_examples=20, deadline=None)
+@given(jordan_maps(), st.integers(2, 3))
+def test_jordan_block_lifts_match_oracle_lifter(phi, power):
+    assert not phi.linear_part().is_lower_triangular()
+    _assert_lifts_match_oracle(phi, power, degree=6 if phi.dim == 3 else 8)
+
+
+def _products_with(value, at):
+    """`eigenvalue_products` with the product at exponent `at` replaced by `value`."""
+    real = compop.eigenvalue_products
+
+    def patched(diag, lo, hi):
+        return [(alpha, value if alpha == at else prod) for alpha, prod in real(diag, lo, hi)]
+
+    return mock.patch.object(engine, "eigenvalue_products", patched)
+
+
+def test_a_vanished_divisor_is_refused_where_a_coefficient_is_solved():
+    half = _s("1/2")
+    # z -> z/2 + z^2/3: K = 1, and every exponent past it carries a coefficient.
+    phi = PolyMap((Jet.build(1, 5, [((1,), half), ((2,), _s("1/3"))]),))
+    with _products_with(half, (3,)):
+        with pytest.raises(RuntimeError, match=r"divisor vanished at exponent \(3,\)"):
+            solve(phi, degree=5)
+    # z -> (z1/2, z2/3) is linear: its components need no term past degree
+    # one, so no exponent is solved and no divisor is formed.
+    linear = PolyMap((
+        Jet.build(2, 5, [((1, 0), half)]),
+        Jet.build(2, 5, [((0, 1), _s("1/3"))]),
+    ))
+    with _products_with(half, (2, 1)):
+        sol = solve(linear, degree=5)
+    assert [c.coeffs for c in sol.components.components] == [{(1, 0): ONE}, {(0, 1): ONE}]
+
+
+def _oracle_first_failure(phi: PolyMap, f: PolyMap, power: int):
+    """The first nonzero residual term, in monomial order then component, from the oracles."""
+    lhs = series_oracles.map_compose(f, phi.truncate(f.degree))
+    rhs = oracle.matrix_apply(mat_pow(phi.linear_part(), power), f)
+    residuals = [oracle.jet_sub(a, b) for a, b in zip(lhs.components, rhs.components)]
+    for alpha in enumerate_monomials(f.source_dim, f.degree):
+        for i, r in enumerate(residuals):
+            c = r.coefficient(alpha)
+            if not c.is_zero():
+                return i, alpha, c
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_maps(max_degree=3), st.integers(1, 2), st.booleans(), st.integers(0, 2**32 - 1))
+def test_verify_reports_the_oracle_first_failure(drawn, power, conjugated, seed):
+    phi, _, gaussian = drawn
+    rng = random.Random(seed)
+    sol = solve_power(phi, power, degree=5)
+    f = sol.components
+    if conjugated:
+        # phi and F carried by one invertible D stay a solution pair, and
+        # phi's derivative is in general no longer triangular.  D = (unit
+        # lower) * (unit upper) has determinant 1.
+        lower = random_lower_matrix(rng, phi.dim, (ONE,), gaussian=gaussian, density=1.0)
+        upper = ExactMatrix.from_rows([
+            [ONE if j in (i, i + 1) else ZERO for j in range(phi.dim)] for i in range(phi.dim)
+        ])
+        d = mat_mul(lower, upper)
+        phi, f = conjugate_map(phi, d), conjugate_map(f, d)
+    assert verify(phi, f, power).passed
+    i = rng.randrange(f.dim)
+    alpha = rng.choice(enumerate_monomials(f.source_dim, f.degree))
+    delta = _s(rng.choice([1, -2, 3]), rng.choice([0, 1]) if gaussian else 0)
+    comps = list(f.components)
+    comps[i] = Jet.build(f.source_dim, f.degree, list(comps[i].coeffs.items()) + [(alpha, delta)])
+    broken = PolyMap(tuple(comps))
+    report = verify(phi, broken, power)
+    want = _oracle_first_failure(phi, broken, power)
+    # A term whose exponent resonates with the factor can leave no residual.
+    assert report.first_failure == want
+    assert report.clean_degree == (f.degree if want is None else sum(want[1]) - 1)

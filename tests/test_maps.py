@@ -6,10 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import series_oracles as oracle
 from schroeder.linalg import ExactMatrix, inverse, mat_mul
 from schroeder.maps import (
     PolyMap,
+    PowerTable,
     compose,
     conjugate_map,
     map_compose,
@@ -18,7 +22,7 @@ from schroeder.maps import (
     monomial_power,
 )
 from schroeder.scalars import ONE, Scalar
-from schroeder.series import Jet
+from schroeder.series import Jet, monomials_of_degree
 
 from conftest import jet_of, random_poly_map, sc, sc_fraction_pool
 
@@ -143,3 +147,95 @@ def test_truncation_commutes_with_composition():
     full = map_compose(f, g).truncate(3)
     low = map_compose(f.truncate(3), g.truncate(3))
     assert full == low
+
+
+#: Each random coefficient draws its own denominator from here, so the
+#: terms of one jet rarely share one.
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 25, 27)
+
+
+def _coeff(rng: random.Random, gaussian: bool) -> Scalar:
+    re = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+    im = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) if gaussian else 0
+    return Scalar.of(re, im)
+
+
+def _random_jet(rng: random.Random, dim: int, degree: int, gaussian: bool, lowest: int) -> Jet:
+    terms = [
+        (alpha, _coeff(rng, gaussian))
+        for d in range(lowest, degree + 1)
+        for alpha in monomials_of_degree(dim, d)
+        if rng.random() < 0.35
+    ]
+    return Jet.build(dim, degree, terms)
+
+
+def _swapped(f: Jet) -> Jet:
+    """f with z1 and z2 exchanged."""
+    return Jet(f.dim, f.degree, {(a[1], a[0]) + a[2:]: c for a, c in f.coeffs.items()})
+
+
+@st.composite
+def compositions(draw):
+    """phi: C^m -> C^n and jets f in n variables, real or Gaussian, any two degrees.
+
+    With `twins`, phi's first two components are equal, and each f is
+    h - h(z2, z1, ...) plus a sparse remainder: the h part composes to
+    zero, so many integer sums cancel exactly.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    phi_degree, f_degree = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    gaussian_phi, gaussian_f = draw(st.booleans()), draw(st.booleans())
+    comps = [_random_jet(rng, m, phi_degree, gaussian_phi, 1) for _ in range(n)]
+    twins = n >= 2 and draw(st.booleans())
+    if twins:
+        comps[1] = comps[0]
+    fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = _random_jet(rng, n, f_degree, gaussian_f, 0)
+        if twins:
+            rest = Jet.build(n, f_degree, [(a, c) for a, c in f.coeffs.items() if rng.random() < 0.2])
+            f = f - _swapped(f) + rest
+        fs.append(f)
+    return PolyMap(tuple(comps)), fs, twins
+
+
+@settings(max_examples=200, deadline=None)
+@given(compositions())
+@example(
+    (PolyMap((jet_of(1, 2, [((1,), sc(1, 2)), ((2,), sc(1, 3))]),)), [jet_of(1, 4, [((3,), sc(5, 7))])], False)
+)
+def test_integer_compose_matches_the_scalar_oracle(drawn):
+    phi, fs, twins = drawn
+    table, memo = PowerTable(phi), {}
+    for f in fs:
+        want = oracle.compose(f, phi, memo)
+        assert want.degree == min(f.degree, phi.degree)
+        assert compose(f, phi, table) == want
+        assert compose(f, phi) == want
+        if twins:
+            assert compose(f - _swapped(f), phi, table).is_zero()
+    # Constant terms dropped: the same jets as the components of a map.
+    outer = PolyMap(tuple(Jet(f.dim, f.degree, {a: c for a, c in f.coeffs.items() if sum(a)}) for f in fs))
+    assert map_compose(outer, phi) == oracle.map_compose(outer, phi)
+
+
+def test_power_table_holds_integer_powers():
+    # phi = (z1/2 + z2/3, i*z2/4): D = 12, P = (6 z1 + 4 z2, 3i z2).
+    phi = PolyMap((
+        jet_of(2, 3, [((1, 0), sc(1, 2)), ((0, 1), sc(1, 3))]),
+        jet_of(2, 3, [((0, 1), Scalar.of(0, Fraction(1, 4)))]),
+    ))
+    table = PowerTable(phi)
+    assert (table.denom, table.real) == (12, False)
+    assert table.power((1, 1)) == {2: {(1, 1): (0, 18), (0, 2): (0, 12)}}
+    assert table.power((2, 2)) == {}  # degree 4 is past the truncation
+    assert table.denom_powers == [1, 12, 12**2, 12**3]
+    # (Lz)^(1, 1) = (z1/2 + z2/3) * i*z2/4.
+    assert table.linear_power((1, 1)) == {
+        (1, 1): Scalar.of(0, Fraction(1, 8)),
+        (0, 2): Scalar.of(0, Fraction(1, 12)),
+    }
+    with pytest.raises(ValueError, match="another map"):
+        compose(phi.components[0], phi.truncate(2), table)

@@ -113,6 +113,20 @@ def test_terms_sorted_and_constant_first():
     assert f.constant_term() == sc(7)
 
 
+def test_repr_lists_terms_in_monomial_order():
+    terms = [((0, 2), ONE), ((0, 0), sc(7)), ((1, 0), I), ((1, 1), sc(-1, 3))]
+    f = Jet.build(2, 2, terms)
+    g = Jet.build(2, 2, list(reversed(terms)))
+    assert list(f.coeffs) != list(g.coeffs)
+    assert repr(f) == repr(g) == (
+        "Jet(dim=2, degree=2, coeffs={(0, 0): Scalar(re=Fraction(7, 1), im=Fraction(0, 1)), "
+        "(1, 0): Scalar(re=Fraction(0, 1), im=Fraction(1, 1)), "
+        "(1, 1): Scalar(re=Fraction(-1, 3), im=Fraction(0, 1)), "
+        "(0, 2): Scalar(re=Fraction(1, 1), im=Fraction(0, 1))})"
+    )
+    assert repr(Jet.zero(3, 1)) == "Jet(dim=3, degree=1, coeffs={})"
+
+
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_scalars = st.builds(Scalar, small_fracs, small_fracs)
 
