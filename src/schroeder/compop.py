@@ -19,7 +19,9 @@ structure.
 
 `build(phi, K)` is the one operator builder, for a K its caller has
 searched, and `eigenvalue_products` is the one table of lambda^alpha,
-which the lifter reads beyond K.
+which the lifter reads beyond K.  The columns phi^beta come from the
+Gaussian-integer powers of one `maps.PowerTable`, the same powers that
+composition, the lifter and `verify` use.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ExactMatrix, SparseVector
-from .maps import PolyMap, PowerMemo, monomial_power
+from .maps import PolyMap, PowerTable, monomial_power
 from .scalars import ONE, ZERO, Scalar, abs_sq
 from .series import Jet, MultiIndex, enumerate_monomials, order_key
 
@@ -171,19 +173,19 @@ def _upper_triangular_derivative(phi: PolyMap) -> None:
 def build(phi: PolyMap, k: int) -> TruncatedCompOp:
     """The operator of phi truncated at degree k; callers pass the K they searched.
 
-    Requires an upper-triangular derivative.  Each column phi^beta is
-    scattered into the rows of its terms; a term in a row above its
-    column would break triangularity.
+    Requires an upper-triangular derivative.  Each column phi^beta, read
+    from one `maps.PowerTable`, is scattered into the rows of its terms;
+    a term in a row above its column would break triangularity.
     """
     _upper_triangular_derivative(phi)
     source = phi.truncate(k)
     basis = tuple(enumerate_monomials(phi.dim, k))
     index = {alpha: i for i, alpha in enumerate(basis)}
-    memo: PowerMemo = {}
+    table = PowerTable(source)
     lower: List[List[Tuple[int, Scalar]]] = [[] for _ in basis]
     diag = [ZERO] * len(basis)
     for j, beta in enumerate(basis):
-        for alpha, x in monomial_power(source, beta, memo).coeffs.items():
+        for alpha, x in monomial_power(source, beta, table).coeffs.items():
             i = index[alpha]
             if i < j:
                 raise RuntimeError(

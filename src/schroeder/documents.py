@@ -60,6 +60,10 @@ def parse_rational(value: Any, path: str) -> Fraction:
         )
     if isinstance(value, str):
         try:
+            # Fraction also reads exponents, and "1e-1000000" is ten bytes
+            # for a million-digit denominator.
+            if "e" in value or "E" in value:
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"not a rational: {value!r}", path) from exc
@@ -99,7 +103,10 @@ def _parse_monomial(value: Any, dim: int, path: str) -> MultiIndex:
     return tuple(value)
 
 
-def _parse_terms(value: Any, dim: int, path: str) -> List[Tuple[MultiIndex, Scalar]]:
+def _parse_terms(
+    value: Any, dim: int, path: str, degree: Optional[int]
+) -> List[Tuple[MultiIndex, Scalar]]:
+    """The terms of one component; with a declared `degree`, none may lie above it."""
     if not isinstance(value, list):
         raise DocumentError("expected a list of terms", path)
     out = []
@@ -115,24 +122,29 @@ def _parse_terms(value: Any, dim: int, path: str) -> List[Tuple[MultiIndex, Scal
         alpha = _parse_monomial(term["monomial"], dim, f"{tpath}.monomial")
         if sum(alpha) == 0:
             raise DocumentError("constant terms are not allowed", f"{tpath}.monomial")
+        if degree is not None and sum(alpha) > degree:
+            raise DocumentError(
+                f"monomial of degree {sum(alpha)} is above the declared degree {degree}",
+                f"{tpath}.monomial",
+            )
         coeff = parse_scalar(term["coefficient"], f"{tpath}.coefficient")
         out.append((alpha, coeff))
     return out
 
 
 def _parse_components(
-    value: Any, dim: int, degree_floor: int, path: str
+    value: Any, dim: int, path: str, degree: Optional[int] = None
 ) -> Tuple[Jet, ...]:
+    """Jets of the declared `degree`, or else of the highest term's degree (at least 1)."""
     if not isinstance(value, list):
         raise DocumentError("components must be a list", path)
     if len(value) != dim:
         raise DocumentError(f"{len(value)} components for dimension {dim}", path)
     term_lists = [
-        _parse_terms(comp, dim, f"{path}[{i}]") for i, comp in enumerate(value)
+        _parse_terms(comp, dim, f"{path}[{i}]", degree) for i, comp in enumerate(value)
     ]
-    degree = max(
-        [degree_floor] + [sum(a) for terms in term_lists for a, _ in terms]
-    )
+    if degree is None:
+        degree = max([1] + [sum(a) for terms in term_lists for a, _ in terms])
     return tuple(Jet.build(dim, degree, terms) for terms in term_lists)
 
 
@@ -170,7 +182,7 @@ def parse_map_document(data: Any) -> Tuple[PolyMap, Optional[ExactMatrix]]:
     dim = _parse_dimension(data, "$")
     if "components" not in data:
         raise DocumentError("missing components", "$")
-    comps = _parse_components(data["components"], dim, 1, "$.components")
+    comps = _parse_components(data["components"], dim, "$.components")
     try:
         phi = PolyMap(comps)
     except ValueError as exc:
@@ -196,9 +208,9 @@ def parse_solution_document(data: Any) -> Tuple[PolyMap, int]:
         raise DocumentError("degree must be a positive integer", "$.degree")
     if "components" not in data:
         raise DocumentError("missing components", "$")
-    comps = _parse_components(data["components"], dim, degree, "$.components")
+    comps = _parse_components(data["components"], dim, "$.components", degree)
     try:
-        f = PolyMap(tuple(c.truncate(degree) for c in comps))
+        f = PolyMap(comps)
     except ValueError as exc:
         raise DocumentError(str(exc), "$.components") from exc
     return f, power

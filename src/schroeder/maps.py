@@ -9,10 +9,10 @@ Composition runs over the Gaussian integers.  `PowerTable` scales phi by
 the lcm D of its denominators, so P = D*phi has integer coefficients,
 and memoizes the powers P^alpha; an `IntSum` adds multiples of them
 degree by degree on one denominator.  `compose`, `map_compose`,
-`conjugate_map` and the engine's lifter all go through these two, and a
-coefficient becomes a canonical `Scalar` once, when it is read.  In
-this module only `monomial_power`, which gives the operator builder its
-columns, still multiplies `Scalar` jets.
+`conjugate_map` and the engine's lifter all go through these two, and
+`monomial_power`, which gives the operator builder its columns, reads
+the same table.  A coefficient becomes a canonical `Scalar` once, when
+it is read; nothing here multiplies `Scalar` jets.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from operator import add, mul
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .linalg import ExactMatrix, inverse
-from .scalars import ONE, Scalar, from_ints
+from .scalars import Scalar, from_ints
 from .series import Jet, MultiIndex, add_into, unit_index
 
 
@@ -87,53 +87,6 @@ def matrix_map(m: ExactMatrix, degree: int) -> PolyMap:
     return PolyMap(tuple(comps))
 
 
-PowerMemo = Dict[MultiIndex, Jet]
-
-
-def monomial_power(phi: PolyMap, alpha: MultiIndex, memo: Optional[PowerMemo] = None) -> Jet:
-    """The jet of phi_1^a1 * ... * phi_n^an, truncated to phi's degree.
-
-    A shared memo makes enumerating all powers up to a degree cheap: each
-    power is one jet multiplication away from a previously computed one.
-    The operator builder reads its columns from here, as `Scalar` jets.
-    """
-    if len(alpha) != phi.dim:
-        raise ValueError(f"exponent length {len(alpha)} does not match {phi.dim} components")
-    if memo is None:
-        memo = {}
-    cached = memo.get(alpha)
-    if cached is not None:
-        return cached
-    steps, alpha = _walk_down(alpha, memo)
-    out = memo.get(alpha)
-    if out is None:
-        n = phi.source_dim
-        if sum(alpha) == 0:
-            out = Jet.build(n, phi.degree, [((0,) * n, ONE)])
-        else:
-            out = phi.components[alpha.index(1)]
-        memo[alpha] = out
-    for beta, i in reversed(steps):
-        out = out * phi.components[i]
-        memo[beta] = out
-    return out
-
-
-def _walk_down(alpha: MultiIndex, memo: Dict) -> Tuple[List[Tuple[MultiIndex, int]], MultiIndex]:
-    """Steps from alpha down to an exponent in `memo` or of degree <= 1.
-
-    phi^alpha = phi^(alpha - e_i) * phi_i with i the first nonzero index;
-    returns the (exponent, i) steps taken and the exponent reached, so
-    callers multiply back up without recursing once per degree.
-    """
-    steps = []
-    while alpha not in memo and sum(alpha) > 1:
-        i = next(j for j, e in enumerate(alpha) if e > 0)
-        steps.append((alpha, i))
-        alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-    return steps, alpha
-
-
 #: A polynomial held by degree, {degree: {monomial: value}}: int values
 #: over a real map, (re, im) pairs of ints over a Gaussian one.
 Graded = Dict[int, Dict[MultiIndex, Any]]
@@ -145,10 +98,10 @@ class PowerTable:
     D (`denom`) is the lcm of the denominators of phi's coefficients, so P
     has Gaussian-integer coefficients and phi^alpha = P^alpha / D^|alpha|.
     `power(alpha)` is P^alpha, graded; each power is one graded product
-    away from one already in the table, found by the same walk as
-    `monomial_power`.  A real map (`real`) holds plain ints and never
-    forms an imaginary part.  Every composition with phi that shares a
-    table shares its powers.
+    away from one already in the table.  A real map (`real`) holds plain
+    ints and never forms an imaginary part.  Every composition with phi,
+    and every operator column read from phi, that shares a table shares
+    its powers.
     """
 
     def __init__(self, phi: PolyMap):
@@ -170,12 +123,18 @@ class PowerTable:
         self._powers[(0,) * phi.dim] = {0: {(0,) * phi.source_dim: 1 if real else (1, 0)}}
 
     def power(self, alpha: MultiIndex) -> Graded:
-        """P^alpha truncated at phi's degree; callers must not change it."""
+        """P^alpha truncated at phi's degree; callers must not change it.
+
+        P^alpha = P^(alpha - e_i) * P_i with i the first nonzero index: the
+        walk steps down to a power in the table, at worst a unit, and
+        multiplies back up, memoizing each power, without recursing.
+        """
         table = self._powers
-        out = table.get(alpha)
-        if out is not None:
-            return out
-        steps, alpha = _walk_down(alpha, table)
+        steps = []
+        while alpha not in table:
+            i = next(j for j, e in enumerate(alpha) if e)
+            steps.append((alpha, i))
+            alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
         out = table[alpha]
         for beta, i in reversed(steps):
             out = self._mul(out, self._units[i])
@@ -185,13 +144,13 @@ class PowerTable:
     def linear_power(self, alpha: MultiIndex) -> Dict[MultiIndex, Scalar]:
         """(Lz)^alpha, the degree-|alpha| part of phi^alpha, as `Scalar`s; L = phi'(0)."""
         k = sum(alpha)
-        part = self.power(alpha).get(k)
-        if part is None:
-            return {}
-        d = self.denom_powers[k]
+        return self.scalars(self.power(alpha).get(k, {}), self.denom_powers[k])
+
+    def scalars(self, part: Dict[MultiIndex, Any], d: int) -> Dict[MultiIndex, Scalar]:
+        """The nonzero entries of a graded part over the denominator d, reduced."""
         if self.real:
-            return {gamma: from_ints(v, 0, d) for gamma, v in part.items()}
-        return {gamma: from_ints(v[0], v[1], d) for gamma, v in part.items()}
+            return {gamma: from_ints(v, 0, d) for gamma, v in part.items() if v}
+        return {gamma: from_ints(a, b, d) for gamma, (a, b) in part.items() if a or b}
 
     def _mul(self, f: Graded, g: Graded) -> Graded:
         """The graded product f*g truncated at phi's degree.
@@ -295,6 +254,31 @@ class IntSum:
         return out
 
 
+def monomial_power(phi: PolyMap, alpha: MultiIndex, memo: Optional[PowerTable] = None) -> Jet:
+    """The jet of phi_1^a1 * ... * phi_n^an, truncated to phi's degree.
+
+    Read from P^alpha = D^|alpha| * phi^alpha in a `PowerTable` of phi
+    (`memo`, shared by callers that read many powers), each coefficient
+    reduced once over D^|alpha|.
+    """
+    if len(alpha) != phi.dim:
+        raise ValueError(f"exponent length {len(alpha)} does not match {phi.dim} components")
+    table = _table_of(phi, memo)
+    coeffs: Dict[MultiIndex, Scalar] = {}
+    for part in table.power(alpha).values():
+        coeffs.update(table.scalars(part, table.denom_powers[sum(alpha)]))
+    return Jet(phi.source_dim, phi.degree, coeffs)
+
+
+def _table_of(phi: PolyMap, memo: Optional[PowerTable]) -> PowerTable:
+    """`memo`, checked to be a table of phi, or a new table of phi."""
+    if memo is None:
+        return PowerTable(phi)
+    if memo.phi is not phi:
+        raise ValueError("power table was built for another map")
+    return memo
+
+
 def compose(f: Jet, phi: PolyMap, memo: Optional[PowerTable] = None) -> Jet:
     """The jet of f(phi(z)) truncated to min(f.degree, phi.degree).
 
@@ -309,9 +293,7 @@ def compose(f: Jet, phi: PolyMap, memo: Optional[PowerTable] = None) -> Jet:
     """
     if f.dim != phi.dim:
         raise ValueError(f"jet in {f.dim} variables fed a {phi.dim}-component map")
-    table = PowerTable(phi) if memo is None else memo
-    if table.phi is not phi:
-        raise ValueError("power table was built for another map")
+    table = _table_of(phi, memo)
     degree = min(f.degree, phi.degree)
     terms = f.coeffs.items()
     if f.degree > degree:

@@ -15,8 +15,8 @@ Products are graded: `jet_mul` groups the right factor's terms by the
 total degrees that occur, so each left term meets only the terms whose
 product stays within the truncation, and every coefficient accumulates
 through the fused form `Scalar.__mul__(x, y, acc)` = acc + x*y, at one
-gcd reduction per product.  Composition does not multiply jets: it runs
-over the Gaussian integers in `maps`.
+gcd reduction per product.  Composition and the operator's columns
+multiply no jets: both read the Gaussian-integer powers of `maps`.
 
 A jet prints its terms in monomial order, whatever order its table was
 filled in, so equal jets print equally.

@@ -1,10 +1,12 @@
 """The dense operator construction of the first release, kept as a test oracle.
 
-`dense_operator` forms every column phi^beta as a jet and reads all N
-coefficients of each, so it builds the N x N `ExactMatrix` entry by
-entry and checks triangularity by scanning every entry above the
-diagonal.  It checks `compop.build`, which scatters each column's
-terms into sparse rows and never forms the dense matrix.
+`dense_operator` forms every column phi^beta as a `Scalar` jet from
+`series_oracles.monomial_power` and reads all N coefficients of each,
+so it builds the N x N `ExactMatrix` entry by entry and checks
+triangularity by scanning every entry above the diagonal.  It checks
+`compop.build`, which reads its columns from a Gaussian-integer
+`maps.PowerTable`, scatters each column's terms into sparse rows and
+never forms the dense matrix.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from schroeder.linalg import ExactMatrix
-from schroeder.maps import PolyMap, monomial_power
+from schroeder.maps import PolyMap
 from schroeder.series import MultiIndex, enumerate_monomials
+from series_oracles import monomial_power
 
 
 def dense_operator(

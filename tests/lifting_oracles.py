@@ -3,6 +3,7 @@
 Every sum goes through `Jet.build`, which revalidates and rebuilds the
 whole coefficient table per term, and the lifter recomposes g(psi(z))
 from scratch for every output degree and powers lambda^alpha directly.
+Powers of psi are `Scalar` jets from `series_oracles.monomial_power`.
 None of this shares code with `maps.compose`, `maps.matrix_apply`,
 `Jet.__add__` or `engine._Lifter`, which they check.
 """
@@ -12,9 +13,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from schroeder.linalg import ExactMatrix
-from schroeder.maps import PolyMap, PowerMemo, matrix_map, monomial_power
+from schroeder.maps import PolyMap, matrix_map
 from schroeder.scalars import ONE, Scalar
 from schroeder.series import Jet, MultiIndex, monomials_of_degree
+from series_oracles import PowerMemo, monomial_power
 
 
 def jet_add(f: Jet, g: Jet) -> Jet:

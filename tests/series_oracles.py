@@ -7,12 +7,14 @@ cancels.  They check `schroeder.series.jet_mul` and `add_into`, which
 group the right factor by degree and accumulate through the fused
 `Scalar.__mul__(x, y, acc)`, and share neither with them.
 
-`compose` and `map_compose` are the `Scalar` composition route that
-`schroeder.maps` used before it composed over the Gaussian integers:
-every power phi^alpha is a `Scalar` jet from `maps.monomial_power`, and
-each term c*z^alpha of f adds c*phi^alpha into one coefficient table
-through `series.add_into`.  They share no power table and no integer
-sum with `maps.compose`, which they check.
+`monomial_power`, `compose` and `map_compose` are the `Scalar` route
+that `schroeder.maps` used before it composed over the Gaussian
+integers: every power phi^alpha is a `Scalar` jet, one jet product
+away from a power in a dict memo, and each term c*z^alpha of f adds
+c*phi^alpha into one coefficient table through `series.add_into`.
+They share no power table and no integer sum with `maps.compose`,
+`maps.monomial_power` or `compop.build`, which they check, and the
+operator and lifting oracles read their powers from here too.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from schroeder import series
-from schroeder.maps import PolyMap, PowerMemo, monomial_power
-from schroeder.scalars import ZERO, Scalar
+from schroeder.maps import PolyMap
+from schroeder.scalars import ONE, ZERO, Scalar
 from schroeder.series import Jet, MultiIndex
+
+PowerMemo = Dict[MultiIndex, Jet]
 
 
 def add_into(
@@ -69,6 +73,34 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
             else:
                 acc[gamma] = s
     return Jet(f.dim, deg, acc)
+
+
+def monomial_power(phi: PolyMap, alpha: MultiIndex, memo: Optional[PowerMemo] = None) -> Jet:
+    """phi^alpha truncated to phi's degree, walking down to a memoized power.
+
+    phi^alpha = phi^(alpha - e_i) * phi_i with i the first nonzero index;
+    the walk steps down to an exponent in `memo` or of degree <= 1 and
+    multiplies `Scalar` jets back up, memoizing every power on the way.
+    """
+    if memo is None:
+        memo = {}
+    steps = []
+    while alpha not in memo and sum(alpha) > 1:
+        i = next(j for j, e in enumerate(alpha) if e > 0)
+        steps.append((alpha, i))
+        alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+    out = memo.get(alpha)
+    if out is None:
+        n = phi.source_dim
+        if sum(alpha) == 0:
+            out = Jet.build(n, phi.degree, [((0,) * n, ONE)])
+        else:
+            out = phi.components[alpha.index(1)]
+        memo[alpha] = out
+    for beta, i in reversed(steps):
+        out = out * phi.components[i]
+        memo[beta] = out
+    return out
 
 
 def compose(f: Jet, phi: PolyMap, memo: Optional[PowerMemo] = None) -> Jet:

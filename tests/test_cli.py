@@ -334,6 +334,37 @@ def test_error_exit_codes(docs, tmp_path):
     assert res.returncode == 1
     assert "triangular" in res.stderr
 
+    # An exponent is not a rational: "1e-1000000" would be a million digits.
+    exponent = tmp_path / "exponent.json"
+    exponent.write_text(
+        json.dumps({"dimension": 1, "components": [[
+            {"monomial": [1], "coefficient": "1/2"},
+            {"monomial": [2], "coefficient": "1e-1000000"},
+        ]]}),
+        encoding="utf-8",
+    )
+    res = run_cli("solve", str(exponent), "--degree", "3")
+    assert res.returncode == 1
+    assert "$.components[0][1].coefficient: not a rational: '1e-1000000'" in res.stderr
+
+    # A solution term above the document's degree is refused, not dropped.
+    half = tmp_path / "half.json"
+    half.write_text(
+        dump({"dimension": 1, "components": [[{"monomial": [1], "coefficient": "1/2"}]]}),
+        encoding="utf-8",
+    )
+    high = tmp_path / "high.json"
+    high.write_text(
+        dump({"kind": "solution", "dimension": 1, "power": 1, "degree": 2, "components": [[
+            {"monomial": [1], "coefficient": "1"},
+            {"monomial": [7], "coefficient": "123"},
+        ]]}),
+        encoding="utf-8",
+    )
+    res = run_cli("verify", str(half), str(high))
+    assert res.returncode == 1
+    assert "$.components[0][1].monomial: monomial of degree 7" in res.stderr
+
     usage = run_cli("solve", docs["diagonal"], "--degree", "0")
     assert usage.returncode == 1
     assert "error" in usage.stderr.lower()

@@ -33,9 +33,10 @@ def test_parse_rational_accepted_forms():
     assert parse_rational("3/4", "$") == Fraction(3, 4)
     assert parse_rational("-2", "$") == Fraction(-2)
     assert parse_rational(5, "$") == Fraction(5)
+    assert parse_rational("0.25", "$") == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, None, [], "a/b", "1/0"])
+@pytest.mark.parametrize("bad", [1.5, True, None, [], "a/b", "1/0", "1e-1000000", "3E2"])
 def test_parse_rational_rejections(bad):
     with pytest.raises(DocumentError):
         parse_rational(bad, "$")
@@ -149,6 +150,12 @@ def test_parse_solution_document_rejections():
     for field, bad in (("power", 0), ("degree", "2"), ("power", True)):
         with pytest.raises(DocumentError):
             parse_solution_document({**base, field: bad})
+    # A term above the declared degree is refused, not dropped.
+    high = [[{"monomial": [1], "coefficient": "1"}, {"monomial": [7], "coefficient": "123"}]]
+    with pytest.raises(DocumentError) as info:
+        parse_solution_document({**base, "components": high})
+    assert info.value.path == "$.components[0][1].monomial"
+    assert "above the declared degree 2" in str(info.value)
 
 
 def test_matrix_parse_and_json():

@@ -252,12 +252,33 @@ def _oracle_first_failure(phi: PolyMap, f: PolyMap, power: int):
     return None
 
 
+def test_power_components_need_power_times_k_degrees():
+    """lambda = (-1/4, 1/3, (1+i)/2) with ((1+i)/2)^4 = -1/4, so K = 4.
+
+    The k = 2 components stay dependent through degree 7 and are
+    independent at power * K = 8.
+    """
+    phi = PolyMap((
+        Jet.build(3, 2, [((1, 0, 0), _s("-1/4")), ((0, 0, 2), _s("-1/2"))]),
+        Jet.build(3, 2, [((0, 1, 0), _s("1/3"))]),
+        Jet.build(3, 2, [((0, 0, 1), _s("1/2", "1/2")), ((1, 0, 1), _s(0, 1))]),
+    ))
+    assert compop.truncation_degree(phi.linear_part().diagonal_entries()) == 4
+    with pytest.raises(RuntimeError, match="request a higher degree"):
+        solve_power(phi, 2, degree=5)
+    sol = solve_power(phi, 2, degree=8)
+    assert verify(phi, sol.components, 2).passed
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_maps(max_degree=3), st.integers(1, 2), st.booleans(), st.integers(0, 2**32 - 1))
 def test_verify_reports_the_oracle_first_failure(drawn, power, conjugated, seed):
     phi, _, gaussian = drawn
     rng = random.Random(seed)
-    sol = solve_power(phi, power, degree=5)
+    # A resonant spectrum can leave the k >= 2 components dependent below
+    # power * K, as in the test above.
+    k = compop.truncation_degree(phi.linear_part().diagonal_entries())
+    sol = solve_power(phi, power, degree=max(5, power * k))
     f = sol.components
     if conjugated:
         # phi and F carried by one invertible D stay a solution pair, and

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import series_oracles as oracle
+from compop_oracles import dense_operator
+from schroeder import series
+from schroeder.compop import build
 from schroeder.linalg import ExactMatrix, inverse, mat_mul
 from schroeder.maps import (
     PolyMap,
@@ -64,26 +68,30 @@ def test_identity_and_matrix_map_round_trip():
 
 def test_monomial_power_matches_direct_product(obstructed_map):
     phi = obstructed_map.truncate(4)
-    memo = {}
-    p = monomial_power(phi, (2, 1), memo)
+    table = PowerTable(phi)
+    p = monomial_power(phi, (2, 1), table)
     direct = phi.component(0) * phi.component(0) * phi.component(1)
     assert p == direct
-    assert (2, 1) in memo and (1, 1) in memo
+    assert p == oracle.monomial_power(phi, (2, 1))
+    assert monomial_power(phi, (2, 1)) == p
+    assert monomial_power(phi, (3, 2), table).is_zero()  # degree 5 is past the truncation
+    with pytest.raises(ValueError, match="another map"):
+        monomial_power(obstructed_map, (2, 1), table)
 
 
 def test_monomial_power_walks_down_without_recursion():
-    # A fresh memo and a degree far past the recursion limit.
+    # A fresh table and a degree far past the recursion limit.
     phi = PolyMap((jet_of(1, 1000, [((1,), sc(1, 2))]),))
     coeff = Scalar.of(Fraction(1, 2**1000))
     assert monomial_power(phi, (1000,)) == Jet.monomial(1, 1000, (1000,), coeff)
-    # phi^alpha = phi^(alpha - e_i) * phi_i with i the first nonzero index,
-    # and every power on the way is memoized.
-    memo = {}
-    monomial_power(phi.truncate(3), (3,), memo)
-    assert sorted(memo) == [(1,), (2,), (3,)]
-    memo = {}
-    monomial_power(PolyMap((Jet.monomial(2, 4, (1, 0)),) * 2), (2, 1), memo)
-    assert sorted(memo) == [(0, 1), (1, 1), (2, 1)]
+    # P^alpha = P^(alpha - e_i) * P_i with i the first nonzero index, and
+    # every power on the way is memoized next to the units and P^0.
+    table = PowerTable(phi.truncate(3))
+    monomial_power(table.phi, (3,), table)
+    assert sorted(table._powers) == [(0,), (1,), (2,), (3,)]
+    table = PowerTable(PolyMap((Jet.monomial(2, 4, (1, 0)),) * 2))
+    monomial_power(table.phi, (2, 1), table)
+    assert sorted(table._powers) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]
 
 
 def test_compose_single_variable_chain_rule():
@@ -239,3 +247,29 @@ def test_power_table_holds_integer_powers():
     }
     with pytest.raises(ValueError, match="another map"):
         compose(phi.components[0], phi.truncate(2), table)
+
+
+def test_build_and_compose_multiply_no_jets():
+    """Operator columns and compositions come from the integer power table alone.
+
+    phi is Gaussian with denominators 2, 3, 5, 7 and 9 spread over degrees
+    1 to 3, so a column read over D^e in place of D^|beta| differs from
+    the oracle's.
+    """
+    def s(re, im=0):
+        return Scalar.of(Fraction(re), Fraction(im))
+
+    phi = PolyMap((
+        jet_of(2, 3, [((1, 0), s("1/2", "1/3")), ((0, 2), s("2/5")), ((2, 1), s(0, "1/7"))]),
+        jet_of(2, 3, [((0, 1), s("1/3")), ((1, 1), s("-3/7", "1/2")), ((0, 3), s("5/9"))]),
+    ))
+    f = PolyMap((
+        jet_of(2, 3, [((1, 0), s("2/3")), ((1, 1), s(1, "-1/5"))]),
+        jet_of(2, 3, [((0, 1), s(0, 1)), ((2, 0), s("1/4")), ((0, 3), s("-7/2"))]),
+    ))
+    _, matrix, _ = dense_operator(phi, 3)
+    want = oracle.map_compose(f, phi)
+    with mock.patch.object(series, "jet_mul", side_effect=AssertionError("a jet was multiplied")):
+        assert build(phi, 3).matrix == matrix
+        assert compose(f.components[1], phi) == want.components[1]
+        assert map_compose(f, phi) == want
