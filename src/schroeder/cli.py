@@ -200,7 +200,8 @@ def _transport_back(sol: SchroederSolution, conj_inv: Optional[ExactMatrix]) -> 
 def _eval_jet(f: Jet, z: List[complex]) -> complex:
     acc = 0j
     for alpha, c in f.terms():
-        term = complex(float(c.re), float(c.im))
+        a, b, d = c.ints()
+        term = complex(a / d, b / d)
         for zi, e in zip(z, alpha):
             term *= zi**e
         acc += term

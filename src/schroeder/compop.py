@@ -12,7 +12,8 @@ is finite because every |lambda_i| < 1: appending a factor only shrinks
 |lambda^alpha|, and a product below the smallest eigenvalue modulus can
 never come back to the spectrum.  `resonances` walks the exponents
 depth first, one multiplication per exponent, and cuts a branch as soon
-as |lambda^alpha|^2 < min |lambda_j|^2; every comparison is in Q.
+as |lambda^alpha|^2 < min |lambda_j|^2.  Squared moduli are pairs
+(a^2 + b^2, d^2) of `Scalar.ints`, compared by cross-multiplication.
 `truncation_degree` is the largest |alpha| in that set (at least 1), so
 the K-truncated matrix carries the complete eigenvalue-collision
 structure.
@@ -27,12 +28,12 @@ composition, the lifter and `verify` use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ExactMatrix, SparseVector
 from .maps import PolyMap, PowerTable, monomial_power
-from .scalars import ONE, ZERO, Scalar, abs_sq
+from .scalars import ONE, ZERO, Scalar
 from .series import Jet, MultiIndex, enumerate_monomials, order_key
 
 
@@ -40,17 +41,19 @@ class UnsupportedSpectrumError(ValueError):
     """Raised when an eigenvalue is zero or not strictly inside the unit disk."""
 
 
-def _check_spectrum(diag: Sequence[Scalar]) -> None:
-    for i, lam in enumerate(diag):
-        sq = abs_sq(lam)
-        if sq == 0:
+def _squares(diag: Sequence[Scalar]) -> List[Tuple[int, int]]:
+    """Each |lambda_i|^2 as (a^2 + b^2, d^2); raises unless 0 < |lambda_i| < 1."""
+    squares = [(a * a + b * b, d * d) for a, b, d in map(Scalar.ints, diag)]
+    for i, (n, q) in enumerate(squares):
+        if n == 0:
             raise UnsupportedSpectrumError(
                 f"eigenvalue {i + 1} is zero; the map is not invertible at the origin"
             )
-        if sq >= 1:
+        if n >= q:
             raise UnsupportedSpectrumError(
                 f"eigenvalue {i + 1} has modulus >= 1; attraction to the fixed point is required"
             )
+    return squares
 
 
 def eigenvalue_products(
@@ -83,28 +86,27 @@ def resonances(diag: Sequence[Scalar]) -> List[Tuple[MultiIndex, Scalar]]:
     further factor has modulus below 1, so nothing beneath it can equal
     an eigenvalue.  Returned in basis order.
     """
-    _check_spectrum(diag)
+    squares = _squares(diag)
     n = len(diag)
-    squares = [abs_sq(lam) for lam in diag]
-    lo = min(squares)
+    lo_n, lo_q = min(squares, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
     spectrum = set(diag)
     found = []
-    # (alpha, lowest index alpha may still grow in, lambda^alpha, |lambda^alpha|^2)
+    # (alpha, lowest index alpha may still grow in, lambda^alpha, |lambda^alpha|^2 as p/q)
     stack = [
-        (tuple(int(j == i) for j in range(n)), i, diag[i], squares[i])
+        (tuple(int(j == i) for j in range(n)), i, diag[i], *squares[i])
         for i in range(n)
     ]
     while stack:
-        alpha, first, prod, sq = stack.pop()
+        alpha, first, prod, p, q = stack.pop()
         for i in range(first, n):
-            child_sq = sq * squares[i]
-            if child_sq < lo:
+            child_p, child_q = p * squares[i][0], q * squares[i][1]
+            if child_p * lo_q < lo_n * child_q:
                 continue
             child = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
             child_prod = prod * diag[i]
             if child_prod in spectrum:
                 found.append((child, child_prod))
-            stack.append((child, i, child_prod, child_sq))
+            stack.append((child, i, child_prod, child_p, child_q))
     found.sort(key=lambda hit: order_key(hit[0]))
     return found
 

@@ -20,7 +20,7 @@ from .engine import AnalysisReport, SchroederSolution, VerifyReport
 from .compop import TruncatedCompOp
 from .linalg import ExactMatrix
 from .maps import PolyMap
-from .scalars import Scalar
+from .scalars import Scalar, ratio_str
 from .series import Jet, MultiIndex
 
 
@@ -79,7 +79,7 @@ def parse_scalar(value: Any, path: str) -> Scalar:
         im = parse_rational(value.get("im", 0), f"{path}.im")
         return Scalar(re, im)
     if isinstance(value, (str, int)) and not isinstance(value, bool):
-        return Scalar(parse_rational(value, path), Fraction(0))
+        return Scalar(parse_rational(value, path), 0)
     raise DocumentError(
         f"expected a coefficient object or rational string, got {type(value).__name__}",
         path,
@@ -87,7 +87,8 @@ def parse_scalar(value: Any, path: str) -> Scalar:
 
 
 def scalar_json(s: Scalar) -> Dict[str, str]:
-    return {"re": str(s.re), "im": str(s.im)}
+    a, b, d = s.ints()
+    return {"re": ratio_str(a, d), "im": ratio_str(b, d)}
 
 
 def _parse_monomial(value: Any, dim: int, path: str) -> MultiIndex:
@@ -106,10 +107,11 @@ def _parse_monomial(value: Any, dim: int, path: str) -> MultiIndex:
 def _parse_terms(
     value: Any, dim: int, path: str, degree: Optional[int]
 ) -> List[Tuple[MultiIndex, Scalar]]:
-    """The terms of one component; with a declared `degree`, none may lie above it."""
+    """One component's terms, each monomial once and none above a declared `degree`."""
     if not isinstance(value, list):
         raise DocumentError("expected a list of terms", path)
     out = []
+    seen = set()
     for i, term in enumerate(value):
         tpath = f"{path}[{i}]"
         if not isinstance(term, dict):
@@ -127,6 +129,9 @@ def _parse_terms(
                 f"monomial of degree {sum(alpha)} is above the declared degree {degree}",
                 f"{tpath}.monomial",
             )
+        if alpha in seen:
+            raise DocumentError("monomial repeats an earlier term", f"{tpath}.monomial")
+        seen.add(alpha)
         coeff = parse_scalar(term["coefficient"], f"{tpath}.coefficient")
         out.append((alpha, coeff))
     return out

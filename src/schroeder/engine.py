@@ -455,7 +455,7 @@ def _power_chain(lam: Scalar, s: int, power: int) -> List[List[Scalar]]:
     solution is unique, so it is the chain the kernel filtration returns
     after normalization, and J^power stays a single block.
     """
-    c = [Scalar.of(comb(power, t)) * lam ** (power - t) if t <= power else ZERO for t in range(s)]
+    c = [Scalar(comb(power, t), 0) * lam ** (power - t) if t <= power else ZERO for t in range(s)]
     chain = [[ONE] + [ZERO] * (s - 1)]
     for _ in range(1, s):
         prev = chain[-1]
@@ -491,16 +491,12 @@ def verify(phi: PolyMap, components: PolyMap, power: int = 1) -> VerifyReport:
     lhs = map_compose(f, phi.truncate(d))
     factor = mat_pow(phi.linear_part(), power)
     rhs = matrix_apply(factor, f)
+    residuals = [(lhs.component(i) - rhs.component(i)).coeffs for i in range(f.dim)]
+    keys = [(order_key(alpha), i, alpha) for i, r in enumerate(residuals) for alpha in r]
     failure: Optional[Tuple[int, MultiIndex, Scalar]] = None
-    best_key = None
-    for i in range(f.dim):
-        residual = lhs.component(i) - rhs.component(i)
-        for alpha, c in residual.terms():
-            key = (sum(alpha), tuple(-e for e in alpha), i)
-            if best_key is None or key < best_key:
-                best_key = key
-                failure = (i, alpha, c)
-            break
+    if keys:
+        _, i, alpha = min(keys)
+        failure = (i, alpha, residuals[i][alpha])
     clean = d if failure is None else sum(failure[1]) - 1
     return VerifyReport(
         degree=d,

@@ -13,10 +13,14 @@ denominators just add numerators (over different ones, only the factors
 the denominators share can cancel), and a product with a real factor
 skips the imaginary cross products.  The fused form
 ``Scalar.__mul__(x, y, acc)`` gives ``acc + x*y`` for one step of a sum
-of products with one reduction in place of two.  `re` and `im` give the
-parts as reduced `fractions.Fraction` values.  `Scalar.ints` and
+of products with one reduction in place of two.  `Scalar.ints` and
 `from_ints` hand the three integers to the integer composition of `maps`
 and take its sums back, with one gcd per coefficient.
+
+These integers are the only numbers the solver computes with, and `str`
+prints from them through `ratio_str`.  `fractions.Fraction` is only the
+public edge: `Scalar(re, im)` and `of` accept it, and `re`, `im` and
+`abs_sq` return it for outside readers.
 """
 
 from __future__ import annotations
@@ -25,15 +29,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
 
-RationalLike = Union[int, str, Fraction]
-
 _new = object.__new__
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms as "n/d", or "n" when d divides n; for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class Scalar:
@@ -41,7 +43,7 @@ class Scalar:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: Fraction, im: Fraction) -> None:
+    def __init__(self, re: Union[int, Fraction], im: Union[int, Fraction]) -> None:
         # Both parts are in lowest terms, so over their least common
         # denominator the three integers are already coprime.
         p, q = re.numerator, re.denominator
@@ -53,9 +55,9 @@ class Scalar:
             self._a, self._b, self._d = p * (s // g), r * (q // g), q // g * s
 
     @staticmethod
-    def of(re: RationalLike, im: RationalLike = 0) -> Scalar:
+    def of(re: Union[int, str, Fraction], im: Union[int, str, Fraction] = 0) -> Scalar:
         """Build a scalar from ints, Fractions, or rational strings like "3/4"."""
-        return Scalar(_frac(re), _frac(im))
+        return Scalar(Fraction(re), Fraction(im))
 
     def ints(self) -> Tuple[int, int, int]:
         """The canonical integers (a, b, d) with self == (a + b*i) / d."""
@@ -155,14 +157,13 @@ class Scalar:
         return Fraction(a * a + b * b, d * d)
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        im_s = f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
-        if re == 0:
-            return im_s
-        sign = "+" if im > 0 and not im_s.startswith("-") else ""
-        return f"{re}{sign}{im_s}"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return ratio_str(a, d)
+        im = "i" if b == d else "-i" if b == -d else ratio_str(b, d) + "i"
+        if not a:
+            return im
+        return f"{ratio_str(a, d)}{'+' if b > 0 else ''}{im}"
 
     def __repr__(self) -> str:
         return f"Scalar(re={self.re!r}, im={self.im!r})"
@@ -192,9 +193,9 @@ def _sum(x: Scalar, a2: int, b2: int, e: int) -> Scalar:
     return out
 
 
-ZERO = Scalar(Fraction(0), Fraction(0))
-ONE = Scalar(Fraction(1), Fraction(0))
-I = Scalar(Fraction(0), Fraction(1))
+ZERO = Scalar(0, 0)
+ONE = Scalar(1, 0)
+I = Scalar(0, 1)
 
 
 def from_ints(a: int, b: int, d: int) -> Scalar:
@@ -223,8 +224,3 @@ def scalar_inv(s: Scalar) -> Scalar:
     g = gcd(a, b, n)
     out._a, out._b, out._d = a // g, b // g, n // g
     return out
-
-
-def abs_sq(s: Scalar) -> Fraction:
-    """|s|^2 as an exact rational."""
-    return s.abs_sq()

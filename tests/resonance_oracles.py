@@ -5,19 +5,20 @@ below min |lambda|^2; no product of total degree >= B can be an
 eigenvalue.  `resonances` enumerates every exponent up to B in basis
 order, powers each product from scratch and keeps those that lie in the
 spectrum.  It checks `compop.resonances`, which walks the exponents depth
-first and prunes, and shares no search code with it.
+first and prunes, and shares no search or modulus code with it.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from schroeder.scalars import ONE, Scalar, abs_sq
+from schroeder.scalars import ONE, Scalar
 from schroeder.series import MultiIndex, enumerate_monomials
 
 
 def search_bound(diag: Sequence[Scalar]) -> int:
-    squares = [abs_sq(lam) for lam in diag]
+    # |lambda|^2 from the Fraction parts, not from the integers the search reads.
+    squares = [lam.re * lam.re + lam.im * lam.im for lam in diag]
     hi, lo = max(squares), min(squares)
     bound, cap = 1, hi
     while cap >= lo:

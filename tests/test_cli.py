@@ -387,6 +387,22 @@ def test_error_exit_codes(docs, tmp_path):
     assert run_cli("verify", str(singular), sol_path).returncode == 0
 
 
+def test_repeated_monomial_exits_one(tmp_path):
+    # Summed, z1 listed twice as 1/4 would analyze as eigenvalue 1/2.
+    twice = tmp_path / "twice.json"
+    twice.write_text(
+        dump({"dimension": 1, "components": [[
+            {"monomial": [1], "coefficient": "1/4"},
+            {"monomial": [1], "coefficient": "1/4"},
+        ]]}),
+        encoding="utf-8",
+    )
+    res = run_cli("analyze", str(twice))
+    assert res.returncode == 1
+    assert "$.components[0][1].monomial: monomial repeats an earlier term" in res.stderr
+    assert res.stdout == ""
+
+
 def main_in_process(*args: str) -> int:
     """Run `cli.main` in this process with the given arguments; returns its exit code."""
     saved = sys.argv

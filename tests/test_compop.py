@@ -24,7 +24,7 @@ from schroeder.compop import (
 from schroeder.engine import detect_resonance
 from schroeder.linalg import ExactMatrix, mat_vec
 from schroeder.maps import PolyMap, compose
-from schroeder.scalars import I, Scalar, abs_sq
+from schroeder.scalars import I, Scalar
 from schroeder.series import Jet, monomial_count
 
 from conftest import NONRESONANT_POOL, jet_of, operator_at_k, random_poly_map, sc, sparse_vector
@@ -87,7 +87,7 @@ def spectra(draw):
     """
     band = draw(st.sampled_from(["small", "near", "mixed"]))
     if band == "mixed":
-        halves = [x for x in SMALL if abs_sq(x) >= Fraction(1, 4)]
+        halves = [x for x in SMALL if x.abs_sq() >= Fraction(1, 4)]
         diag = [draw(st.sampled_from(NEAR)), draw(st.sampled_from(halves))]
     else:
         pool = SMALL if band == "small" else NEAR
@@ -112,12 +112,14 @@ def test_resonance_search_matches_brute_force(diag, seed):
 
 
 def test_truncation_degree_on_the_pruning_boundary():
-    # (9/10)^30 is the smallest eigenvalue, so the branch that reaches the
-    # resonance has exactly the prune bound for its squared modulus.
-    lam = sc(9, 10)
-    diag = [lam, lam**30]
-    assert resonances(diag) == oracle.resonances(diag) == [((30, 0), lam**30)]
-    assert truncation_degree(diag) == 30
+    # lam^k is the smallest eigenvalue, so the branch that reaches the
+    # resonance has exactly the prune bound for its squared modulus.  The
+    # search reads |(3+4i)/10|^2 as (a^2 + b^2, d^2) = (25, 100), not in
+    # lowest terms.
+    for lam, k in [(sc(9, 10), 30), (gq("3/10", "2/5"), 12)]:
+        diag = [lam, lam**k]
+        assert resonances(diag) == oracle.resonances(diag) == [((k, 0), lam**k)]
+        assert truncation_degree(diag) == k
 
 
 def test_resonance_search_multiplies_once_per_admissible_exponent(monkeypatch):

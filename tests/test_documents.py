@@ -111,6 +111,41 @@ def test_parse_map_document_rejections():
     assert "constant" in str(info.value)
 
 
+def test_repeated_monomial_is_refused_not_summed():
+    # Summed, 1/4 + 1/4 would read as eigenvalue 1/2, and 1/2 - 1/2 as zero.
+    for first, second in (("1/4", "1/4"), ("1/2", "-1/2")):
+        doc = {
+            "dimension": 2,
+            "components": [
+                [
+                    {"monomial": [1, 0], "coefficient": first},
+                    {"monomial": [0, 2], "coefficient": "1"},
+                    {"monomial": [1, 0], "coefficient": second},
+                ],
+                [{"monomial": [0, 1], "coefficient": "1/3"}],
+            ],
+        }
+        with pytest.raises(DocumentError) as info:
+            parse_map_document(doc)
+        assert info.value.path == "$.components[0][2].monomial"
+        assert "repeats an earlier term" in str(info.value)
+    # Solution documents too; the same monomial in another component is
+    # no repeat, so the refusal names the second term of component 1.
+    sol = {
+        "kind": "solution",
+        "dimension": 2,
+        "power": 1,
+        "degree": 2,
+        "components": [
+            [{"monomial": [1, 0], "coefficient": "1"}],
+            [{"monomial": [1, 0], "coefficient": "1"}, {"monomial": [1, 0], "coefficient": "2"}],
+        ],
+    }
+    with pytest.raises(DocumentError) as info:
+        parse_solution_document(sol)
+    assert info.value.path == "$.components[1][1].monomial"
+
+
 def test_parse_map_degree_is_the_highest_term_degree():
     doc = {
         "dimension": 1,

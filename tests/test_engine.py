@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroeder import compop, engine, linalg
+from schroeder import compop, documents, engine, linalg, scalars
 from schroeder.engine import (
     DEFAULT_DEGREE,
     InvalidMapError,
@@ -22,7 +22,7 @@ from schroeder.engine import (
 )
 from schroeder.linalg import ExactMatrix, rank, vectors_rank
 from schroeder.maps import PolyMap, conjugate_map
-from schroeder.scalars import ONE, ZERO
+from schroeder.scalars import ONE, ZERO, Scalar, scalar_inv
 from schroeder.series import Jet, enumerate_monomials
 
 from conftest import (
@@ -559,3 +559,30 @@ def test_component_rank_on_the_support_matches_the_dense_route(seed, n, degree, 
     f = PolyMap(tuple(comps))
     dense = [[c.coefficient(a) for a in monomials] for c in f.components]
     assert engine.component_rank(f) == vectors_rank(dense)
+
+
+def test_the_solver_builds_no_fraction(monkeypatch):
+    """Scalar's integers are the only numbers the solver computes with."""
+
+    def refuse(*args):
+        raise AssertionError("built a Fraction")
+
+    monkeypatch.setattr(scalars, "Fraction", refuse)
+    half = scalar_inv(Scalar(2, 0))
+    lam = Scalar(1, 1) * half  # (1+i)/2, so lam^2 = i/2 is a resonance
+    phi = PolyMap((
+        Jet.build(2, 3, [((1, 0), lam), ((0, 2), Scalar(1, -1)), ((2, 1), half)]),
+        Jet.build(2, 3, [((0, 1), lam * lam), ((2, 0), Scalar(0, 3) * half)]),
+    ))
+    diag = [lam, lam * lam]
+    assert compop.truncation_degree(diag) == 2
+    found = detect_resonance(phi)
+    assert found == [((2, 0), lam * lam)]
+    report = analyze(phi)
+    sol = solve_power(phi, 2)
+    assert verify(phi, sol.components, 2).passed
+    printed = [str(x) for _, x in found]
+    printed += [str(rec.value) for rec in report.eigenvalues]
+    printed += [str(c) for f in sol.components.components for c in f.coeffs.values()]
+    assert printed[:3] == ["1/2i", "1/2+1/2i", "1/2i"]
+    assert '"re": "1/2"' in documents.dump(documents.solution_json(sol))
