@@ -20,7 +20,8 @@ structure.
 
 `build(phi, K)` is the one operator builder, for a K its caller has
 searched, and `eigenvalue_products` is the one table of lambda^alpha,
-which the lifter reads beyond K.  The columns phi^beta come from the
+which the lifter reads beyond K.  The degree-1 columns are phi's own
+components, and every other column phi^beta comes from the
 Gaussian-integer powers of one `maps.PowerTable`, the same powers that
 composition, the lifter and `verify` use.
 """
@@ -175,9 +176,11 @@ def _upper_triangular_derivative(phi: PolyMap) -> None:
 def build(phi: PolyMap, k: int) -> TruncatedCompOp:
     """The operator of phi truncated at degree k; callers pass the K they searched.
 
-    Requires an upper-triangular derivative.  Each column phi^beta, read
-    from one `maps.PowerTable`, is scattered into the rows of its terms;
-    a term in a row above its column would break triangularity.
+    Requires an upper-triangular derivative.  Each column phi^beta is
+    scattered into the rows of its terms; a term in a row above its
+    column would break triangularity.  A degree-1 column, beta = e_i, is
+    the component phi_i itself; every other column is read from one
+    `maps.PowerTable`.
     """
     _upper_triangular_derivative(phi)
     source = phi.truncate(k)
@@ -187,7 +190,11 @@ def build(phi: PolyMap, k: int) -> TruncatedCompOp:
     lower: List[List[Tuple[int, Scalar]]] = [[] for _ in basis]
     diag = [ZERO] * len(basis)
     for j, beta in enumerate(basis):
-        for alpha, x in monomial_power(source, beta, table).coeffs.items():
+        if sum(beta) == 1:
+            column = source.components[beta.index(1)].coeffs
+        else:
+            column = monomial_power(source, beta, table).coeffs
+        for alpha, x in column.items():
             i = index[alpha]
             if i < j:
                 raise RuntimeError(

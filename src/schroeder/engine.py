@@ -250,7 +250,10 @@ class _Lifter:
     (`maps.IntSum`) over the common denominator of g's terms: it starts
     as g0(psi(z)), and each solved layer adds x*psi^alpha for its terms,
     above degree m, after one rescale if the layer's denominators grow
-    it.  The degree-m part of psi^alpha is (Lz)^alpha, which is
+    it.  The sum is keyed by the power table's packed monomials, and
+    `IntSum.pop` hands layer m back keyed by exponent tuples, so
+    `composed`, the target and the solved terms all share tuple keys.
+    The degree-m part of psi^alpha is (Lz)^alpha, which is
     lambda^alpha z^alpha alone unless L has a Jordan block; only then do
     the terms of a layer feed later exponents of the same layer, through
     the layer's `Scalar` coefficients.  An exponent with neither a composed

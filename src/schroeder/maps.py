@@ -11,8 +11,11 @@ and memoizes the powers P^alpha; an `IntSum` adds multiples of them
 degree by degree on one denominator.  `compose`, `map_compose`,
 `conjugate_map` and the engine's lifter all go through these two, and
 `monomial_power`, which gives the operator builder its columns, reads
-the same table.  A coefficient becomes a canonical `Scalar` once, when
-it is read; nothing here multiplies `Scalar` jets.
+the same table.  Inside both, a monomial gamma of phi's source
+variables is the int key sum gamma_i * B^i, with B = phi.degree + 1, so
+multiplying two monomials adds two ints.  A key becomes a tuple again,
+and a coefficient a canonical `Scalar`, once, when it is read; nothing
+here multiplies `Scalar` jets.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .linalg import ExactMatrix, inverse
@@ -87,9 +90,26 @@ def matrix_map(m: ExactMatrix, degree: int) -> PolyMap:
     return PolyMap(tuple(comps))
 
 
-#: A polynomial held by degree, {degree: {monomial: value}}: int values
-#: over a real map, (re, im) pairs of ints over a Gaussian one.
-Graded = Dict[int, Dict[MultiIndex, Any]]
+#: A polynomial held by degree, {degree: {key: value}}, each monomial
+#: packed into an int key by its `PowerTable`: int values over a real
+#: map, (re, im) pairs of ints over a Gaussian one.
+Graded = Dict[int, Dict[int, Any]]
+
+
+class _Decoded(dict[int, MultiIndex]):
+    """Packed monomial keys to exponent tuples, each key decoded on its first lookup."""
+
+    def __init__(self, base: int, dim: int):
+        super().__init__()
+        self.base, self.dim = base, dim
+
+    def __missing__(self, key: int) -> MultiIndex:
+        digits, rest = [], key
+        for _ in range(self.dim):
+            rest, e = divmod(rest, self.base)
+            digits.append(e)
+        gamma = self[key] = tuple(digits)
+        return gamma
 
 
 class PowerTable:
@@ -102,6 +122,14 @@ class PowerTable:
     ints and never forms an imaginary part.  Every composition with phi,
     and every operator column read from phi, that shares a table shares
     its powers.
+
+    The powers are keyed by the outer exponent alpha, a tuple.  Within a
+    power, the monomial gamma of phi's source variables is keyed by
+    `encode(gamma)` = sum gamma_i * B^i with B = phi.degree + 1.  Every
+    stored monomial has total degree at most phi.degree < B, so no
+    digit of a product's key carries and `_mul` adds keys as ints.
+    `decode[key]` gives the tuple back, memoized; `scalars` and
+    `IntSum.pop`, where coefficients leave the table, are its readers.
     """
 
     def __init__(self, phi: PolyMap):
@@ -113,14 +141,25 @@ class PowerTable:
         self.real = real = not any(b for _, _, (_, b, _) in terms)
         #: D^e for 0 <= e <= phi.degree.
         self.denom_powers = list(accumulate([denom] * phi.degree, mul, initial=1))
+        self.base = phi.degree + 1
+        self.decode = _Decoded(self.base, phi.source_dim)
         self._units: List[Graded] = [{} for _ in phi.components]
         for i, alpha, (a, b, d) in terms:
             k = denom // d
-            self._units[i].setdefault(sum(alpha), {})[alpha] = a * k if real else (a * k, b * k)
+            self._units[i].setdefault(sum(alpha), {})[self.encode(alpha)] = (
+                a * k if real else (a * k, b * k)
+            )
         self._powers: Dict[MultiIndex, Graded] = {
             unit_index(phi.dim, i): unit for i, unit in enumerate(self._units)
         }
-        self._powers[(0,) * phi.dim] = {0: {(0,) * phi.source_dim: 1 if real else (1, 0)}}
+        self._powers[(0,) * phi.dim] = {0: {0: 1 if real else (1, 0)}}
+
+    def encode(self, gamma: MultiIndex) -> int:
+        """The key of the monomial gamma: sum gamma_i * B^i, B = phi.degree + 1."""
+        key = 0
+        for e in reversed(gamma):
+            key = key * self.base + e
+        return key
 
     def power(self, alpha: MultiIndex) -> Graded:
         """P^alpha truncated at phi's degree; callers must not change it.
@@ -146,11 +185,12 @@ class PowerTable:
         k = sum(alpha)
         return self.scalars(self.power(alpha).get(k, {}), self.denom_powers[k])
 
-    def scalars(self, part: Dict[MultiIndex, Any], d: int) -> Dict[MultiIndex, Scalar]:
-        """The nonzero entries of a graded part over the denominator d, reduced."""
+    def scalars(self, part: Dict[int, Any], d: int) -> Dict[MultiIndex, Scalar]:
+        """The nonzero entries of a graded part over the denominator d, reduced, by tuple."""
+        decode = self.decode
         if self.real:
-            return {gamma: from_ints(v, 0, d) for gamma, v in part.items() if v}
-        return {gamma: from_ints(a, b, d) for gamma, (a, b) in part.items() if a or b}
+            return {decode[key]: from_ints(v, 0, d) for key, v in part.items() if v}
+        return {decode[key]: from_ints(a, b, d) for key, (a, b) in part.items() if a or b}
 
     def _mul(self, f: Graded, g: Graded) -> Graded:
         """The graded product f*g truncated at phi's degree.
@@ -170,12 +210,12 @@ class PowerTable:
                 if self.real:
                     for a, x in pf.items():
                         for b, y in pg.items():
-                            gamma = tuple(map(add, a, b))
+                            gamma = a + b
                             part[gamma] = get(gamma, 0) + x * y
                 else:
                     for a, (xa, xb) in pf.items():
                         for b, (ya, yb) in pg.items():
-                            gamma = tuple(map(add, a, b))
+                            gamma = a + b
                             re, im = xa * ya - xb * yb, xa * yb + xb * ya
                             prev = get(gamma)
                             part[gamma] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
@@ -185,6 +225,7 @@ class PowerTable:
 class IntSum:
     """A sum of terms x*phi^alpha, held as Gaussian integers by degree.
 
+    Like the table's powers, each part is keyed by packed monomials.
     The degree-e part stands for (re + i*im) / (den * D^e), with D the
     table's `denom` and `den` the lcm of the denominators of every x
     added so far: `add` rescales the sum once when a batch of terms
@@ -240,17 +281,22 @@ class IntSum:
                     i[gamma] = iget(gamma, 0) + ma * vb + mb * va
 
     def pop(self, e: int) -> Dict[MultiIndex, Scalar]:
-        """Remove the degree-e part and return its nonzero coefficients, reduced."""
+        """Remove the degree-e part and return its nonzero coefficients, reduced.
+
+        The sum is keyed by the table's packed monomials; the result is
+        keyed by exponent tuples, through the table's memoized `decode`.
+        """
         re = self.re.pop(e, None)
         if re is None:
             return {}
         im = self.im.pop(e, {}) if self.im is not None else {}
         d = self.den * self.table.denom_powers[e]
+        decode = self.table.decode
         out = {}
-        for gamma, a in re.items():
-            b = im.get(gamma, 0)
+        for key, a in re.items():
+            b = im.get(key, 0)
             if a or b:
-                out[gamma] = from_ints(a, b, d)
+                out[decode[key]] = from_ints(a, b, d)
         return out
 
 

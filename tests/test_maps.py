@@ -26,7 +26,7 @@ from schroeder.maps import (
     monomial_power,
 )
 from schroeder.scalars import ONE, Scalar
-from schroeder.series import Jet, monomials_of_degree
+from schroeder.series import Jet, monomials_of_degree, unit_index
 
 from conftest import jet_of, random_poly_map, sc, sc_fraction_pool
 
@@ -236,8 +236,12 @@ def test_power_table_holds_integer_powers():
         jet_of(2, 3, [((0, 1), Scalar.of(0, Fraction(1, 4)))]),
     ))
     table = PowerTable(phi)
-    assert (table.denom, table.real) == (12, False)
-    assert table.power((1, 1)) == {2: {(1, 1): (0, 18), (0, 2): (0, 12)}}
+    assert (table.denom, table.real, table.base) == (12, False, 4)
+    # Monomials are keyed by gamma_1 + gamma_2 * B with B = 4.
+    key = table.encode
+    assert (key((1, 1)), key((0, 2))) == (5, 8)
+    assert table.power((1, 1)) == {2: {key((1, 1)): (0, 18), key((0, 2)): (0, 12)}}
+    assert (table.decode[5], table.decode[8]) == ((1, 1), (0, 2))
     assert table.power((2, 2)) == {}  # degree 4 is past the truncation
     assert table.denom_powers == [1, 12, 12**2, 12**3]
     # (Lz)^(1, 1) = (z1/2 + z2/3) * i*z2/4.
@@ -247,6 +251,69 @@ def test_power_table_holds_integer_powers():
     }
     with pytest.raises(ValueError, match="another map"):
         compose(phi.components[0], phi.truncate(2), table)
+
+
+@st.composite
+def packed_pairs(draw):
+    """A table of a map in 1-4 variables of degree 1-12, and exponents a, b with |a| + |b| <= degree."""
+    n, degree = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    phi = PolyMap(tuple(Jet.monomial(n, degree, unit_index(n, i), sc(1, 2)) for i in range(n)))
+
+    def exponent(budget):
+        out = []
+        for e in draw(st.lists(st.integers(0, budget), min_size=n, max_size=n)):
+            out.append(min(e, budget - sum(out)))
+        return tuple(draw(st.permutations(out)))
+
+    a = exponent(degree)
+    return PowerTable(phi), a, exponent(degree - sum(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+@example((PowerTable(PolyMap((Jet.monomial(2, 2, (1, 0)), Jet.monomial(2, 2, (0, 1))))), (2, 0), (0, 0)))
+def test_packed_keys_round_trip_and_add_without_carry(drawn):
+    table, a, b = drawn
+    gamma = tuple(x + y for x, y in zip(a, b))
+    assert sum(gamma) <= table.phi.degree < table.base
+    for x in (a, b, gamma):
+        assert table.decode[table.encode(x)] == x
+    assert table.encode(a) + table.encode(b) == table.encode(gamma)
+
+
+def _edge_map(n: int, gaussian: bool) -> PolyMap:
+    """A map of degree n in n variables; component i carries z_i^n and z1 * z_n^(n-1).
+
+    Keys in base B = n would alias z1^n with z2 and decode z_n^n as the
+    constant: the key base must exceed the degree.
+    """
+    c = Scalar.of(Fraction(1, 3), Fraction(1, 5) if gaussian else 0)
+    comps = []
+    for i in range(n):
+        terms = [
+            (unit_index(n, i), sc(1, i + 2)),
+            (tuple(n * e for e in unit_index(n, i)), c),
+            ((1,) + (0,) * (n - 2) + (n - 1,), sc(-2, 7)),
+        ]
+        if i + 1 < n:
+            terms.append((unit_index(n, i + 1), sc(1, 9)))
+        comps.append(jet_of(n, n, terms))
+    return PolyMap(tuple(comps))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_power_equal_to_the_degree_decodes_to_itself(n, gaussian):
+    phi = _edge_map(n, gaussian)
+    f = jet_of(n, n, [
+        (unit_index(n, 0), sc(1)),
+        ((0,) * (n - 1) + (n,), sc(1, 2)),
+        ((n - 1, 1) + (0,) * (n - 2), sc(3)),
+    ])
+    assert compose(f, phi) == oracle.compose(f, phi)
+    assert map_compose(phi, phi) == oracle.map_compose(phi, phi)
+    _, matrix, _ = dense_operator(phi, n)
+    assert build(phi, n).matrix == matrix
 
 
 def test_build_and_compose_multiply_no_jets():
