@@ -27,6 +27,7 @@ only need a triangular derivative.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
@@ -44,6 +45,7 @@ from .linalg import (
     JordanBasis,
     incremental_jordanize,
     inverse,
+    jordan_blocks,
     mat_pow,
     rank,
     transition_to_jordan_triangular,
@@ -191,14 +193,12 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
 def _report(prep: _Prep) -> AnalysisReport:
     op = prep.op
     n = prep.phi.dim
-    seen: List[Scalar] = []
-    for lam in op.diag[:n]:
-        if lam not in seen:
-            seen.append(lam)
+    # The first n rows hold only columns below n: they are the n x n
+    # Jordan corner, and the geometric multiplicity of mu is its number
+    # of blocks of mu.
+    multiplicity = Counter(b.eigenvalue for b in jordan_blocks(op.lower[:n], op.diag[:n]))
     records = []
-    for mu in seen:
-        # The first n rows hold only columns below n: they are the n x n corner.
-        orig = len(triangular_kernel(op.lower[:n], op.diag[:n], mu))
+    for mu, orig in multiplicity.items():
         kb = triangular_kernel(op.lower, op.diag, mu)
         proj = vectors_rank([[dict(v).get(j, ZERO) for j in range(n)] for v in kb])
         witnesses = tuple(
@@ -321,7 +321,7 @@ def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[
     lifter = _Lifter(prep.psi, prep.op.degree, prep.work) if prep.work > prep.op.degree else None
     out = []
     for bi, block in enumerate(chains.original_blocks):
-        chain = chains.chains[chains.provenance[bi]]
+        chain = chains.chains[bi]
         s = block.length
         base = [vector_jet(prep.op, v) for v in reversed(chain.vectors[:s])]
         if lifter is None:

@@ -15,10 +15,12 @@ diagonal entry.  No N x N matrix is formed.
   triangular matrix for one eigenvalue through the kernel filtration
   ker((M - lambda)^p); `transition_to_jordan_triangular` stacks them into
   a chain matrix S and a Jordan form J with M S = S J.
+* `jordan_blocks` reads the blocks of a lower Jordan-form corner in one
+  pass over its rows.
 * `incremental_jordanize` appends the rows of M below a protected
-  Jordan corner one at a time, maintaining a chain basis and recording
-  which original corner block each final chain extends.  A row is
-  coupled only with the chains that have support on its nonzero columns.
+  Jordan corner one at a time, maintaining a chain basis.  It only ever
+  appends chains, so chain j extends corner block j.  A row is coupled
+  only with the chains that have support on its nonzero columns.
 
 Chain storage convention: a `JordanChain` holds sparse vectors, tuples
 of (coordinate, nonzero entry) pairs in increasing coordinate order;
@@ -316,15 +318,15 @@ class Block:
 
 @dataclass(frozen=True)
 class JordanBasis:
-    """A chain basis of a matrix with provenance into a protected corner.
+    """A chain basis of a matrix that extends the blocks of a protected corner.
 
-    `provenance` maps an original corner-block index to the index of the
-    chain extending it.  There is no chain matrix: forming one is the
-    N x N densification the sparse routines exist to avoid.
+    Chain j extends corner block j (`original_blocks[j]`); the chains
+    past the last block start below the corner.  There is no chain
+    matrix: forming one is the N x N densification the sparse routines
+    exist to avoid.
     """
 
     chains: Tuple[JordanChain, ...]
-    provenance: Dict[int, int]
     original_blocks: Tuple[Block, ...]
 
     def block_sizes(self, lam: Scalar) -> List[int]:
@@ -417,37 +419,30 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     return chains
 
 
-def _parse_jordan_corner(lower: LowerRows, diag: Sequence[Scalar]) -> List[Block]:
-    """Split a sparse lower-triangular Jordan-form matrix into its blocks."""
-    n = len(diag)
-    blocks: List[Block] = []
-    i = 0
-    while i < n:
-        lam = diag[i]
-        length = 1
-        while i + length < n and diag[i + length] == lam and list(lower[i + length]) == [
-            (i + length - 1, ONE)
-        ]:
-            length += 1
-        blocks.append(Block(lam, length, i))
-        i += length
-    starts = {b.offset for b in blocks}
-    for i in range(n):
-        expect = [] if i in starts else [(i - 1, ONE)]
-        if list(lower[i]) != expect:
+def jordan_blocks(lower: LowerRows, diag: Sequence[Scalar]) -> List[Block]:
+    """The blocks of a sparse lower-triangular Jordan-form matrix, in one pass.
+
+    A row continues the block above it when it repeats that block's
+    eigenvalue and holds exactly a 1 under it; any other row starts a
+    block and must be empty left of the diagonal.
+    """
+    starts: List[int] = []
+    for i, row in enumerate(lower):
+        if starts and diag[i] == diag[i - 1] and list(row) == [(i - 1, ONE)]:
+            continue
+        if row:
             raise ValueError(f"corner is not in lower Jordan form in row {i}")
-    return blocks
+        starts.append(i)
+    ends = starts[1:] + [len(lower)]
+    return [Block(diag[a], b - a, a) for a, b in zip(starts, ends)]
 
 
 class _MutableChain:
-    __slots__ = ("eigenvalue", "vectors", "provenance")
+    __slots__ = ("eigenvalue", "vectors")
 
-    def __init__(
-        self, eigenvalue: Scalar, vectors: List[Dict[int, Scalar]], provenance: Optional[int]
-    ):
+    def __init__(self, eigenvalue: Scalar, vectors: List[Dict[int, Scalar]]):
         self.eigenvalue = eigenvalue
         self.vectors = vectors
-        self.provenance = provenance
 
 
 def incremental_jordanize(
@@ -461,8 +456,9 @@ def incremental_jordanize(
     update formulas, except that when the new diagonal entry matches a
     chain eigenvalue and the eigenvector coupling is nonzero, the longest
     such chain (latest on ties) grows by one and the others are first
-    cleared against it.  Chains are never renormalized, which preserves
-    the corner projections of each original block's extending chain.
+    cleared against it.  Chains are only appended, never reordered or
+    renormalized: chain j extends corner block j and keeps its corner
+    projection.
 
     `support` maps each coordinate to the chains with a vector that may
     be nonzero there.  A row is dotted only with the chains in the
@@ -473,12 +469,12 @@ def incremental_jordanize(
     big = _check_lower(lower, diag)
     if not 1 <= n <= big:
         raise ValueError(f"corner size {n} out of range")
-    blocks = _parse_jordan_corner(lower[:n], diag[:n])
+    blocks = jordan_blocks(lower[:n], diag[:n])
     chains: List[_MutableChain] = []
     support: List[Set[int]] = [set() for _ in range(big)]
     for j, b in enumerate(blocks):
         vecs = [{b.offset + i: ONE} for i in range(b.length - 1, -1, -1)]
-        chains.append(_MutableChain(b.eigenvalue, vecs, j))
+        chains.append(_MutableChain(b.eigenvalue, vecs))
         for i in range(b.length):
             support[b.offset + i].add(j)
 
@@ -537,15 +533,12 @@ def incremental_jordanize(
             support[r].add(winner)
         else:
             support[r].add(len(chains))
-            chains.append(_MutableChain(d, [{r: ONE}], None))
+            chains.append(_MutableChain(d, [{r: ONE}]))
 
     final = tuple(
         JordanChain(c.eigenvalue, tuple(_frozen(v) for v in c.vectors)) for c in chains
     )
-    provenance = {
-        c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
-    }
-    return JordanBasis(final, provenance, tuple(blocks))
+    return JordanBasis(final, tuple(blocks))
 
 
 def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[ExactMatrix, ExactMatrix]:

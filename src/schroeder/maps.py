@@ -21,10 +21,9 @@ here multiplies `Scalar` jets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
 from math import lcm
-from operator import mul
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .linalg import ExactMatrix, inverse
 from .scalars import Scalar, from_ints
@@ -96,20 +95,25 @@ def matrix_map(m: ExactMatrix, degree: int) -> PolyMap:
 Graded = Dict[int, Dict[int, Any]]
 
 
-class _Decoded(dict[int, MultiIndex]):
-    """Packed monomial keys to exponent tuples, each key decoded on its first lookup."""
+class _Memo(dict[int, Any]):
+    """A mapping whose value at each key is `form(key)`, formed on its first lookup."""
 
-    def __init__(self, base: int, dim: int):
+    def __init__(self, form: Callable[[int], Any]):
         super().__init__()
-        self.base, self.dim = base, dim
+        self.form = form
 
-    def __missing__(self, key: int) -> MultiIndex:
-        digits, rest = [], key
-        for _ in range(self.dim):
-            rest, e = divmod(rest, self.base)
-            digits.append(e)
-        gamma = self[key] = tuple(digits)
-        return gamma
+    def __missing__(self, key: int) -> Any:
+        value = self[key] = self.form(key)
+        return value
+
+
+def _decode(base: int, dim: int, key: int) -> MultiIndex:
+    """The monomial of `dim` variables whose key in base `base` is `key`."""
+    digits = []
+    for _ in range(dim):
+        key, e = divmod(key, base)
+        digits.append(e)
+    return tuple(digits)
 
 
 class PowerTable:
@@ -130,6 +134,8 @@ class PowerTable:
     digit of a product's key carries and `_mul` adds keys as ints.
     `decode[key]` gives the tuple back, memoized; `scalars` and
     `IntSum.pop`, where coefficients leave the table, are its readers.
+    `denom_powers[e]` = D^e is memoized the same way, so a map of high
+    declared degree forms only the powers of D that are read.
     """
 
     def __init__(self, phi: PolyMap):
@@ -139,10 +145,9 @@ class PowerTable:
         ]
         self.denom = denom = lcm(*[d for _, _, (_, _, d) in terms])
         self.real = real = not any(b for _, _, (_, b, _) in terms)
-        #: D^e for 0 <= e <= phi.degree.
-        self.denom_powers = list(accumulate([denom] * phi.degree, mul, initial=1))
+        self.denom_powers = _Memo(denom.__pow__)
         self.base = phi.degree + 1
-        self.decode = _Decoded(self.base, phi.source_dim)
+        self.decode = _Memo(partial(_decode, self.base, phi.source_dim))
         self._units: List[Graded] = [{} for _ in phi.components]
         for i, alpha, (a, b, d) in terms:
             k = denom // d
@@ -229,14 +234,15 @@ class IntSum:
     The degree-e part stands for (re + i*im) / (den * D^e), with D the
     table's `denom` and `den` the lcm of the denominators of every x
     added so far: `add` rescales the sum once when a batch of terms
-    grows `den`.  `im` stays None while every term is real.
+    grows `den`.  A sum over a real map writes `im` only for a term with
+    an imaginary part.
     """
 
     def __init__(self, table: PowerTable):
         self.table = table
         self.den = 1
         self.re: Graded = {}
-        self.im: Optional[Graded] = None if table.real else {}
+        self.im: Graded = {}
 
     def add(self, terms: Iterable[Tuple[MultiIndex, Scalar]], lo: int, hi: int) -> None:
         """Add x*phi^alpha for each (alpha, x) of `terms`, at the degrees lo..hi only."""
@@ -244,12 +250,10 @@ class IntSum:
         den = lcm(self.den, *[d for _, (_, _, d) in ints])
         k, self.den = den // self.den, den
         if k != 1:
-            for parts in (self.re, self.im or {}):
+            for parts in (self.re, self.im):
                 for part in parts.values():
                     for gamma in part:
                         part[gamma] *= k
-        if self.im is None and any(b for _, (_, b, _) in ints):
-            self.im = {}
         for alpha, (a, b, d) in ints:
             k = den // d
             self._add_power(alpha, a * k, b * k, lo, hi)
@@ -269,12 +273,12 @@ class IntSum:
                 for gamma, v in part.items():
                     r[gamma] = rget(gamma, 0) + ma * v
                 if mb:
-                    i = self.im.setdefault(e, {})  # type: ignore[union-attr]
+                    i = self.im.setdefault(e, {})
                     iget = i.get
                     for gamma, v in part.items():
                         i[gamma] = iget(gamma, 0) + mb * v
             else:
-                i = self.im.setdefault(e, {})  # type: ignore[union-attr]
+                i = self.im.setdefault(e, {})
                 iget = i.get
                 for gamma, (va, vb) in part.items():
                     r[gamma] = rget(gamma, 0) + ma * va - mb * vb
@@ -289,7 +293,7 @@ class IntSum:
         re = self.re.pop(e, None)
         if re is None:
             return {}
-        im = self.im.pop(e, {}) if self.im is not None else {}
+        im = self.im.pop(e, {})
         d = self.den * self.table.denom_powers[e]
         decode = self.table.decode
         out = {}

@@ -14,8 +14,9 @@ that exercise the main code paths:
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -38,6 +39,27 @@ def jet_of(dim: int, degree: int, terms) -> Jet:
 def operator_at_k(phi: PolyMap) -> TruncatedCompOp:
     """`build` at the K that `truncation_degree` finds on phi's diagonal, as the engine does."""
     return build(phi, truncation_degree(phi.linear_part().diagonal_entries()))
+
+
+def traced_peak(call: Callable[[], Any]) -> Tuple[Any, int]:
+    """(call(), the peak bytes it allocated over what was live before it).
+
+    The ROADMAP's north star says that no legal input may grow memory
+    without bound.  Tests pin that rule with this helper: they run one
+    large legal input and bound the peak, which tracemalloc measures
+    without depending on what the rest of the process holds.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

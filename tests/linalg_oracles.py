@@ -86,10 +86,9 @@ def parse_jordan_corner(corner: ExactMatrix) -> List[Block]:
 
 
 class _Chain:
-    def __init__(self, eigenvalue: Scalar, vectors: List[List[Scalar]], provenance: Optional[int]):
+    def __init__(self, eigenvalue: Scalar, vectors: List[List[Scalar]]):
         self.eigenvalue = eigenvalue
         self.vectors = vectors
-        self.provenance = provenance
 
 
 def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
@@ -103,13 +102,13 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
     blocks = parse_jordan_corner(ExactMatrix.from_rows([row[:n] for row in u.entries[:n]]))
     big = u.rows
     chains: List[_Chain] = []
-    for j, b in enumerate(blocks):
+    for b in blocks:
         vecs = []
         for i in range(b.length - 1, -1, -1):
             v = [ZERO] * big
             v[b.offset + i] = ONE
             vecs.append(v)
-        chains.append(_Chain(b.eigenvalue, vecs, j))
+        chains.append(_Chain(b.eigenvalue, vecs))
 
     for r in range(n, big):
         row = u.entries[r]
@@ -163,7 +162,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
         else:
             v = [ZERO] * big
             v[r] = ONE
-            chains.append(_Chain(d, [v], None))
+            chains.append(_Chain(d, [v]))
 
     final = tuple(
         JordanChain(
@@ -175,10 +174,7 @@ def incremental_jordanize(u: ExactMatrix, n: int) -> JordanBasis:
         )
         for c in chains
     )
-    provenance = {
-        c.provenance: i for i, c in enumerate(chains) if c.provenance is not None
-    }
-    return JordanBasis(final, provenance, tuple(blocks))
+    return JordanBasis(final, tuple(blocks))
 
 
 def report_dimensions(u: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, int, int]:

@@ -162,6 +162,34 @@ def test_one_resonance_search_per_call(coupled_map, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # A Jordan block of 1/2 beside a simple 1/3: multiplicities 1, 1.
+        [[((1, 0, 0), sc(1, 2)), ((0, 1, 0), ONE)], [((0, 1, 0), sc(1, 2))], [((0, 0, 1), sc(1, 3))]],
+        # Two blocks of 1/2 and a quadratic term: multiplicities 2, 1.
+        [[((1, 0, 0), sc(1, 2))], [((0, 1, 0), sc(1, 2)), ((2, 0, 0), sc(1, 5))], [((0, 0, 1), sc(1, 4))]],
+    ],
+)
+def test_one_kernel_sweep_per_eigenvalue(terms, monkeypatch):
+    """The multiplicities come from the Jordan corner, not from a second sweep."""
+    phi = PolyMap(tuple(jet_of(3, 2, t) for t in terms))
+    calls = []
+    sweep = linalg.triangular_kernel
+
+    def counted(lower, diag, mu):
+        calls.append(mu)
+        return sweep(lower, diag, mu)
+
+    monkeypatch.setattr(engine, "triangular_kernel", counted)
+    report = analyze(phi)
+    assert calls == [r.value for r in report.eigenvalues]
+    assert len(set(calls)) == len(calls)
+    linear = phi.linear_part()
+    for rec in report.eigenvalues:
+        assert rec.geometric_multiplicity == 3 - rank(linear.shift(rec.value))
+
+
 def test_eigenvalue_near_one_is_answered():
     # phi(z) = (999/1000 z1, z2/2 + z1^2/3): no product lambda^alpha with
     # |alpha| >= 2 is an eigenvalue, yet the brute force walked 241k exponents.

@@ -4,6 +4,7 @@ form for a power of one block, and oracles."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from typing import List
 
@@ -18,6 +19,7 @@ from schroeder.linalg import (
     JordanChain,
     incremental_jordanize,
     inverse,
+    jordan_blocks,
     jordan_chains_triangular,
     mat_mul,
     mat_pow,
@@ -69,6 +71,51 @@ def append_row(corner: ExactMatrix, coeffs, diag: Scalar) -> ExactMatrix:
     rows = [list(corner.entries[i]) + [ZERO] for i in range(n)]
     rows.append(list(coeffs) + [diag])
     return ExactMatrix.from_rows(rows)
+
+
+#: Corner eigenvalues, real and Gaussian; few, so that blocks repeat them.
+CORNER_POOL = (sc(1, 2), sc(1, 3), Scalar.of(Fraction(1, 2), Fraction(1, 3)), Scalar.of(0, Fraction(1, 4)))
+#: Entries that no lower Jordan form holds below its diagonal.
+STRAY_POOL = (sc(2), sc(-1, 3), Scalar.of(0, 1))
+
+
+@st.composite
+def jordan_corners(draw):
+    """(blocks, corner, bad row): a lower Jordan corner, perhaps broken in one row.
+
+    The row is broken either by a subdiagonal 1 under a different
+    eigenvalue or by one stray entry left of the diagonal; it is None
+    when the corner is left whole.
+    """
+    blocks = draw(st.lists(st.tuples(st.sampled_from(CORNER_POOL), st.integers(1, 3)), min_size=1, max_size=5))
+    rows = [list(row) for row in lower_jordan(blocks).entries]
+    fault = draw(st.sampled_from(["none", "subdiagonal", "stray"])) if len(rows) > 1 else "none"
+    if fault == "none":
+        return blocks, ExactMatrix.from_rows(rows), None
+    i = draw(st.integers(1, len(rows) - 1))
+    if fault == "subdiagonal":
+        rows[i][i] = draw(st.sampled_from([lam for lam in CORNER_POOL if lam != rows[i - 1][i - 1]]))
+        rows[i][i - 1] = ONE
+    else:
+        rows[i][draw(st.integers(0, i - 1))] = draw(st.sampled_from(STRAY_POOL))
+    return blocks, ExactMatrix.from_rows(rows), i
+
+
+@settings(max_examples=300, deadline=None)
+@given(jordan_corners())
+def test_jordan_blocks_matches_the_dense_parser(drawn):
+    blocks, corner, bad = drawn
+    lower, diag = sparse_lower(corner)
+    if bad is None:
+        expect = oracle.parse_jordan_corner(corner)
+        assert jordan_blocks(lower, diag) == expect
+        assert [(b.eigenvalue, b.length) for b in expect] == blocks
+        return
+    with pytest.raises(ValueError) as dense:
+        oracle.parse_jordan_corner(corner)
+    assert re.search(r"at entry \((\d+), ", str(dense.value)).group(1) == str(bad)
+    with pytest.raises(ValueError, match=rf"^corner is not in lower Jordan form in row {bad}$"):
+        jordan_blocks(lower, diag)
 
 
 def test_chain_validity_checker():
@@ -185,7 +232,7 @@ def test_extending_chain_preserves_corner_projection():
         m = ExactMatrix.from_rows(rows)
         jb = incremental_jordanize(*sparse_lower(m), n)
         for bi, block in enumerate(jb.original_blocks):
-            chain = jb.chains[jb.provenance[bi]]
+            chain = jb.chains[bi]
             assert chain.eigenvalue == block.eigenvalue
             assert chain.length >= block.length
             tail = chain.vectors[chain.length - block.length :]
@@ -209,7 +256,7 @@ def test_one_block_append_branches():
         )
         assert merged.block_sizes(lam) == [k + 1]
         assert len(merged.chains) == 1
-        assert merged.provenance == {0: 0}
+        assert merged.chains[0].length == k + 1
 
         shifted = incremental_jordanize(
             *sparse_lower(append_row(corner, filler + [ZERO], lam)), k
@@ -236,7 +283,7 @@ def test_two_block_append_longest_absorbs():
         jb = incremental_jordanize(*sparse_lower(m), n + k)
         assert jb.block_sizes(lam) == sorted([n, k + 1])
         assert oracle_block_sizes(m, lam) == sorted([n, k + 1])
-        grown = jb.chains[jb.provenance[1]]
+        grown = jb.chains[1]
         assert grown.length == k + 1
 
 

@@ -14,6 +14,7 @@ import series_oracles as oracle
 from compop_oracles import dense_operator
 from schroeder import series
 from schroeder.compop import build
+from schroeder.engine import verify
 from schroeder.linalg import ExactMatrix, inverse, mat_mul
 from schroeder.maps import (
     PolyMap,
@@ -28,7 +29,7 @@ from schroeder.maps import (
 from schroeder.scalars import ONE, Scalar
 from schroeder.series import Jet, monomials_of_degree, unit_index
 
-from conftest import jet_of, random_poly_map, sc, sc_fraction_pool
+from conftest import jet_of, random_poly_map, sc, sc_fraction_pool, traced_peak
 
 
 def test_polymap_validation():
@@ -243,7 +244,7 @@ def test_power_table_holds_integer_powers():
     assert table.power((1, 1)) == {2: {key((1, 1)): (0, 18), key((0, 2)): (0, 12)}}
     assert (table.decode[5], table.decode[8]) == ((1, 1), (0, 2))
     assert table.power((2, 2)) == {}  # degree 4 is past the truncation
-    assert table.denom_powers == [1, 12, 12**2, 12**3]
+    assert [table.denom_powers[e] for e in range(4)] == [1, 12, 12**2, 12**3]
     # (Lz)^(1, 1) = (z1/2 + z2/3) * i*z2/4.
     assert table.linear_power((1, 1)) == {
         (1, 1): Scalar.of(0, Fraction(1, 8)),
@@ -251,6 +252,24 @@ def test_power_table_holds_integer_powers():
     }
     with pytest.raises(ValueError, match="another map"):
         compose(phi.components[0], phi.truncate(2), table)
+
+
+def test_a_high_declared_degree_forms_only_the_denominator_powers_read():
+    """verify of a one-term solution declaring degree 20000 stays small.
+
+    Forming D^e for every e up to the declared degree held about 70 MB
+    (traced), growing with the square of the degree.
+    """
+    phi = PolyMap((jet_of(1, 2, [((1,), sc(1, 2)), ((2,), sc(1, 3))]),))
+    f = PolyMap((jet_of(1, 20000, [((1,), ONE)]),))
+    report, peak = traced_peak(lambda: verify(phi, f))
+    assert peak < 1_000_000
+    assert (report.degree, report.clean_degree) == (20000, 1)
+    assert report.first_failure == (0, (2,), sc(1, 3))
+    assert (report.derivative_rank, report.component_rank) == (1, 1)
+    table = PowerTable(phi.truncate(20000))
+    assert table.denom_powers[3] == 6**3
+    assert dict(table.denom_powers) == {3: 6**3}
 
 
 @st.composite
