@@ -13,8 +13,9 @@ diagonal entry.  No N x N matrix is formed.
   eliminating it.
 * `jordan_chains_triangular` finds the chains of a (small, dense)
   triangular matrix for one eigenvalue through the kernel filtration
-  ker((M - lambda)^p); `transition_to_jordan_triangular` stacks them into
-  a chain matrix S and a Jordan form J with M S = S J.
+  ker((M - lambda)^p), which is complete once its dimension reaches the
+  count of lambda on the diagonal; `transition_to_jordan_triangular`
+  stacks them into a chain matrix S and a Jordan form J with M S = S J.
 * `jordan_blocks` reads the blocks of a lower Jordan-form corner in one
   pass over its rows.
 * `incremental_jordanize` appends the rows of M below a protected
@@ -133,12 +134,17 @@ def mat_vec(a: ExactMatrix, v: Sequence[Scalar]) -> Vector:
 
 
 def mat_pow(a: ExactMatrix, k: int) -> ExactMatrix:
+    """a^k by repeated squaring: about 2 log2(k) products."""
     a._square()
     if k < 0:
         raise ValueError("negative matrix power")
     out = ExactMatrix.identity(a.rows)
-    for _ in range(k):
-        out = mat_mul(out, a)
+    while k:
+        if k & 1:
+            out = mat_mul(out, a)
+        k >>= 1
+        if k:
+            a = mat_mul(a, a)
     return out
 
 
@@ -381,33 +387,28 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     The chains are found and normalized on dense vectors and returned
     sparse, sorted by decreasing length; the empty list when lam is not a
     diagonal entry.  Block sizes agree with the differences of the
-    sequence dim ker((M - lam)^p).
+    sequence dim ker((M - lam)^p), which rises strictly to the algebraic
+    multiplicity of lam, its count on the diagonal of a triangular M, and
+    then stays there; so the powers stop at the longest block.
     """
     m._square()
     if not (m.is_lower_triangular() or m.is_upper_triangular()):
         raise ValueError("matrix is not triangular")
-    if lam not in m.diagonal_entries():
+    mult = m.diagonal_entries().count(lam)
+    if not mult:
         return []
     shifted = m.shift(lam)
-    kernels: List[List[Vector]] = []
     power = shifted
-    dims = [0]
-    while True:
-        k = kernel_basis(power)
-        kernels.append(k)
-        dims.append(len(k))
-        if len(dims) > 1 and dims[-1] == dims[-2]:
-            kernels.pop()
-            dims.pop()
-            break
+    kernels = [kernel_basis(shifted)]
+    while len(kernels[-1]) < mult:
         power = mat_mul(power, shifted)
-    p_max = len(kernels)
+        kernels.append(kernel_basis(power))
     chains: List[JordanChain] = []
     carried: List[Vector] = []
-    for p in range(p_max, 0, -1):
-        need = (dims[p] - dims[p - 1]) - len(carried)
+    for p in range(len(kernels), 0, -1):
         lower = kernels[p - 2] if p >= 2 else []
-        span = [list(v) for v in lower] + [list(v) for v in carried]
+        need = len(kernels[p - 1]) - len(lower) - len(carried)
+        span = [list(v) for v in lower + carried]
         tops = _extend_independent(span, kernels[p - 1], need)
         for t in tops:
             vecs = [t]
@@ -415,7 +416,7 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
                 vecs.append(mat_vec(shifted, vecs[-1]))
             vecs.reverse()
             chains.append(_normalize_chain(lam, vecs))
-        carried = [mat_vec(shifted, v) for v in carried + list(tops)]
+        carried = [mat_vec(shifted, v) for v in carried + tops]
     return chains
 
 
@@ -548,19 +549,16 @@ def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[ExactMatrix, ExactM
     i.e. T a T^-1 == J for T = S^-1.  The columns of S are the chains of
     `jordan_chains_triangular`, each from its top vector down to its
     eigenvector.  Distinct eigenvalues appear in order of first occurrence
-    on the diagonal; blocks of one eigenvalue are sorted by increasing length.
+    on the diagonal; blocks of one eigenvalue are sorted by increasing length,
+    and their sizes sum to that eigenvalue's count on the diagonal.
     """
     a._square()
     if not (a.is_lower_triangular() or a.is_upper_triangular()):
         raise ValueError("matrix is not triangular")
     n = a.rows
-    seen: List[Scalar] = []
-    for lam in a.diagonal_entries():
-        if lam not in seen:
-            seen.append(lam)
     cols: List[List[Scalar]] = []
     jordan = [[ZERO] * n for _ in range(n)]
-    for lam in seen:
+    for lam in dict.fromkeys(a.diagonal_entries()):
         for chain in sorted(jordan_chains_triangular(a, lam), key=lambda c: c.length):
             for i, v in enumerate(reversed(chain.vectors)):
                 pos = len(cols)

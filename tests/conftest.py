@@ -63,6 +63,31 @@ def traced_peak(call: Callable[[], Any]) -> Tuple[Any, int]:
 
 
 @pytest.fixture
+def record_calls(monkeypatch) -> Callable[..., List[tuple]]:
+    """`record_calls(name, *modules)` wraps the function `name` in each module.
+
+    Each wrapper still calls that module's original function and appends
+    its positional arguments to the list that `record_calls` returns; the
+    list is shared by all the modules named.  Patch every module whose
+    callers look the name up there, since `from m import f` binds f anew.
+    """
+
+    def record(name: str, *modules: Any) -> List[tuple]:
+        calls: List[tuple] = []
+        for module in modules:
+            original = getattr(module, name)
+
+            def wrapper(*args, original=original, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return record
+
+
+@pytest.fixture
 def obstructed_map() -> PolyMap:
     """phi(z1, z2) = (z1/2, z2/4 + z1^2/16)."""
     return PolyMap(

@@ -11,11 +11,14 @@ never form the shifted operator.  `chain_is_valid` densifies a Jordan
 chain and replays its chain relation exactly.
 
 The kernel-dimension sequence and null spaces come from sympy's
-`DomainMatrix` over Q or Q(i), which shares no code with `linalg`.
+`DomainMatrix` over Q or Q(i), and `sympy_jordan_blocks` reads block
+structure from sympy's `Matrix.jordan_form`; sympy shares no code with
+`linalg`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 from schroeder.linalg import (
@@ -229,3 +232,35 @@ def rank_sequence_oracle(m: ExactMatrix, lam: Scalar) -> List[int]:
         dims.append(m.rows - power.rank())
         power = power * shifted
     return dims
+
+
+def _sympy_pair(x: Scalar):
+    from sympy import Rational
+
+    a, b, d = x.ints()
+    return Rational(a, d), Rational(b, d)
+
+
+def jordan_block_pairs(blocks: Sequence[Tuple[Scalar, int]]) -> Counter:
+    """The multiset of (eigenvalue, block size), eigenvalues as sympy (re, im) pairs."""
+    return Counter((_sympy_pair(lam), size) for lam, size in blocks)
+
+
+def sympy_jordan_blocks(m: ExactMatrix) -> Counter:
+    """The multiset of (eigenvalue, block size) of m, by sympy's `jordan_form`.
+
+    Entries go in through `Scalar.ints()`; sympy's J is upper Jordan, so a
+    block ends at each zero on its superdiagonal.
+    """
+    from sympy import I, Matrix, Rational, im, re
+
+    rows = [[p + q * I for p, q in map(_sympy_pair, row)] for row in m.entries]
+    _, j = Matrix(rows).jordan_form()
+    sizes: Counter = Counter()
+    start = 0
+    for i in range(m.rows):
+        if i + 1 == m.rows or j[i, i + 1] == 0:
+            lam = j[i, i]
+            sizes[((Rational(re(lam)), Rational(im(lam))), i + 1 - start)] += 1
+            start = i + 1
+    return sizes

@@ -15,11 +15,15 @@ c*phi^alpha into one coefficient table through `series.add_into`.
 They share no power table and no integer sum with `maps.compose`,
 `maps.monomial_power` or `compop.build`, which they check, and the
 operator and lifting oracles read their powers from here too.
+
+`sympy_compose` expands f(phi(z)) with sympy's `Poly` over Q(i), from the
+integers `Scalar.ints()` gives, and shares no arithmetic with the library.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from fractions import Fraction
+from typing import Dict, Optional, Tuple
 
 from schroeder import series
 from schroeder.maps import PolyMap
@@ -120,3 +124,34 @@ def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Componentwise f(g(z)) through one memo of powers of g."""
     memo: PowerMemo = {}
     return PolyMap(tuple(compose(c, g, memo) for c in f.components))
+
+
+def sympy_compose(f: Jet, phi: PolyMap) -> Dict[MultiIndex, Tuple[Fraction, Fraction]]:
+    """f(phi(z)) expanded by sympy, without the terms above min(f.degree, phi.degree).
+
+    Each coefficient is its (real, imaginary) pair of Fractions.
+    """
+    from sympy import QQ_I, I, Poly, Rational, im, prod, re, symbols
+
+    z = symbols(f"z1:{phi.source_dim + 1}")
+
+    def number(c: Scalar):
+        a, b, d = c.ints()
+        return Rational(a, d) + Rational(b, d) * I
+
+    def fraction(x) -> Fraction:
+        return Fraction(int(x.p), int(x.q))
+
+    inner = [
+        Poly.from_dict({alpha: number(c) for alpha, c in jet.coeffs.items()}, *z, domain=QQ_I)
+        for jet in phi.components
+    ]
+    total = Poly(0, *z, domain=QQ_I)
+    for alpha, c in f.coeffs.items():
+        total += prod((p**e for p, e in zip(inner, alpha)), start=Poly(number(c), *z, domain=QQ_I))
+    cap = min(f.degree, phi.degree)
+    return {
+        alpha: (fraction(re(c)), fraction(im(c)))
+        for alpha, c in total.terms()
+        if c != 0 and sum(alpha) <= cap
+    }

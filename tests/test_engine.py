@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -119,17 +120,9 @@ def test_analyze_coupled_four_variables(coupled_map):
     ) == (1, 3, 1)
 
 
-def test_one_truncation_degree_search_per_call(coupled_map, monkeypatch):
-    calls = []
-    search = compop.truncation_degree
-
-    def counted(diag):
-        calls.append(diag)
-        return search(diag)
-
+def test_one_truncation_degree_search_per_call(coupled_map, record_calls):
     # engine holds its own name for the search; count through both.
-    monkeypatch.setattr(compop, "truncation_degree", counted)
-    monkeypatch.setattr(engine, "truncation_degree", counted)
+    calls = record_calls("truncation_degree", compop, engine)
     for run in (
         lambda: analyze(coupled_map),
         lambda: truncated_operator(coupled_map),
@@ -141,16 +134,8 @@ def test_one_truncation_degree_search_per_call(coupled_map, monkeypatch):
         assert len(calls) == 1
 
 
-def test_one_resonance_search_per_call(coupled_map, monkeypatch):
-    calls = []
-    search = compop.resonances
-
-    def counted(diag):
-        calls.append(diag)
-        return search(diag)
-
-    monkeypatch.setattr(compop, "resonances", counted)
-    monkeypatch.setattr(engine, "resonances", counted)
+def test_one_resonance_search_per_call(coupled_map, record_calls):
+    calls = record_calls("resonances", compop, engine)
     for run in (
         lambda: analyze(coupled_map),
         lambda: detect_resonance(coupled_map),
@@ -304,7 +289,7 @@ def test_large_sparse_operator_analysis():
     assert report.full_rank is False
 
 
-def test_jordanize_dots_only_coupled_chains(monkeypatch):
+def test_jordanize_dots_only_coupled_chains(record_calls):
     """A row is dotted only with chains supported on its nonzero columns.
 
     Dotting every appended row with every chain took 125,578 `_sparse_dot`
@@ -314,14 +299,7 @@ def test_jordanize_dots_only_coupled_chains(monkeypatch):
     phi = diagonal_family((2, 4, 8, 256))
     report = analyze(phi)
     assert report.basis_size == 494
-    calls = []
-    dot = linalg._sparse_dot
-
-    def counted_dot(nonzeros, v):
-        calls.append(1)
-        return dot(nonzeros, v)
-
-    monkeypatch.setattr(linalg, "_sparse_dot", counted_dot)
+    calls = record_calls("_sparse_dot", linalg)
     sol = solve(phi, degree=report.truncation_degree, mode="independent")
     assert verify(phi, sol.components).passed
     assert 0 < len(calls) < 12558
@@ -506,6 +484,16 @@ def test_verify_power_argument(diagonal_map):
     check = verify(diagonal_map, sol.components, power=2)
     assert check.passed
     assert not verify(diagonal_map, sol.components, power=1).passed
+
+
+def test_verify_at_a_large_power_squares_the_derivative(record_calls):
+    """F(z) = z against phi(z) = z/2 at k = 20000: L^k by repeated squaring."""
+    calls = record_calls("mat_mul", linalg)
+    phi = one_var_map({1: sc(1, 2)}, 1)
+    report = verify(phi, one_var_map({1: ONE}, 1), power=20000)
+    assert report.first_failure == (0, (1,), sc(1, 2) - Scalar.of(Fraction(1, 2**20000)))
+    assert report.clean_degree == 0
+    assert len(calls) <= 30
 
 
 def test_solve_power_one_variable_is_kth_power_of_base():

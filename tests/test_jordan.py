@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schroeder import linalg
 from schroeder.engine import _power_chain, truncated_operator
 from schroeder.linalg import (
     Block,
@@ -138,6 +139,43 @@ def test_filtration_route_on_explicit_matrix():
     for c in chains:
         assert chain_is_valid(m, c)
     assert jordan_chains_triangular(m, sc(7)) == []
+
+
+def lower_from(rows) -> ExactMatrix:
+    """A lower-triangular matrix from its rows up to the diagonal."""
+    n = len(rows)
+    return ExactMatrix.from_rows([list(r) + [ZERO] * (n - len(r)) for r in rows])
+
+
+HALF, THIRD = sc(1, 2), sc(1, 3)
+
+
+@pytest.mark.parametrize(
+    "m, longest",
+    [
+        # Diagonal: every block of 1/2 and of 1/3 has length 1.
+        (lower_from([[HALF], [ZERO, THIRD], [ZERO] * 2 + [HALF], [ZERO] * 3 + [HALF]]), {HALF: 1, THIRD: 1}),
+        # One 3-block: M - 1/2 is nilpotent of rank 2.
+        (lower_from([[HALF], [sc(2), HALF], [ONE, sc(3), HALF]]), {HALF: 3}),
+        # Blocks 2 and 1 of 1/2 beside a simple 1/3.
+        (lower_from([[HALF], [ONE, THIRD], [sc(5), sc(2), HALF], [ZERO] * 3 + [HALF]]), {HALF: 2, THIRD: 1}),
+    ],
+)
+def test_filtration_stops_at_the_longest_block(m, longest, record_calls):
+    """One kernel per power up to the longest block, and one product fewer.
+
+    ker((M - lam)^p) reaches the count of lam on the diagonal at the
+    longest block's length, so no further power is formed to find out.
+    """
+    kernels = record_calls("kernel_basis", linalg)
+    products = record_calls("mat_mul", linalg)
+    for lam, p in longest.items():
+        kernels.clear()
+        products.clear()
+        chains = jordan_chains_triangular(m, lam)
+        assert (len(kernels), len(products)) == (p, p - 1)
+        assert sorted(c.length for c in chains) == oracle_block_sizes(m, lam)
+        assert max(c.length for c in chains) == p
 
 
 def test_filtration_route_normalization_is_canonical():
@@ -314,6 +352,61 @@ def test_incremental_matches_oracle_with_jordan_corners():
             assert jb.block_sizes(lam) == oracle_block_sizes(m, lam)
         for c in jb.chains:
             assert chain_is_valid(m, c)
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def small_scalars(draw, gaussian: bool) -> Scalar:
+    """A small rational, or with `gaussian` often a Gaussian rational."""
+    im = draw(small_rationals) if gaussian and draw(st.booleans()) else 0
+    return Scalar.of(draw(small_rationals), im)
+
+
+@st.composite
+def lower_triangular(draw, size: int, gaussian: bool, corner: int = 0) -> ExactMatrix:
+    """A sparse lower-triangular matrix, its diagonal drawn from 3 values.
+
+    The first `corner` rows are a lower Jordan form of blocks from the
+    same 3 values.
+    """
+    pool = draw(st.lists(small_scalars(gaussian), min_size=3, max_size=3))
+    blocks, left = [], corner
+    while left:
+        length = draw(st.integers(1, left))
+        blocks.append((draw(st.sampled_from(pool)), length))
+        left -= length
+    rows = [list(r) for r in lower_jordan(blocks).entries] if blocks else []
+    density = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    for i in range(corner, size):
+        row = [
+            draw(small_scalars(gaussian)) if draw(st.floats(0, 1)) < density else ZERO
+            for _ in range(i)
+        ]
+        rows.append(row + [draw(st.sampled_from(pool))])
+    return lower_from(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.booleans(), st.booleans())
+def test_transition_blocks_match_sympy_jordan_form(data, size, gaussian, upper):
+    m = data.draw(lower_triangular(size, gaussian))
+    if upper:
+        m = m.transpose()
+    _, j = transition_to_jordan_triangular(m)
+    blocks = [(b.eigenvalue, b.length) for b in oracle.parse_jordan_corner(j)]
+    assert oracle.jordan_block_pairs(blocks) == oracle.sympy_jordan_blocks(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 7), st.booleans())
+def test_incremental_blocks_match_sympy_jordan_form(data, size, gaussian):
+    n = data.draw(st.integers(1, min(3, size)))
+    m = data.draw(lower_triangular(size, gaussian, corner=n))
+    basis = incremental_jordanize(*sparse_lower(m), n)
+    blocks = [(lam, k) for lam in set(m.diagonal_entries()) for k in basis.block_sizes(lam)]
+    assert oracle.jordan_block_pairs(blocks) == oracle.sympy_jordan_blocks(m)
 
 
 #: Eigenvalue pools whose products land back in the pool, so that the

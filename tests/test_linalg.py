@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schroeder import linalg
 from schroeder.linalg import (
     ExactMatrix,
     SingularMatrixError,
@@ -69,6 +70,26 @@ def test_matmul_and_pow():
     assert mat_pow(a, 5).at(0, 1) == sc(5)
     assert mat_pow(a, 0) == ExactMatrix.identity(2)
     assert mat_vec(a, (sc(3), sc(4))) == (sc(7), sc(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+def test_mat_pow_equals_the_repeated_product(seed, size, gaussian):
+    a = random_matrix(random.Random(seed), size, size, gaussian=gaussian)
+    product = ExactMatrix.identity(size)
+    for k in range(13):
+        assert mat_pow(a, k) == product
+        product = mat_mul(product, a)
+    with pytest.raises(ValueError, match="negative"):
+        mat_pow(a, -1)
+
+
+def test_mat_pow_squares_instead_of_multiplying_k_times(record_calls):
+    """[1/2]^20000 takes 19 products by repeated squaring, not 20000."""
+    calls = record_calls("mat_mul", linalg)
+    half = ExactMatrix.from_rows([[sc(1, 2)]])
+    assert mat_pow(half, 20000) == ExactMatrix.from_rows([[Scalar.of(Fraction(1, 2**20000))]])
+    assert len(calls) <= 30
 
 
 def test_rank_known_cases():

@@ -230,6 +230,30 @@ def test_integer_compose_matches_the_scalar_oracle(drawn):
     assert map_compose(outer, phi) == oracle.map_compose(outer, phi)
 
 
+def fraction_pair(c: Scalar) -> tuple:
+    a, b, d = c.ints()
+    return Fraction(a, d), Fraction(b, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4))
+def test_compose_matches_sympy_expansion(seed, m, n, phi_degree, f_degree):
+    """compose and map_compose against sympy's expansion of f(phi(z)).
+
+    phi: C^m -> C^n and f: C^n -> C^k with k <= 3, Gaussian coefficients
+    and no constant terms.
+    """
+    rng = random.Random(seed)
+    phi = PolyMap(tuple(_random_jet(rng, m, phi_degree, True, 1) for _ in range(n)))
+    f = PolyMap(tuple(_random_jet(rng, n, f_degree, True, 1) for _ in range(rng.randint(1, 3))))
+    composed = map_compose(f, phi)
+    for i, fi in enumerate(f.components):
+        want = oracle.sympy_compose(fi, phi)
+        for got in (compose(fi, phi), composed.component(i)):
+            assert got.degree == min(f_degree, phi_degree)
+            assert {a: fraction_pair(c) for a, c in got.coeffs.items()} == want
+
+
 def test_power_table_holds_integer_powers():
     # phi = (z1/2 + z2/3, i*z2/4): D = 12, P = (6 z1 + 4 z2, 3i z2).
     phi = PolyMap((
