@@ -8,12 +8,21 @@ the output byte-stable for identical inputs.
 A coefficient is either an object {"re": "...", "im": "..."} (the "im"
 key may be omitted) or a bare rational string for real values.  Output
 always uses the two-key object form.
+
+`dump` renders a document as `json.dumps(data, indent=2)` plus a final
+newline, byte for byte, without the pure-Python encoder that `json` falls
+back to when an indent is set: a list of terms in the output form goes
+through one `str.format` template per dimension, and everything else
+through a short recursion.  Parsing reads each distinct coefficient
+string once per list of components, and formats the path of a term only
+when it refuses it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Tuple
 
 from .engine import AnalysisReport, SchroederSolution, VerifyReport
@@ -45,7 +54,80 @@ def load(path: str) -> Any:
 
 
 def dump(data: Any) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """`json.dumps(data, indent=2) + "\\n"`, byte for byte, for JSON trees of
+    str-keyed dicts, lists, tuples, strings, numbers, booleans and None."""
+    return _emit(data, "") + "\n"
+
+
+def _emit(value: Any, indent: str) -> str:
+    """`value` rendered as by `json.dumps(indent=2)`, its first line at `indent`."""
+    if type(value) is str:
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ["\n" + inner + _quote(k) + ": " + _emit(v, inner) for k, v in value.items()]
+        return "{" + ",".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = _emit_terms(value, inner)
+        if items is None:
+            items = ["\n" + inner + _emit(v, inner) for v in value]
+        return "[" + ",".join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+_TERM_KEYS = ("monomial", "coefficient")
+_COEFF_KEYS = ("re", "im")
+
+
+def _emit_terms(items: Any, inner: str) -> Optional[List[str]]:
+    """Each item as a canonical term from one template per dimension, or None.
+
+    A canonical term is {"monomial": [ints], "coefficient": {"re": str,
+    "im": str}} with its keys in that order; a list holding anything else
+    is left to `_emit`.
+    """
+    templates: Dict[int, str] = {}
+    out = []
+    for term in items:
+        if type(term) is not dict or tuple(term) != _TERM_KEYS:
+            return None
+        alpha, coeff = term["monomial"], term["coefficient"]
+        if type(alpha) is not list or type(coeff) is not dict or tuple(coeff) != _COEFF_KEYS:
+            return None
+        re, im = coeff["re"], coeff["im"]
+        if type(re) is not str or type(im) is not str:
+            return None
+        for e in alpha:
+            if type(e) is not int:
+                return None
+        template = templates.get(len(alpha))
+        if template is None:
+            template = templates[len(alpha)] = _term_template(len(alpha), inner)
+        out.append(template.format(*alpha, _quote(re), _quote(im)))
+    return out
+
+
+def _term_template(dim: int, inner: str) -> str:
+    """The `str.format` template of a `dim`-variable term whose brace opens at `inner`."""
+    i1, i2 = inner + "  ", inner + "    "
+    monomial = "[" + ",".join(["\n" + i2 + "{}"] * dim) + "\n" + i1 + "]" if dim else "[]"
+    return (
+        "\n" + inner + "{{\n" + i1 + '"monomial": ' + monomial + ",\n"
+        + i1 + '"coefficient": {{\n' + i2 + '"re": {},\n' + i2 + '"im": {}\n'
+        + i1 + "}}\n" + inner + "}}"
+    )
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
@@ -105,52 +187,116 @@ def _parse_monomial(value: Any, dim: int, path: str) -> MultiIndex:
 
 
 def _parse_terms(
-    value: Any, dim: int, path: str, degree: Optional[int]
-) -> List[Tuple[MultiIndex, Scalar]]:
-    """One component's terms, each monomial once and none above a declared `degree`."""
+    value: Any, dim: int, path: str, degree: Optional[int], rationals: Dict[str, Fraction]
+) -> Dict[MultiIndex, Scalar]:
+    """One component's terms, each monomial once and none above a declared `degree`.
+
+    A term of the shape `dump` writes, or with a bare string coefficient,
+    is read by `_read_term` without formatting a path; every other term,
+    valid or not, goes through `_check_term`, which names the path of what
+    it refuses.
+    """
     if not isinstance(value, list):
         raise DocumentError("expected a list of terms", path)
-    out = []
-    seen = set()
+    out: Dict[MultiIndex, Scalar] = {}
     for i, term in enumerate(value):
-        tpath = f"{path}[{i}]"
-        if not isinstance(term, dict):
-            raise DocumentError("a term is an object with monomial and coefficient", tpath)
-        extra = set(term) - {"monomial", "coefficient"}
-        if extra:
-            raise DocumentError(f"unexpected keys {sorted(extra)}", tpath)
-        if "monomial" not in term or "coefficient" not in term:
-            raise DocumentError("a term needs both monomial and coefficient", tpath)
-        alpha = _parse_monomial(term["monomial"], dim, f"{tpath}.monomial")
-        if sum(alpha) == 0:
-            raise DocumentError("constant terms are not allowed", f"{tpath}.monomial")
-        if degree is not None and sum(alpha) > degree:
-            raise DocumentError(
-                f"monomial of degree {sum(alpha)} is above the declared degree {degree}",
-                f"{tpath}.monomial",
-            )
-        if alpha in seen:
-            raise DocumentError("monomial repeats an earlier term", f"{tpath}.monomial")
-        seen.add(alpha)
-        coeff = parse_scalar(term["coefficient"], f"{tpath}.coefficient")
-        out.append((alpha, coeff))
+        parsed = _read_term(term, dim, degree, rationals)
+        if parsed is None:
+            parsed = _check_term(term, dim, f"{path}[{i}]", degree, out)
+        alpha, coeff = parsed
+        if alpha in out:
+            raise DocumentError("monomial repeats an earlier term", f"{path}[{i}].monomial")
+        out[alpha] = coeff
     return out
+
+
+def _read_term(
+    term: Any, dim: int, degree: Optional[int], rationals: Dict[str, Fraction]
+) -> Optional[Tuple[MultiIndex, Scalar]]:
+    """A term with string coefficients, or None when `_check_term` must look."""
+    if type(term) is not dict or len(term) != 2:
+        return None
+    alpha, coeff = term.get("monomial"), term.get("coefficient")
+    if type(alpha) is not list or len(alpha) != dim:
+        return None
+    for e in alpha:
+        if type(e) is not int or e < 0:
+            return None
+    d = sum(alpha)
+    if not d or (degree is not None and d > degree):
+        return None
+    if type(coeff) is dict:
+        if len(coeff) != 2:
+            return None
+        re = _rational(coeff.get("re"), rationals)
+        im = _rational(coeff.get("im"), rationals)
+        if re is None or im is None:
+            return None
+        return tuple(alpha), Scalar(re, im)
+    re = _rational(coeff, rationals)
+    return None if re is None else (tuple(alpha), Scalar(re, 0))
+
+
+def _rational(text: Any, rationals: Dict[str, Fraction]) -> Optional[Fraction]:
+    """A rational string's value, parsed once per document; None if it is not one."""
+    if type(text) is not str:
+        return None
+    value = rationals.get(text)
+    if value is None and "e" not in text and "E" not in text:
+        try:
+            value = rationals[text] = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            return None
+    return value
+
+
+def _check_term(
+    term: Any, dim: int, tpath: str, degree: Optional[int], seen: Dict[MultiIndex, Scalar]
+) -> Tuple[MultiIndex, Scalar]:
+    """A term read with every check in order, refusing the first that fails at its path."""
+    if not isinstance(term, dict):
+        raise DocumentError("a term is an object with monomial and coefficient", tpath)
+    extra = set(term) - {"monomial", "coefficient"}
+    if extra:
+        raise DocumentError(f"unexpected keys {sorted(extra)}", tpath)
+    if "monomial" not in term or "coefficient" not in term:
+        raise DocumentError("a term needs both monomial and coefficient", tpath)
+    alpha = _parse_monomial(term["monomial"], dim, f"{tpath}.monomial")
+    if sum(alpha) == 0:
+        raise DocumentError("constant terms are not allowed", f"{tpath}.monomial")
+    if degree is not None and sum(alpha) > degree:
+        raise DocumentError(
+            f"monomial of degree {sum(alpha)} is above the declared degree {degree}",
+            f"{tpath}.monomial",
+        )
+    if alpha in seen:
+        raise DocumentError("monomial repeats an earlier term", f"{tpath}.monomial")
+    return alpha, parse_scalar(term["coefficient"], f"{tpath}.coefficient")
 
 
 def _parse_components(
     value: Any, dim: int, path: str, degree: Optional[int] = None
 ) -> Tuple[Jet, ...]:
-    """Jets of the declared `degree`, or else of the highest term's degree (at least 1)."""
+    """Jets of the declared `degree`, or else of the highest term's degree (at least 1).
+
+    Each distinct coefficient string is parsed once for the whole list.
+    The terms are already unique and within the degree, so each jet is
+    built from them directly, without zeros.
+    """
     if not isinstance(value, list):
         raise DocumentError("components must be a list", path)
     if len(value) != dim:
         raise DocumentError(f"{len(value)} components for dimension {dim}", path)
-    term_lists = [
-        _parse_terms(comp, dim, f"{path}[{i}]", degree) for i, comp in enumerate(value)
+    rationals: Dict[str, Fraction] = {}
+    term_maps = [
+        _parse_terms(comp, dim, f"{path}[{i}]", degree, rationals)
+        for i, comp in enumerate(value)
     ]
     if degree is None:
-        degree = max([1] + [sum(a) for terms in term_lists for a, _ in terms])
-    return tuple(Jet.build(dim, degree, terms) for terms in term_lists)
+        degree = max([1] + [sum(a) for terms in term_maps for a in terms])
+    return tuple(
+        Jet(dim, degree, {a: c for a, c in terms.items() if c}) for terms in term_maps
+    )
 
 
 def _parse_dimension(data: Dict[str, Any], path: str) -> int:

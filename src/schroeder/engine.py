@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -54,7 +55,7 @@ from .linalg import (
 )
 from .maps import IntSum, PolyMap, PowerTable, conjugate_map, map_compose, matrix_apply
 from .scalars import ONE, ZERO, Scalar, scalar_inv
-from .series import Jet, MultiIndex, add_into, monomials_of_degree, order_key
+from .series import Jet, MultiIndex, add_into, monomials_of_degree, order_key, unit_index
 
 DEFAULT_DEGREE = 10
 
@@ -336,14 +337,20 @@ def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[
 
 
 def component_rank(components: PolyMap) -> int:
-    """The rank of the components' coefficient rows, read on their joint support.
+    """The rank of the components' coefficient rows, read column by column.
 
-    A monomial that no component carries is a zero column; it never
-    pivots, so leaving it out keeps the rank.
+    Column alpha holds every component's coefficient of z^alpha.  The
+    linear columns come first, then the other monomials the components
+    carry; a monomial that no component carries is a zero column and
+    never pivots.  `vectors_rank` forms the columns lazily and stops once
+    the rank is the number of components, so an F whose derivative has
+    that rank reads its linear columns only.
     """
-    support = sorted({a for c in components.components for a in c.coeffs}, key=order_key)
-    rows = [[c.coefficient(a) for a in support] for c in components.components]
-    return vectors_rank(rows)
+    comps = components.components
+    n = components.source_dim
+    linear = [unit_index(n, i) for i in range(n)]
+    support = dict.fromkeys(chain(linear, *(c.coeffs for c in comps)))
+    return vectors_rank([c.coeffs.get(a, ZERO) for c in comps] for a in support)
 
 
 def solve(

@@ -1,8 +1,9 @@
 """Exact linear algebra over Gaussian rationals.
 
-Provides kernels, ranks and inverses via exact Gaussian elimination on
-small dense matrices (leading-entry pivoting; no magnitude concerns over
-an exact field), plus routines that use the structure of the
+Provides kernels and inverses via exact Gaussian elimination on small
+dense matrices (leading-entry pivoting; no magnitude concerns over an
+exact field), ranks by reducing one vector at a time against the echelon
+rows found so far, plus routines that use the structure of the
 lower-triangular, sparse composition operator.  Those take the operator
 in its sparse lower-triangular form: ``lower[i]`` lists the (column,
 entry) nonzeros of row i left of the diagonal, and ``diag[i]`` is the
@@ -35,7 +36,7 @@ scalar.  Dense matrices are immutable `ExactMatrix` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .scalars import ONE, ZERO, Scalar, scalar_inv
 
@@ -184,16 +185,32 @@ def _rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    _, pivots = _rref([list(r) for r in m.entries])
-    return len(pivots)
+    return vectors_rank(m.entries)
 
 
-def vectors_rank(vectors: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of the span of a (possibly empty) list of equal-length vectors."""
-    if not vectors:
-        return 0
-    _, pivots = _rref([list(v) for v in vectors])
-    return len(pivots)
+def vectors_rank(vectors: Iterable[Sequence[Scalar]]) -> int:
+    """Rank of the span of equal-length vectors, read one at a time.
+
+    Each vector is reduced against the echelon rows kept so far and kept
+    if something is left.  Once the rank equals the vector length the
+    span is full and no further vector is read, so `vectors` may be a
+    lazy iterable; an empty one has rank 0.
+    """
+    rows: List[Tuple[int, List[Scalar]]] = []
+    for v in vectors:
+        v = list(v)
+        for c, row in rows:
+            f = v[c]
+            if not f.is_zero():
+                v = [x if y.is_zero() else x - f * y for x, y in zip(v, row)]
+        pivot = next((c for c, x in enumerate(v) if not x.is_zero()), None)
+        if pivot is None:
+            continue
+        inv = scalar_inv(v[pivot])
+        rows.append((pivot, [x if x.is_zero() else x * inv for x in v]))
+        if len(rows) == len(v):
+            break
+    return len(rows)
 
 
 def kernel_basis(m: ExactMatrix) -> List[Vector]:

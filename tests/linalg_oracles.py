@@ -241,6 +241,14 @@ def _sympy_pair(x: Scalar):
     return Rational(a, d), Rational(b, d)
 
 
+def sympy_rank(vectors: Sequence[Sequence[Scalar]], length: int) -> int:
+    """The rank of the length-`length` vectors as rows of a sympy `Matrix`."""
+    from sympy import I, Matrix
+
+    rows = [[p + q * I for p, q in map(_sympy_pair, v)] for v in vectors]
+    return Matrix(len(rows), length, [x for row in rows for x in row]).rank()
+
+
 def jordan_block_pairs(blocks: Sequence[Tuple[Scalar, int]]) -> Counter:
     """The multiset of (eigenvalue, block size), eigenvalues as sympy (re, im) pairs."""
     return Counter((_sympy_pair(lam), size) for lam, size in blocks)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schroeder.documents import (
     DocumentError,
@@ -239,3 +242,180 @@ def test_load_error_paths(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(dump(MAP_DOC), encoding="utf-8")
     assert load(str(good)) == MAP_DOC
+
+
+# -- dump against json.dumps -------------------------------------------------
+
+_exponent = st.integers(0, 9)
+_odd_exponent = st.one_of(st.booleans(), st.integers(-5, -1))
+_string = st.text(max_size=6)
+_canonical_term = st.builds(
+    lambda m, re, im: {"monomial": m, "coefficient": {"re": re, "im": im}},
+    st.lists(_exponent, max_size=4), _string, _string,
+)
+#: Dicts that look like terms but are not canonical, so `dump` must take
+#: its generic route for the whole list holding them.
+_near_term = st.one_of(
+    st.builds(lambda m, c: {"monomial": m, "coefficient": c}, st.lists(_exponent, max_size=3), _string),
+    st.builds(lambda m, re: {"monomial": m, "coefficient": {"re": re}}, st.lists(_exponent, max_size=3), _string),
+    st.builds(
+        lambda t: {"coefficient": t["coefficient"], "monomial": t["monomial"]}, _canonical_term
+    ),
+    st.builds(
+        lambda t: {"monomial": t["monomial"], "coefficient": dict(reversed(t["coefficient"].items()))},
+        _canonical_term,
+    ),
+    st.builds(lambda t, x: {**t, "extra": x}, _canonical_term, st.integers()),
+    st.builds(
+        lambda t, e: {**t, "monomial": t["monomial"] + [e]}, _canonical_term, _odd_exponent
+    ),
+    st.builds(lambda t: {**t, "monomial": tuple(t["monomial"])}, _canonical_term),
+    st.builds(
+        lambda t, n: {**t, "coefficient": {"re": n, "im": "0"}}, _canonical_term, st.integers()
+    ),
+)
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_json_tree = st.recursive(
+    st.one_of(_leaf, _canonical_term, _near_term),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.lists(_canonical_term, min_size=1, max_size=4),
+        st.lists(st.one_of(_canonical_term, _near_term), min_size=1, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_tree)
+def test_dump_equals_json_dumps_with_indent_2(value):
+    assert dump(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dump_reproduces_every_golden_document():
+    texts = sorted(Path(__file__).parent.joinpath("golden").glob("*.json"))
+    assert texts
+    for path in texts:
+        text = path.read_text(encoding="utf-8")
+        assert dump(json.loads(text)) == text, path.name
+
+
+# -- parse refusals -----------------------------------------------------------
+
+_GOOD_TERMS = [
+    {"monomial": [1, 0], "coefficient": {"re": "1/2", "im": "0"}},
+    {"monomial": [0, 1], "coefficient": "1/3"},
+]
+
+#: (the third term of component 1, the path refused, the message after it),
+#: in a two-variable solution document of degree 3.
+_REFUSALS = [
+    ("x", "", "a term is an object with monomial and coefficient"),
+    ({"monomial": [1, 1], "coefficient": "1", "z": 1}, "", "unexpected keys ['z']"),
+    ({"monomial": [1, 1]}, "", "a term needs both monomial and coefficient"),
+    ({"monomial": 3, "coefficient": "1"}, ".monomial", "monomial must be a list of exponents"),
+    ({"monomial": [1, 1, 0], "coefficient": "1"}, ".monomial", "monomial has 3 exponents, expected 2"),
+    ({"monomial": [1, -1], "coefficient": "1"}, ".monomial[1]", "exponents must be nonnegative integers"),
+    ({"monomial": [True, 1], "coefficient": "1"}, ".monomial[0]", "exponents must be nonnegative integers"),
+    ({"monomial": [0, 0], "coefficient": "1"}, ".monomial", "constant terms are not allowed"),
+    (
+        {"monomial": [3, 1], "coefficient": "1"},
+        ".monomial",
+        "monomial of degree 4 is above the declared degree 3",
+    ),
+    ({"monomial": [0, 1], "coefficient": "1"}, ".monomial", "monomial repeats an earlier term"),
+    # The repeat is named before the coefficient is read.
+    ({"monomial": [0, 1], "coefficient": "x"}, ".monomial", "monomial repeats an earlier term"),
+    ({"monomial": [1, 1], "coefficient": {"re": "1/2", "im": "x"}}, ".coefficient.im", "not a rational: 'x'"),
+    ({"monomial": [1, 1], "coefficient": {"re": "1e5", "im": "0"}}, ".coefficient.re", "not a rational: '1e5'"),
+    ({"monomial": [1, 1], "coefficient": {"re": "1", "im": "1/0"}}, ".coefficient.im", "not a rational: '1/0'"),
+    (
+        {"monomial": [1, 1], "coefficient": {"re": 0.5, "im": "0"}},
+        ".coefficient.re",
+        "floating point numbers are not accepted; write the value as a rational string",
+    ),
+    (
+        {"monomial": [1, 1], "coefficient": {"re": "1", "im": None}},
+        ".coefficient.im",
+        "expected a rational string, got NoneType",
+    ),
+    (
+        {"monomial": [1, 1], "coefficient": {"re": True}},
+        ".coefficient.re",
+        "expected a rational string, got a boolean",
+    ),
+    (
+        {"monomial": [1, 1], "coefficient": {"re": "1", "imaginary": "2"}},
+        ".coefficient",
+        "unexpected keys ['imaginary']",
+    ),
+    (
+        {"monomial": [1, 1], "coefficient": {"re": "1", "im": "0", "x": "2"}},
+        ".coefficient",
+        "unexpected keys ['x']",
+    ),
+    (
+        {"monomial": [1, 1], "coefficient": True},
+        ".coefficient",
+        "expected a coefficient object or rational string, got bool",
+    ),
+    (
+        {"monomial": [1, 1], "coefficient": ["1", "0"]},
+        ".coefficient",
+        "expected a coefficient object or rational string, got list",
+    ),
+    ({"monomial": [1, 1], "coefficient": "3E2"}, ".coefficient", "not a rational: '3E2'"),
+    ({"monomial": [1, 1], "coefficient": " "}, ".coefficient", "not a rational: ' '"),
+]
+
+
+@pytest.mark.parametrize("term, where, message", _REFUSALS)
+def test_a_refused_term_is_named_by_its_path(term, where, message):
+    doc = {
+        "kind": "solution",
+        "dimension": 2,
+        "power": 1,
+        "degree": 3,
+        "components": [list(_GOOD_TERMS), _GOOD_TERMS + [term]],
+    }
+    with pytest.raises(DocumentError) as info:
+        parse_solution_document(doc)
+    path = "$.components[1][2]" + where
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_repeated_coefficient_strings_parse_as_each_term_alone():
+    coefficients = [
+        {"re": "1/2", "im": "0"},
+        {"re": "0", "im": "1/2"},
+        "1/2",
+        {"re": "-3/4", "im": "0"},
+        {"re": "1/2", "im": "1/2"},
+        "0",
+        {"re": "0", "im": "0"},
+        {"re": "-3/4"},
+        3,
+        {"re": "6/8", "im": "-0"},
+    ]
+    monomials = [[1, 0], [0, 1], [2, 0], [1, 1], [0, 2], [3, 0], [2, 1], [1, 2], [0, 3], [4, 0]]
+    components = [
+        [
+            {"monomial": m, "coefficient": coefficients[(i + shift) % len(coefficients)]}
+            for i, m in enumerate(monomials)
+        ]
+        for shift in (0, 3)
+    ]
+    for doc, degree in (
+        ({"dimension": 2, "components": components}, 4),
+        ({"kind": "solution", "dimension": 2, "power": 1, "degree": 5, "components": components}, 5),
+    ):
+        f = parse_solution_document(doc)[0] if "kind" in doc else parse_map_document(doc)[0]
+        for comp, terms in zip(f.components, components):
+            expected = {
+                tuple(t["monomial"]): parse_scalar(t["coefficient"], "$") for t in terms
+            }
+            assert comp.degree == degree
+            assert comp.coeffs == {a: c for a, c in expected.items() if not c.is_zero()}

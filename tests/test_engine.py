@@ -577,6 +577,26 @@ def test_component_rank_on_the_support_matches_the_dense_route(seed, n, degree, 
     assert engine.component_rank(f) == vectors_rank(dense)
 
 
+def test_component_rank_reads_only_the_linear_columns_at_full_rank(coupled_map, monkeypatch):
+    # A full-rank solution has derivative rank n, so its n linear columns
+    # already span; no column of the higher monomials may be formed.
+    sol = solve(coupled_map, degree=6)
+    f = sol.components
+    n = f.dim
+    assert sol.derivative_rank == n
+    assert len({a for c in f.components for a in c.coeffs}) > n
+    read = []
+    real = engine.vectors_rank
+
+    def spy(vectors):
+        return real(read.append(list(v)) or v for v in vectors)
+
+    monkeypatch.setattr(engine, "vectors_rank", spy)
+    assert engine.component_rank(f) == n
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert read == [[c.coefficient(u) for c in f.components] for u in units]
+
+
 def test_the_solver_builds_no_fraction(monkeypatch):
     """Scalar's integers are the only numbers the solver computes with."""
 

@@ -100,6 +100,49 @@ def test_rank_known_cases():
     assert vectors_rank([(sc(1), sc(2)), (sc(2), sc(4)), (sc(0), sc(1))]) == 2
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(1, 5), st.booleans(),
+    st.booleans(),
+)
+def test_vectors_rank_matches_sympy(seed, count, length, gaussian, lazy):
+    rng = random.Random(seed)
+    vectors = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            v = [ZERO] * length
+        elif kind < 0.3 and vectors:
+            v = list(rng.choice(vectors))
+        elif kind < 0.5 and vectors:
+            # A combination of earlier vectors keeps the rank down.
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            f = sc_fraction_pool(rng, gaussian=gaussian)
+            v = [x * f + y for x, y in zip(a, b)]
+        else:
+            v = [sc_fraction_pool(rng, gaussian=gaussian) for _ in range(length)]
+        vectors.append(tuple(v))
+    expected = oracle.sympy_rank(vectors, length)
+    assert vectors_rank(iter(vectors) if lazy else vectors) == expected
+    if vectors:
+        assert rank(ExactMatrix.from_rows(vectors)) == expected
+
+
+def test_vectors_rank_reads_no_vector_past_a_full_span():
+    read = []
+
+    def vectors():
+        for v in [(ZERO, ZERO), (sc(1), sc(2)), (sc(2), sc(4)), (sc(0), sc(1)), (sc(5), sc(5))]:
+            read.append(v)
+            yield v
+
+    assert vectors_rank(vectors()) == 2
+    assert read[-1] == (sc(0), sc(1)) and len(read) == 4
+    assert vectors_rank([]) == 0
+    assert vectors_rank(iter(())) == 0
+    assert vectors_rank([(), ()]) == 0
+
+
 def test_kernel_basis_annihilates_and_spans():
     rng = random.Random(41)
     for _ in range(25):
