@@ -33,7 +33,7 @@ from .engine import (
     verify,
 )
 from .linalg import ExactMatrix, SingularMatrixError, inverse
-from .maps import PolyMap, conjugate_map
+from .maps import PolyMap, _conjugate
 from .scalars import Scalar
 from .series import Jet, MultiIndex
 
@@ -175,26 +175,20 @@ def _render(obj: Any, to_json: Callable, to_text: Callable, fmt: str, out: Optio
     _emit(documents.dump(to_json(obj)) if fmt == "machine" else to_text(obj), out)
 
 
-def _load_map(path: str) -> Tuple[PolyMap, PolyMap, Optional[ExactMatrix]]:
-    """The map phi as given, the map C phi C^-1 the engine sees, and C^-1 (None without C)."""
+def _load_map(path: str) -> Tuple[PolyMap, PolyMap, Callable[[PolyMap], PolyMap]]:
+    """The map phi as given, the map C phi C^-1 the engine sees, and F -> C^-1 F C.
+
+    The last takes a solution back to the coordinates of phi.  Both ranks
+    survive: z -> Cz maps each homogeneous degree onto itself.
+    """
     phi, conj = documents.parse_map_document(documents.load(path))
     if conj is None:
-        return phi, phi, None
+        return phi, phi, lambda f: f
     try:
         conj_inv = inverse(conj)
     except SingularMatrixError:
         raise DocumentError("conjugator is singular", "$.conjugator") from None
-    return phi, conjugate_map(phi, conj), conj_inv
-
-
-def _transport_back(sol: SchroederSolution, conj_inv: Optional[ExactMatrix]) -> SchroederSolution:
-    """The solution in the coordinates of the map as given.
-
-    Both ranks survive: z -> Cz maps each homogeneous degree onto itself.
-    """
-    if conj_inv is None:
-        return sol
-    return dataclasses.replace(sol, components=conjugate_map(sol.components, conj_inv))
+    return phi, _conjugate(phi, conj, conj_inv), lambda f: _conjugate(f, conj_inv, conj)
 
 
 def _eval_jet(f: Jet, z: List[complex]) -> complex:
@@ -350,7 +344,7 @@ def solve_cmd(
     seed: int,
 ) -> int:
     """Construct a truncated solution for k = 1."""
-    original, phi, conj_inv = _load_map(map_path)
+    original, phi, back = _load_map(map_path)
     if sample_check:
         _sample_check(original, seed)
     try:
@@ -358,7 +352,7 @@ def solve_cmd(
     except NoFullRankError as exc:
         _render(exc.report, documents.analysis_json, _analysis_text, fmt, out)
         return 2
-    sol = _transport_back(sol, conj_inv)
+    sol = dataclasses.replace(sol, components=back(sol.components))
     _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 
@@ -381,8 +375,9 @@ def solve_power_cmd(
     map_path: str, power: int, degree: int, fmt: str, out: Optional[str]
 ) -> int:
     """Construct a truncated solution of F(phi(z)) = phi'(0)^k F(z)."""
-    _, phi, conj_inv = _load_map(map_path)
-    sol = _transport_back(solve_power(phi, power, degree=degree), conj_inv)
+    _, phi, back = _load_map(map_path)
+    sol = solve_power(phi, power, degree=degree)
+    sol = dataclasses.replace(sol, components=back(sol.components))
     _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 

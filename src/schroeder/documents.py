@@ -13,9 +13,15 @@ always uses the two-key object form.
 newline, byte for byte, without the pure-Python encoder that `json` falls
 back to when an indent is set: a list of terms in the output form goes
 through one `str.format` template per dimension, and everything else
-through a short recursion.  Parsing reads each distinct coefficient
-string once per list of components, and formats the path of a term only
-when it refuses it.
+through a short recursion.
+
+Parsing has one reader per element, each running every check in order:
+`_parse_term` for a solution or map term, `_scalar` for a coefficient or
+matrix entry, `_rational` for a rational.  A term's refusal carries a path
+relative to the term, and `_parse_components` puts the term's own path
+in front of it only when it refuses, so an accepted term formats no
+path; `parse_matrix` does the same for its entries.  Each distinct
+coefficient string is parsed once per list of components or matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ class DocumentError(ValueError):
     """A malformed document; `path` locates the offending element."""
 
     def __init__(self, message: str, path: Optional[str] = None):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 
@@ -130,42 +137,60 @@ def _term_template(dim: int, inner: str) -> str:
     )
 
 
-def parse_rational(value: Any, path: str) -> Fraction:
+def _under(exc: DocumentError, prefix: str) -> DocumentError:
+    """The refusal `exc`, whose path is relative, at `prefix` followed by that path."""
+    return DocumentError(exc.message, prefix + (exc.path or ""))
+
+
+def _rational(value: Any, rationals: Dict[str, Fraction], at: str) -> Fraction:
+    """A rational, each distinct string parsed once per `rationals` cache; refused at `at`."""
+    if isinstance(value, str):
+        out = rationals.get(value)
+        if out is None:
+            try:
+                # Fraction also reads exponents, and "1e-1000000" is ten
+                # bytes for a million-digit denominator.
+                if "e" in value or "E" in value:
+                    raise ValueError(value)
+                out = rationals[value] = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DocumentError(f"not a rational: {value!r}", at) from exc
+        return out
     if isinstance(value, bool):
-        raise DocumentError("expected a rational string, got a boolean", path)
+        raise DocumentError("expected a rational string, got a boolean", at)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         raise DocumentError(
-            "floating point numbers are not accepted; write the value as a rational string",
-            path,
+            "floating point numbers are not accepted; write the value as a rational string", at
         )
-    if isinstance(value, str):
-        try:
-            # Fraction also reads exponents, and "1e-1000000" is ten bytes
-            # for a million-digit denominator.
-            if "e" in value or "E" in value:
-                raise ValueError(value)
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"not a rational: {value!r}", path) from exc
-    raise DocumentError(f"expected a rational string, got {type(value).__name__}", path)
+    raise DocumentError(f"expected a rational string, got {type(value).__name__}", at)
+
+
+def _scalar(value: Any, rationals: Dict[str, Fraction], at: str) -> Scalar:
+    """A coefficient, refused at `at` or a part of it."""
+    if isinstance(value, dict):
+        if len(value) != 2 or "re" not in value or "im" not in value:
+            extra = set(value) - {"re", "im"}
+            if extra:
+                raise DocumentError(f"unexpected keys {sorted(extra)}", at)
+        return Scalar(
+            _rational(value.get("re", 0), rationals, at + ".re"),
+            _rational(value.get("im", 0), rationals, at + ".im"),
+        )
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        return Scalar(_rational(value, rationals, at), 0)
+    raise DocumentError(
+        f"expected a coefficient object or rational string, got {type(value).__name__}", at
+    )
+
+
+def parse_rational(value: Any, path: str) -> Fraction:
+    return _rational(value, {}, path)
 
 
 def parse_scalar(value: Any, path: str) -> Scalar:
-    if isinstance(value, dict):
-        extra = set(value) - {"re", "im"}
-        if extra:
-            raise DocumentError(f"unexpected keys {sorted(extra)}", path)
-        re = parse_rational(value.get("re", 0), f"{path}.re")
-        im = parse_rational(value.get("im", 0), f"{path}.im")
-        return Scalar(re, im)
-    if isinstance(value, (str, int)) and not isinstance(value, bool):
-        return Scalar(parse_rational(value, path), 0)
-    raise DocumentError(
-        f"expected a coefficient object or rational string, got {type(value).__name__}",
-        path,
-    )
+    return _scalar(value, {}, path)
 
 
 def scalar_json(s: Scalar) -> Dict[str, str]:
@@ -173,105 +198,46 @@ def scalar_json(s: Scalar) -> Dict[str, str]:
     return {"re": ratio_str(a, d), "im": ratio_str(b, d)}
 
 
-def _parse_monomial(value: Any, dim: int, path: str) -> MultiIndex:
-    if not isinstance(value, list):
-        raise DocumentError("monomial must be a list of exponents", path)
-    if len(value) != dim:
-        raise DocumentError(
-            f"monomial has {len(value)} exponents, expected {dim}", path
-        )
-    for i, e in enumerate(value):
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise DocumentError("exponents must be nonnegative integers", f"{path}[{i}]")
-    return tuple(value)
+def _parse_term(
+    term: Any,
+    dim: int,
+    degree: Optional[int],
+    terms: Dict[MultiIndex, Scalar],
+    rationals: Dict[str, Fraction],
+) -> None:
+    """One term into its component's `terms`, with every check in order.
 
-
-def _parse_terms(
-    value: Any, dim: int, path: str, degree: Optional[int], rationals: Dict[str, Fraction]
-) -> Dict[MultiIndex, Scalar]:
-    """One component's terms, each monomial once and none above a declared `degree`.
-
-    A term of the shape `dump` writes, or with a bare string coefficient,
-    is read by `_read_term` without formatting a path; every other term,
-    valid or not, goes through `_check_term`, which names the path of what
-    it refuses.
+    A refusal's path is relative to the term.  Each monomial may occur
+    once per component, and none above a declared `degree`.
     """
-    if not isinstance(value, list):
-        raise DocumentError("expected a list of terms", path)
-    out: Dict[MultiIndex, Scalar] = {}
-    for i, term in enumerate(value):
-        parsed = _read_term(term, dim, degree, rationals)
-        if parsed is None:
-            parsed = _check_term(term, dim, f"{path}[{i}]", degree, out)
-        alpha, coeff = parsed
-        if alpha in out:
-            raise DocumentError("monomial repeats an earlier term", f"{path}[{i}].monomial")
-        out[alpha] = coeff
-    return out
-
-
-def _read_term(
-    term: Any, dim: int, degree: Optional[int], rationals: Dict[str, Fraction]
-) -> Optional[Tuple[MultiIndex, Scalar]]:
-    """A term with string coefficients, or None when `_check_term` must look."""
-    if type(term) is not dict or len(term) != 2:
-        return None
-    alpha, coeff = term.get("monomial"), term.get("coefficient")
-    if type(alpha) is not list or len(alpha) != dim:
-        return None
+    if not isinstance(term, dict):
+        raise DocumentError("a term is an object with monomial and coefficient", "")
+    if len(term) != 2 or "monomial" not in term or "coefficient" not in term:
+        extra = set(term) - {"monomial", "coefficient"}
+        if extra:
+            raise DocumentError(f"unexpected keys {sorted(extra)}", "")
+        raise DocumentError("a term needs both monomial and coefficient", "")
+    alpha = term["monomial"]
+    if not isinstance(alpha, list):
+        raise DocumentError("monomial must be a list of exponents", ".monomial")
+    if len(alpha) != dim:
+        raise DocumentError(f"monomial has {len(alpha)} exponents, expected {dim}", ".monomial")
     for e in alpha:
         if type(e) is not int or e < 0:
-            return None
+            # Any earlier element that is `e` would have been refused first.
+            i = next(i for i, x in enumerate(alpha) if x is e)
+            raise DocumentError("exponents must be nonnegative integers", f".monomial[{i}]")
+    alpha = tuple(alpha)
     d = sum(alpha)
-    if not d or (degree is not None and d > degree):
-        return None
-    if type(coeff) is dict:
-        if len(coeff) != 2:
-            return None
-        re = _rational(coeff.get("re"), rationals)
-        im = _rational(coeff.get("im"), rationals)
-        if re is None or im is None:
-            return None
-        return tuple(alpha), Scalar(re, im)
-    re = _rational(coeff, rationals)
-    return None if re is None else (tuple(alpha), Scalar(re, 0))
-
-
-def _rational(text: Any, rationals: Dict[str, Fraction]) -> Optional[Fraction]:
-    """A rational string's value, parsed once per document; None if it is not one."""
-    if type(text) is not str:
-        return None
-    value = rationals.get(text)
-    if value is None and "e" not in text and "E" not in text:
-        try:
-            value = rationals[text] = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            return None
-    return value
-
-
-def _check_term(
-    term: Any, dim: int, tpath: str, degree: Optional[int], seen: Dict[MultiIndex, Scalar]
-) -> Tuple[MultiIndex, Scalar]:
-    """A term read with every check in order, refusing the first that fails at its path."""
-    if not isinstance(term, dict):
-        raise DocumentError("a term is an object with monomial and coefficient", tpath)
-    extra = set(term) - {"monomial", "coefficient"}
-    if extra:
-        raise DocumentError(f"unexpected keys {sorted(extra)}", tpath)
-    if "monomial" not in term or "coefficient" not in term:
-        raise DocumentError("a term needs both monomial and coefficient", tpath)
-    alpha = _parse_monomial(term["monomial"], dim, f"{tpath}.monomial")
-    if sum(alpha) == 0:
-        raise DocumentError("constant terms are not allowed", f"{tpath}.monomial")
-    if degree is not None and sum(alpha) > degree:
+    if not d:
+        raise DocumentError("constant terms are not allowed", ".monomial")
+    if degree is not None and d > degree:
         raise DocumentError(
-            f"monomial of degree {sum(alpha)} is above the declared degree {degree}",
-            f"{tpath}.monomial",
+            f"monomial of degree {d} is above the declared degree {degree}", ".monomial"
         )
-    if alpha in seen:
-        raise DocumentError("monomial repeats an earlier term", f"{tpath}.monomial")
-    return alpha, parse_scalar(term["coefficient"], f"{tpath}.coefficient")
+    if alpha in terms:
+        raise DocumentError("monomial repeats an earlier term", ".monomial")
+    terms[alpha] = _scalar(term["coefficient"], rationals, ".coefficient")
 
 
 def _parse_components(
@@ -288,10 +254,17 @@ def _parse_components(
     if len(value) != dim:
         raise DocumentError(f"{len(value)} components for dimension {dim}", path)
     rationals: Dict[str, Fraction] = {}
-    term_maps = [
-        _parse_terms(comp, dim, f"{path}[{i}]", degree, rationals)
-        for i, comp in enumerate(value)
-    ]
+    term_maps = []
+    for i, comp in enumerate(value):
+        if not isinstance(comp, list):
+            raise DocumentError("expected a list of terms", f"{path}[{i}]")
+        terms: Dict[MultiIndex, Scalar] = {}
+        for j, term in enumerate(comp):
+            try:
+                _parse_term(term, dim, degree, terms, rationals)
+            except DocumentError as exc:
+                raise _under(exc, f"{path}[{i}][{j}]") from exc.__cause__
+        term_maps.append(terms)
     if degree is None:
         degree = max([1] + [sum(a) for terms in term_maps for a in terms])
     return tuple(
@@ -299,23 +272,38 @@ def _parse_components(
     )
 
 
-def _parse_dimension(data: Dict[str, Any], path: str) -> int:
-    dim = data.get("dimension")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise DocumentError("dimension must be a positive integer", f"{path}.dimension")
-    return dim
+def _positive(data: Dict[str, Any], key: str) -> int:
+    value = data.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DocumentError(f"{key} must be a positive integer", f"$.{key}")
+    return value
+
+
+def _components_map(data: Dict[str, Any], dim: int, degree: Optional[int]) -> PolyMap:
+    if "components" not in data:
+        raise DocumentError("missing components", "$")
+    comps = _parse_components(data["components"], dim, "$.components", degree)
+    try:
+        return PolyMap(comps)
+    except ValueError as exc:
+        raise DocumentError(str(exc), "$.components") from exc
 
 
 def parse_matrix(value: Any, n: int, path: str) -> ExactMatrix:
     if not isinstance(value, list) or len(value) != n:
         raise DocumentError(f"expected {n} rows", path)
+    rationals: Dict[str, Fraction] = {}
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentError(f"expected {n} entries", f"{path}[{i}]")
-        rows.append(
-            [parse_scalar(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)]
-        )
+        entries = []
+        for j, e in enumerate(row):
+            try:
+                entries.append(_scalar(e, rationals, ""))
+            except DocumentError as exc:
+                raise _under(exc, f"{path}[{i}][{j}]") from exc.__cause__
+        rows.append(entries)
     return ExactMatrix.from_rows(rows)
 
 
@@ -330,14 +318,8 @@ def parse_map_document(data: Any) -> Tuple[PolyMap, Optional[ExactMatrix]]:
     extra = set(data) - {"dimension", "components", "conjugator"}
     if extra:
         raise DocumentError(f"unexpected keys {sorted(extra)}")
-    dim = _parse_dimension(data, "$")
-    if "components" not in data:
-        raise DocumentError("missing components", "$")
-    comps = _parse_components(data["components"], dim, "$.components")
-    try:
-        phi = PolyMap(comps)
-    except ValueError as exc:
-        raise DocumentError(str(exc), "$.components") from exc
+    dim = _positive(data, "dimension")
+    phi = _components_map(data, dim, None)
     conj = None
     if "conjugator" in data:
         conj = parse_matrix(data["conjugator"], dim, "$.conjugator")
@@ -350,21 +332,9 @@ def parse_solution_document(data: Any) -> Tuple[PolyMap, int]:
         raise DocumentError("top level must be an object")
     if data.get("kind") != "solution":
         raise DocumentError('expected a document with "kind": "solution"', "$.kind")
-    dim = _parse_dimension(data, "$")
-    power = data.get("power")
-    if not isinstance(power, int) or isinstance(power, bool) or power < 1:
-        raise DocumentError("power must be a positive integer", "$.power")
-    degree = data.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise DocumentError("degree must be a positive integer", "$.degree")
-    if "components" not in data:
-        raise DocumentError("missing components", "$")
-    comps = _parse_components(data["components"], dim, "$.components", degree)
-    try:
-        f = PolyMap(comps)
-    except ValueError as exc:
-        raise DocumentError(str(exc), "$.components") from exc
-    return f, power
+    dim = _positive(data, "dimension")
+    power = _positive(data, "power")
+    return _components_map(data, dim, _positive(data, "degree")), power
 
 
 def jet_json(f: Jet) -> List[Dict[str, Any]]:

@@ -21,8 +21,8 @@ analysis report, to gate the construction on its verdict.  `verify`
 replays a solution against the equation term by term, composing
 through one `maps.PowerTable` of the map.
 
-Conjugation in and out goes through `maps.conjugate_map`, so callers
-only need a triangular derivative.
+Conjugation in and out inverts the conjugator once (`maps._conjugate`),
+so callers only need a triangular derivative.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .linalg import (
     triangular_kernel,
     vectors_rank,
 )
-from .maps import IntSum, PolyMap, PowerTable, conjugate_map, map_compose, matrix_apply
+from .maps import IntSum, PolyMap, PowerTable, _conjugate, map_compose, matrix_apply
 from .scalars import ONE, ZERO, Scalar, scalar_inv
 from .series import Jet, MultiIndex, add_into, monomials_of_degree, order_key, unit_index
 
@@ -148,6 +148,7 @@ class VerifyReport:
 class _Prep:
     phi: PolyMap
     conjugator: ExactMatrix
+    conjugator_inv: ExactMatrix
     psi: PolyMap
     op: TruncatedCompOp
     work: int
@@ -180,15 +181,16 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
     linear = validate_map(phi)
     chain_matrix, jordan = transition_to_jordan_triangular(linear.transpose())
     conj = chain_matrix.transpose()
+    conj_inv = inverse(conj)
     diag = jordan.diagonal_entries()
     k = truncation_degree(diag)
     work = k if degree is None else max(k, degree)
-    psi = conjugate_map(phi.truncate(work), conj)
+    psi = _conjugate(phi.truncate(work), conj, conj_inv)
     # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
     if psi.linear_part().diagonal_entries() != diag:
         raise RuntimeError("conjugation changed the diagonal of the derivative")
     op = build(psi, k)
-    return _Prep(phi, conj, psi, op, work)
+    return _Prep(phi, conj, conj_inv, psi, op, work)
 
 
 def _report(prep: _Prep) -> AnalysisReport:
@@ -406,7 +408,7 @@ def _construct(
         for i, jet in enumerate(block_jets, start=1):
             infos.append(ComponentInfo(len(comps), lam, bi, i, s))
             comps.append(jet)
-    f_phi = conjugate_map(PolyMap(tuple(comps)), inverse(prep.conjugator))
+    f_phi = _conjugate(PolyMap(tuple(comps)), prep.conjugator_inv, prep.conjugator)
     rank_d = rank(f_phi.linear_part())
     if gate and rank_d != phi.dim:
         raise RuntimeError(

@@ -1,13 +1,15 @@
 """Exact linear algebra over Gaussian rationals.
 
-Provides kernels and inverses via exact Gaussian elimination on small
-dense matrices (leading-entry pivoting; no magnitude concerns over an
-exact field), ranks by reducing one vector at a time against the echelon
-rows found so far, plus routines that use the structure of the
-lower-triangular, sparse composition operator.  Those take the operator
-in its sparse lower-triangular form: ``lower[i]`` lists the (column,
-entry) nonzeros of row i left of the diagonal, and ``diag[i]`` is the
-diagonal entry.  No N x N matrix is formed.
+Dense elimination has one code path: a reduced row echelon form grown
+one vector at a time (`_Echelon.add`) on small dense vectors, pivoting
+on the first nonzero entry (no magnitude concerns over an exact field).
+`kernel_basis`, `inverse`, `vectors_rank`, `rank` and the chain tops of
+`jordan_chains_triangular` all read it; a span has exactly one reduced
+form, so kernel bases and inverses are canonical.  The other routines
+use the structure of the sparse, lower-triangular composition operator,
+taking it as rows: ``lower[i]`` lists the (column, entry) nonzeros of
+row i left of the diagonal, and ``diag[i]`` is the diagonal entry.  No
+N x N matrix is formed.
 
 * `triangular_kernel` finds a kernel basis of ``M - mu`` in one forward
   sweep over the nonzeros of M, without forming the shifted matrix or
@@ -35,7 +37,9 @@ scalar.  Dense matrices are immutable `ExactMatrix` objects.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .scalars import ONE, ZERO, Scalar, scalar_inv
@@ -157,31 +161,42 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return acc
 
 
-def _rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+class _Echelon:
+    """The reduced row echelon form of a span, grown one vector at a time.
+
+    `rows` are sorted by their pivot columns `pivots`; each row is 1 at
+    its own pivot and 0 at every other.  A span has exactly one such form,
+    so the rows do not depend on the order the vectors arrive in.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, vectors: Iterable[Sequence[Scalar]] = ()) -> None:
+        self.rows: List[List[Scalar]] = []
+        self.pivots: List[int] = []
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v: Sequence[Scalar]) -> bool:
+        """Reduce `v` against the rows and keep what is left; False if nothing is."""
+        v = list(v)
+        for c, row in zip(self.pivots, self.rows):
+            f = v[c]
+            if not f.is_zero():
+                v = [x if y.is_zero() else x - f * y for x, y in zip(v, row)]
+        pivot = next((c for c, x in enumerate(v) if not x.is_zero()), None)
         if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = scalar_inv(rows[r][c])
-        rows[r] = [x if x.is_zero() else x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [
-                    x if y.is_zero() else x - f * y for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+            return False
+        inv = scalar_inv(v[pivot])
+        v = [x if x.is_zero() else x * inv for x in v]
+        for i, row in enumerate(self.rows):
+            f = row[pivot]
+            if not f.is_zero():
+                self.rows[i] = [x if y.is_zero() else x - f * y for x, y in zip(row, v)]
+        at = bisect(self.pivots, pivot)
+        self.pivots.insert(at, pivot)
+        self.rows.insert(at, v)
+        return True
 
 
 def rank(m: ExactMatrix) -> int:
@@ -191,26 +206,15 @@ def rank(m: ExactMatrix) -> int:
 def vectors_rank(vectors: Iterable[Sequence[Scalar]]) -> int:
     """Rank of the span of equal-length vectors, read one at a time.
 
-    Each vector is reduced against the echelon rows kept so far and kept
-    if something is left.  Once the rank equals the vector length the
-    span is full and no further vector is read, so `vectors` may be a
-    lazy iterable; an empty one has rank 0.
+    Once the rank equals the vector length the span is full and no
+    further vector is read, so `vectors` may be a lazy iterable; an empty
+    one has rank 0.
     """
-    rows: List[Tuple[int, List[Scalar]]] = []
+    echelon = _Echelon()
     for v in vectors:
-        v = list(v)
-        for c, row in rows:
-            f = v[c]
-            if not f.is_zero():
-                v = [x if y.is_zero() else x - f * y for x, y in zip(v, row)]
-        pivot = next((c for c, x in enumerate(v) if not x.is_zero()), None)
-        if pivot is None:
-            continue
-        inv = scalar_inv(v[pivot])
-        rows.append((pivot, [x if x.is_zero() else x * inv for x in v]))
-        if len(rows) == len(v):
+        if echelon.add(v) and len(echelon.rows) == len(v):
             break
-    return len(rows)
+    return len(echelon.rows)
 
 
 def kernel_basis(m: ExactMatrix) -> List[Vector]:
@@ -219,15 +223,13 @@ def kernel_basis(m: ExactMatrix) -> List[Vector]:
     The basis is canonical: one vector per free column of the reduced row
     echelon form, with a 1 in that free coordinate.
     """
-    rows, pivots = _rref([list(r) for r in m.entries])
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    echelon = _Echelon(m.entries)
     basis: List[Vector] = []
-    for fc in free:
+    for fc in (c for c in range(m.cols) if c not in echelon.pivots):
         v = [ZERO] * m.cols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for row, pc in zip(echelon.rows, echelon.pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -311,11 +313,10 @@ def triangular_kernel(lower: LowerRows, diag: Sequence[Scalar], mu: Scalar) -> L
 def inverse(m: ExactMatrix) -> ExactMatrix:
     m._square()
     n = m.rows
-    aug = [list(m.entries[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    aug, pivots = _rref(aug)
-    if pivots != list(range(n)):
+    echelon = _Echelon(a + b for a, b in zip(m.entries, ExactMatrix.identity(n).entries))
+    if echelon.pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return ExactMatrix.from_rows([row[n:] for row in aug])
+    return ExactMatrix.from_rows([row[n:] for row in echelon.rows])
 
 
 @dataclass(frozen=True)
@@ -377,27 +378,6 @@ def _normalize_chain(lam: Scalar, vectors: Sequence[Vector]) -> JordanChain:
     )
 
 
-def _extend_independent(
-    span: List[List[Scalar]], candidates: Sequence[Vector], need: int
-) -> List[Vector]:
-    """Pick `need` candidates that each enlarge the span, in the given order."""
-    picked: List[Vector] = []
-    base = [list(v) for v in span]
-    current = vectors_rank(base)
-    for cand in candidates:
-        if len(picked) == need:
-            break
-        trial = base + [list(cand)]
-        r = vectors_rank(trial)
-        if r > current:
-            picked.append(cand)
-            base = trial
-            current = r
-    if len(picked) != need:
-        raise RuntimeError("kernel filtration did not supply enough chain tops")
-    return picked
-
-
 def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     """A maximal independent set of chains of a triangular matrix for lam.
 
@@ -425,8 +405,11 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     for p in range(len(kernels), 0, -1):
         lower = kernels[p - 2] if p >= 2 else []
         need = len(kernels[p - 1]) - len(lower) - len(carried)
-        span = [list(v) for v in lower + carried]
-        tops = _extend_independent(span, kernels[p - 1], need)
+        span = _Echelon(lower + carried)
+        # The first `need` kernel vectors that each enlarge the span, in order.
+        tops = list(islice((v for v in kernels[p - 1] if span.add(v)), need))
+        if len(tops) != need:
+            raise RuntimeError("kernel filtration did not supply enough chain tops")
         for t in tops:
             vecs = [t]
             for _ in range(p - 1):
@@ -569,9 +552,6 @@ def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[ExactMatrix, ExactM
     on the diagonal; blocks of one eigenvalue are sorted by increasing length,
     and their sizes sum to that eigenvalue's count on the diagonal.
     """
-    a._square()
-    if not (a.is_lower_triangular() or a.is_upper_triangular()):
-        raise ValueError("matrix is not triangular")
     n = a.rows
     cols: List[List[Scalar]] = []
     jordan = [[ZERO] * n for _ in range(n)]

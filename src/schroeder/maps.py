@@ -387,6 +387,9 @@ def conjugate_map(phi: PolyMap, d: ExactMatrix) -> PolyMap:
         raise ValueError("conjugation requires a self-map")
     if d.rows != d.cols or d.rows != phi.dim:
         raise ValueError("conjugator shape does not match the map")
-    d_inv = inverse(d)
-    inner = matrix_map(d_inv, phi.degree)
-    return matrix_apply(d, map_compose(phi, inner))
+    return _conjugate(phi, d, inverse(d))
+
+
+def _conjugate(phi: PolyMap, d: ExactMatrix, d_inv: ExactMatrix) -> PolyMap:
+    """D phi D^-1 for a self-map and a conjugator `d` of its size, given `d_inv`."""
+    return matrix_apply(d, map_compose(phi, matrix_map(d_inv, phi.degree)))

@@ -12,13 +12,16 @@ chain and replays its chain relation exactly.
 
 The kernel-dimension sequence and null spaces come from sympy's
 `DomainMatrix` over Q or Q(i), and `sympy_jordan_blocks` reads block
-structure from sympy's `Matrix.jordan_form`; sympy shares no code with
-`linalg`.
+structure from sympy's `Matrix.jordan_form`.  `sympy_kernel_basis` and
+`sympy_inverse` return sympy's `Matrix.nullspace()` and `Matrix.inv()`,
+to check the canonical `kernel_basis` and `inverse` entry for entry.
+sympy shares no code with `linalg`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from schroeder.linalg import (
@@ -26,6 +29,7 @@ from schroeder.linalg import (
     ExactMatrix,
     JordanBasis,
     JordanChain,
+    Vector,
     kernel_basis,
     mat_vec,
     vectors_rank,
@@ -239,6 +243,38 @@ def _sympy_pair(x: Scalar):
 
     a, b, d = x.ints()
     return Rational(a, d), Rational(b, d)
+
+
+def _scalar_of(x) -> Scalar:
+    """A sympy Gaussian rational as a `Scalar`."""
+    from sympy import Rational, im, re
+
+    r, i = Rational(re(x)), Rational(im(x))
+    return Scalar(Fraction(int(r.p), int(r.q)), Fraction(int(i.p), int(i.q)))
+
+
+def _sympy_matrix(m: ExactMatrix):
+    from sympy import I, Matrix
+
+    return Matrix([[p + q * I for p, q in map(_sympy_pair, row)] for row in m.entries])
+
+
+def sympy_kernel_basis(m: ExactMatrix) -> List[Vector]:
+    """sympy's `Matrix.nullspace()`: per free column of the reduced row
+    echelon form, the kernel vector that is 1 there and 0 at the other
+    free columns."""
+    return [tuple(_scalar_of(x) for x in v) for v in _sympy_matrix(m).nullspace()]
+
+
+def sympy_inverse(m: ExactMatrix) -> Optional[ExactMatrix]:
+    """sympy's `Matrix.inv()`, or None when the rank says m is singular."""
+    a = _sympy_matrix(m)
+    if a.rank() < m.rows:
+        return None
+    inv = a.inv()
+    return ExactMatrix.from_rows(
+        [[_scalar_of(inv[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    )
 
 
 def sympy_rank(vectors: Sequence[Sequence[Scalar]], length: int) -> int:

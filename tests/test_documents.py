@@ -387,6 +387,76 @@ def test_a_refused_term_is_named_by_its_path(term, where, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "term, where, message", [row for row in _REFUSALS if "declared degree" not in row[2]]
+)
+def test_a_refused_map_term_is_named_by_its_path(term, where, message):
+    # A map document declares no degree, so no term is above one.
+    doc = {"dimension": 2, "components": [list(_GOOD_TERMS), _GOOD_TERMS + [term]]}
+    with pytest.raises(DocumentError) as info:
+        parse_map_document(doc)
+    path = "$.components[1][2]" + where
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
+#: (entry [1][0] of a 2 x 2 conjugator, the path refused after
+#: "$.conjugator[1][0]", the message after it).
+_CONJUGATOR_REFUSALS = [
+    ("x", "", "not a rational: 'x'"),
+    ("1e2", "", "not a rational: '1e2'"),
+    (0.5, "", "expected a coefficient object or rational string, got float"),
+    ({"re": 0.5}, ".re", "floating point numbers are not accepted; write the value as a rational string"),
+    (True, "", "expected a coefficient object or rational string, got bool"),
+    (None, "", "expected a coefficient object or rational string, got NoneType"),
+    ({"re": "1", "z": "0"}, "", "unexpected keys ['z']"),
+    ({"re": "1/0"}, ".re", "not a rational: '1/0'"),
+    ({"re": False, "im": "1"}, ".re", "expected a rational string, got a boolean"),
+    ({"re": "1", "im": "y"}, ".im", "not a rational: 'y'"),
+    ({"im": [1]}, ".im", "expected a rational string, got list"),
+]
+
+
+@pytest.mark.parametrize("entry, where, message", _CONJUGATOR_REFUSALS)
+def test_a_refused_conjugator_entry_is_named_by_its_path(entry, where, message):
+    doc = {
+        "dimension": 2,
+        "components": [list(_GOOD_TERMS), list(_GOOD_TERMS)],
+        "conjugator": [["1", "0"], [entry, "1"]],
+    }
+    with pytest.raises(DocumentError) as info:
+        parse_map_document(doc)
+    path = "$.conjugator[1][0]" + where
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
+_GOOD_SOLUTION = {
+    "kind": "solution",
+    "dimension": 2,
+    "power": 1,
+    "degree": 3,
+    "components": [list(_GOOD_TERMS), list(_GOOD_TERMS)],
+}
+
+
+@pytest.mark.parametrize("key", ["dimension", "power", "degree"])
+@pytest.mark.parametrize("value", [0, -1, "2", 2.0, True, None, "missing"])
+def test_a_count_that_is_not_a_positive_integer_is_refused(key, value):
+    docs = [(parse_solution_document, dict(_GOOD_SOLUTION))]
+    if key == "dimension":
+        docs.append((parse_map_document, {"dimension": 2, "components": _GOOD_SOLUTION["components"]}))
+    for parse, doc in docs:
+        if value == "missing":
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(DocumentError) as info:
+            parse(doc)
+        assert info.value.path == f"$.{key}"
+        assert str(info.value) == f"$.{key}: {key} must be a positive integer"
+
+
 def test_repeated_coefficient_strings_parse_as_each_term_alone():
     coefficients = [
         {"re": "1/2", "im": "0"},

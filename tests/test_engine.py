@@ -221,16 +221,20 @@ def test_analyze_large_diagonal_family(ds, size):
 
 
 def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
-    """Only n-sized blocks reach `_rref`, `shift` or `ExactMatrix`; the N x N operator never does."""
+    """Only n-sized blocks reach the echelon, `shift` or `ExactMatrix`; the N x N operator never does.
+
+    An echelon's shape is (vectors added to it, their length).
+    """
     n = coupled_map.dim
     size = truncated_operator(coupled_map).size
     assert size > n
-    eliminated, shifted, built = [], [], []
-    rref, shift, init = linalg._rref, ExactMatrix.shift, ExactMatrix.__init__
+    eliminated, shifted, built = {}, [], []
+    add, shift, init = linalg._Echelon.add, ExactMatrix.shift, ExactMatrix.__init__
 
-    def counted_rref(rows):
-        eliminated.append((len(rows), len(rows[0]) if rows else 0))
-        return rref(rows)
+    def counted_add(echelon, v):
+        count, _ = eliminated.get(echelon, (0, 0))
+        eliminated[echelon] = (count + 1, len(v))
+        return add(echelon, v)
 
     def counted_shift(m, lam):
         shifted.append(m.rows)
@@ -240,7 +244,7 @@ def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
         built.append((rows, cols))
         init(m, rows, cols, entries)
 
-    monkeypatch.setattr(linalg, "_rref", counted_rref)
+    monkeypatch.setattr(linalg._Echelon, "add", counted_add)
     monkeypatch.setattr(ExactMatrix, "shift", counted_shift)
     monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
     for run in (
@@ -252,7 +256,7 @@ def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
         shifted.clear()
         built.clear()
         run()
-        assert eliminated and all(min(shape) <= n for shape in eliminated)
+        assert eliminated and all(min(shape) <= n for shape in eliminated.values())
         assert all(rows <= n for rows in shifted)
         assert built and all(rows <= n and cols <= n for rows, cols in built)
 

@@ -128,6 +128,39 @@ def test_vectors_rank_matches_sympy(seed, count, length, gaussian, lazy):
         assert rank(ExactMatrix.from_rows(vectors)) == expected
 
 
+def random_matrix_of_rank(rng, rows, cols, bound, *, gaussian=False):
+    """Each row a random combination of `bound` random rows, so the rank is at most `bound`."""
+    basis = [[sc_fraction_pool(rng, gaussian=gaussian) for _ in range(cols)] for _ in range(bound)]
+    out = []
+    for _ in range(rows):
+        row = [ZERO] * cols
+        for b in basis:
+            f = sc_fraction_pool(rng, gaussian=gaussian)
+            row = [x + f * y for x, y in zip(row, b)]
+        out.append(row)
+    return ExactMatrix.from_rows(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5), st.integers(0, 5),
+    st.booleans(),
+)
+def test_kernel_basis_and_inverse_match_sympy_entry_for_entry(seed, rows, cols, bound, gaussian):
+    rng = random.Random(seed)
+    m = random_matrix_of_rank(rng, rows, cols, min(bound, rows, cols), gaussian=gaussian)
+    assert kernel_basis(m) == oracle.sympy_kernel_basis(m)
+    square = ExactMatrix.from_rows([row[:rows] for row in m.entries]) if rows <= cols else None
+    if square is None:
+        return
+    expected = oracle.sympy_inverse(square)
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            inverse(square)
+    else:
+        assert inverse(square) == expected
+
+
 def test_vectors_rank_reads_no_vector_past_a_full_span():
     read = []
 
