@@ -3,7 +3,10 @@
 `analyze` reports, per eigenvalue of the derivative at the fixed point,
 whether eigenvalue collisions lambda^alpha = mu obstruct a solution F
 with invertible derivative; the verdict is exact, computed from kernels
-of the truncated composition operator.
+of the truncated composition operator.  Every request sweeps the
+operator once: `incremental_jordanize` restricted to the eigenvalues of
+the derivative's Jordan corner gives the chains, and the eigenvectors of
+the mu-chains are a basis of ker(C - mu).
 
 `solve` (k = 1) and `solve_power` (any k >= 1) share one construction:
 conjugate the map so its derivative is an upper Jordan matrix, take
@@ -17,7 +20,8 @@ composed or target coefficient; every other one has x = 0.  Only one
 step depends on k: for k >= 2 each block's components are multiplied
 by a power of its eigenfunction and remixed into chains of the k-th
 power factor.  Only `solve` in full-rank mode builds the
-analysis report, to gate the construction on its verdict.  `verify`
+analysis report, from the same chains, to gate the construction on its
+verdict.  `verify`
 replays a solution against the equation term by term, composing
 through one `maps.PowerTable` of the map.
 
@@ -46,11 +50,9 @@ from .linalg import (
     JordanBasis,
     incremental_jordanize,
     inverse,
-    jordan_blocks,
     mat_pow,
     rank,
     transition_to_jordan_triangular,
-    triangular_kernel,
     vectors_rank,
 )
 from .maps import IntSum, PolyMap, PowerTable, _conjugate, map_compose, matrix_apply
@@ -193,17 +195,18 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
     return _Prep(phi, conj, conj_inv, psi, op, work)
 
 
-def _report(prep: _Prep) -> AnalysisReport:
+def _report(prep: _Prep, chains: JordanBasis) -> AnalysisReport:
     op = prep.op
     n = prep.phi.dim
-    # The first n rows hold only columns below n: they are the n x n
-    # Jordan corner, and the geometric multiplicity of mu is its number
-    # of blocks of mu.
-    multiplicity = Counter(b.eigenvalue for b in jordan_blocks(op.lower[:n], op.diag[:n]))
+    # The geometric multiplicity of mu is its number of blocks in the
+    # n x n Jordan corner.  The eigenvectors of the mu-chains are a basis
+    # of ker(C - mu), so their count is its dimension and their first n
+    # coordinates give its projection to the linear monomials.
+    multiplicity = Counter(b.eigenvalue for b in chains.original_blocks)
     records = []
     for mu, orig in multiplicity.items():
-        kb = triangular_kernel(op.lower, op.diag, mu)
-        proj = vectors_rank([[dict(v).get(j, ZERO) for j in range(n)] for v in kb])
+        kb = [dict(c.vectors[0]) for c in chains.chains if c.eigenvalue == mu]
+        proj = vectors_rank([[v.get(j, ZERO) for j in range(n)] for v in kb])
         witnesses = tuple(
             alpha
             for alpha, x in zip(op.basis, op.diag)
@@ -231,7 +234,9 @@ def _report(prep: _Prep) -> AnalysisReport:
 
 def analyze(phi: PolyMap) -> AnalysisReport:
     """Exact verdict on the existence of a solution with invertible derivative."""
-    return _report(_prepare(phi, None))
+    prep = _prepare(phi, None)
+    chains = incremental_jordanize(prep.op.lower, prep.op.diag, phi.dim, corner_only=True)
+    return _report(prep, chains)
 
 
 def truncated_operator(phi: PolyMap) -> TruncatedCompOp:
@@ -394,11 +399,11 @@ def _construct(
     """The construction behind `solve` and `solve_power`; `gate` demands a full-rank verdict."""
     request = DEFAULT_DEGREE if degree is None else degree
     prep = _prepare(phi, max(request, power))
+    chains = incremental_jordanize(prep.op.lower, prep.op.diag, phi.dim, corner_only=True)
     if gate:
-        report = _report(prep)
+        report = _report(prep, chains)
         if not report.full_rank:
             raise NoFullRankError(report)
-    chains = incremental_jordanize(prep.op.lower, prep.op.diag, phi.dim)
     comps: List[Jet] = []
     infos: List[ComponentInfo] = []
     for bi, (lam, block_jets) in enumerate(_lifted_blocks(prep, chains)):

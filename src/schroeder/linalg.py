@@ -11,9 +11,6 @@ taking it as rows: ``lower[i]`` lists the (column, entry) nonzeros of
 row i left of the diagonal, and ``diag[i]`` is the diagonal entry.  No
 N x N matrix is formed.
 
-* `triangular_kernel` finds a kernel basis of ``M - mu`` in one forward
-  sweep over the nonzeros of M, without forming the shifted matrix or
-  eliminating it.
 * `jordan_chains_triangular` finds the chains of a (small, dense)
   triangular matrix for one eigenvalue through the kernel filtration
   ker((M - lambda)^p), which is complete once its dimension reaches the
@@ -24,7 +21,10 @@ N x N matrix is formed.
 * `incremental_jordanize` appends the rows of M below a protected
   Jordan corner one at a time, maintaining a chain basis.  It only ever
   appends chains, so chain j extends corner block j.  A row is coupled
-  only with the chains that have support on its nonzero columns.
+  only with the chains that have support on its nonzero columns.  With
+  `corner_only` it keeps only the chains of the corner's eigenvalues;
+  for each such mu, the eigenvectors of the mu-chains are a basis of
+  ker(M - mu), so one sweep gives the kernels and the chains at once.
 
 Chain storage convention: a `JordanChain` holds sparse vectors, tuples
 of (coordinate, nonzero entry) pairs in increasing coordinate order;
@@ -275,41 +275,6 @@ def _check_lower(lower: LowerRows, diag: Sequence[Scalar]) -> int:
     return len(diag)
 
 
-def triangular_kernel(lower: LowerRows, diag: Sequence[Scalar], mu: Scalar) -> List[SparseVector]:
-    """A basis of the null space of M - mu for a sparse lower-triangular M.
-
-    One forward sweep over the rows keeps a sparse candidate vector per
-    zero diagonal entry of M - mu seen so far; the candidates span the
-    solutions of the rows swept, supported on those rows.  A row with a
-    nonzero diagonal entry fills in each candidate's coordinate by
-    substitution.  A row with a zero diagonal entry is a constraint: if
-    candidates violate it, the sparsest violator is cleared from the
-    others and dropped.  Then the row starts the candidate e_i.  The cost
-    is O(nonzeros * multiplicity of mu), and M - mu is never formed.
-    Only the span is canonical, not the basis (unlike `kernel_basis`).
-    """
-    _check_lower(lower, diag)
-    candidates: List[Dict[int, Scalar]] = []
-    for i, nonzeros in enumerate(lower):
-        sums = [_sparse_dot(nonzeros, c) for c in candidates] if nonzeros else []
-        d = diag[i] - mu
-        if not d.is_zero():
-            for c, s in zip(candidates, sums):
-                if not s.is_zero():
-                    c[i] = -s / d
-            continue
-        violators = [k for k, s in enumerate(sums) if not s.is_zero()]
-        if violators:
-            p = min(violators, key=lambda k: len(candidates[k]))
-            inv = scalar_inv(sums[p])
-            for k in violators:
-                if k != p:
-                    _sparse_axpy(candidates[k], -(sums[k] * inv), candidates[p])
-            del candidates[p]
-        candidates.append({i: ONE})
-    return [_frozen(c) for c in candidates]
-
-
 def inverse(m: ExactMatrix) -> ExactMatrix:
     m._square()
     n = m.rows
@@ -447,7 +412,7 @@ class _MutableChain:
 
 
 def incremental_jordanize(
-    lower: LowerRows, diag: Sequence[Scalar], n: int
+    lower: LowerRows, diag: Sequence[Scalar], n: int, *, corner_only: bool = False
 ) -> JordanBasis:
     """Jordanize a sparse lower-triangular matrix by appending rows below a corner.
 
@@ -466,11 +431,18 @@ def incremental_jordanize(
     support of its nonzero columns; every other chain has all-zero
     couplings and keeps a zero coordinate without any arithmetic.  The
     chains come back sparse, as a `JordanBasis`.
+
+    With `corner_only`, a row whose diagonal entry is not an eigenvalue
+    of the corner starts no chain.  A chain only ever merges with chains
+    of its own eigenvalue, and every other update is per chain, so the
+    result is the complete one filtered to the corner's eigenvalues, in
+    the same order.
     """
     big = _check_lower(lower, diag)
     if not 1 <= n <= big:
         raise ValueError(f"corner size {n} out of range")
     blocks = jordan_blocks(lower[:n], diag[:n])
+    corner_eigenvalues = {b.eigenvalue for b in blocks}
     chains: List[_MutableChain] = []
     support: List[Set[int]] = [set() for _ in range(big)]
     for j, b in enumerate(blocks):
@@ -532,7 +504,7 @@ def incremental_jordanize(
                 _set_nonzero(w.vectors[j], r, a[j + 1])
             w.vectors.insert(0, {r: a[0]})
             support[r].add(winner)
-        else:
+        elif not corner_only or d in corner_eigenvalues:
             support[r].add(len(chains))
             chains.append(_MutableChain(d, [{r: ONE}]))
 

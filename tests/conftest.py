@@ -172,9 +172,9 @@ def random_lower_matrix(
 def sparse_lower(m: ExactMatrix) -> Tuple[List[List[Tuple[int, Scalar]]], Tuple[Scalar, ...]]:
     """A dense square matrix as (per-row off-diagonal nonzeros, diagonal).
 
-    This is the form `triangular_kernel` and `incremental_jordanize`
-    take.  Nonzeros right of the diagonal are kept, so that those
-    routines see, and refuse, a matrix that is not lower triangular.
+    This is the form `incremental_jordanize` and `jordan_blocks` take.
+    Nonzeros right of the diagonal are kept, so that those routines see,
+    and refuse, a matrix that is not lower triangular.
     """
     diag = m.diagonal_entries()
     rows = [

@@ -5,10 +5,10 @@ matrix, with dense length-N chain vectors that it dots with every whole
 row; only its result is written in the library's sparse form, so that
 the two results compare with ==.  `report_dimensions` is the dense route
 `analyze` used to take: shift the whole operator by mu and eliminate it
-with `kernel_basis`.  They check `linalg.incremental_jordanize` and
-`linalg.triangular_kernel`, which take the operator's sparse rows and
-never form the shifted operator.  `chain_is_valid` densifies a Jordan
-chain and replays its chain relation exactly.
+with `kernel_basis`.  They check `linalg.incremental_jordanize`, complete
+and restricted to the corner's eigenvalues, which takes the operator's
+sparse rows and never forms the shifted operator.  `chain_is_valid`
+densifies a Jordan chain and replays its chain relation exactly.
 
 The kernel-dimension sequence and null spaces come from sympy's
 `DomainMatrix` over Q or Q(i), and `sympy_jordan_blocks` reads block

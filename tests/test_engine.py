@@ -26,6 +26,7 @@ from schroeder.maps import PolyMap, conjugate_map
 from schroeder.scalars import ONE, ZERO, Scalar, scalar_inv
 from schroeder.series import Jet, enumerate_monomials
 
+import linalg_oracles as oracle
 from conftest import (
     NONRESONANT_POOL,
     jet_of,
@@ -34,6 +35,7 @@ from conftest import (
     sc,
     sc_fraction_pool,
 )
+from test_jordan import GAUSSIAN_SPECTRUM, REAL_SPECTRUM
 
 
 def one_var_map(coeffs, degree):
@@ -156,23 +158,55 @@ def test_one_resonance_search_per_call(coupled_map, record_calls):
         [[((1, 0, 0), sc(1, 2))], [((0, 1, 0), sc(1, 2)), ((2, 0, 0), sc(1, 5))], [((0, 0, 1), sc(1, 4))]],
     ],
 )
-def test_one_kernel_sweep_per_eigenvalue(terms, monkeypatch):
-    """The multiplicities come from the Jordan corner, not from a second sweep."""
+def test_one_operator_sweep_per_request(terms, obstructed_map, record_calls):
+    """Each request sweeps the operator once, and the multiplicities come
+    from the Jordan corner of that sweep."""
     phi = PolyMap(tuple(jet_of(3, 2, t) for t in terms))
-    calls = []
-    sweep = linalg.triangular_kernel
+    calls = record_calls("incremental_jordanize", linalg, engine)
 
-    def counted(lower, diag, mu):
-        calls.append(mu)
-        return sweep(lower, diag, mu)
+    def refused():
+        with pytest.raises(NoFullRankError):
+            solve(obstructed_map)
 
-    monkeypatch.setattr(engine, "triangular_kernel", counted)
+    for run in (
+        lambda: analyze(phi),
+        lambda: solve(phi, degree=4),
+        lambda: solve(phi, degree=4, mode="independent"),
+        refused,
+        lambda: solve_power(phi, 2, degree=4),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
     report = analyze(phi)
-    assert calls == [r.value for r in report.eigenvalues]
-    assert len(set(calls)) == len(calls)
     linear = phi.linear_part()
     for rec in report.eigenvalues:
         assert rec.geometric_multiplicity == 3 - rank(linear.shift(rec.value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_analyze_matches_sympy(seed, dim, gaussian):
+    """Every record of `analyze` against sympy, on maps whose eigenvalues
+    repeat and whose products land back in the spectrum."""
+    rng = random.Random(seed)
+    pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
+    diag = [rng.choice(pool) for _ in range(dim)]
+    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
+    report = analyze(phi)
+    operator = truncated_operator(phi).matrix
+    linear = phi.linear_part()
+    values = [r.value for r in report.eigenvalues]
+    assert len(values) == len(set(values)) and set(values) == set(diag)
+    possible = []
+    for rec in report.eigenvalues:
+        kernel, projected = oracle.nullspace_dimensions(operator, rec.value, dim)
+        geometric = dim - oracle.shifted_domain_matrix(linear, rec.value).rank()
+        assert (rec.kernel_dimension, rec.projected_dimension) == (kernel, projected)
+        assert rec.geometric_multiplicity == geometric
+        assert rec.full_rank_possible == (projected == geometric)
+        possible.append(projected == geometric)
+    assert report.full_rank == all(possible)
 
 
 def test_eigenvalue_near_one_is_answered():
@@ -191,7 +225,7 @@ def test_eigenvalue_near_one_is_answered():
 
 
 def diagonal_family(ds):
-    """lambda_i = 1/d_i, with z1^2/3 added to components 2..n."""
+    """lambda_i = 1/d_i, plus z1^2/3 in components 2..n."""
     n = len(ds)
     square = (2,) + (0,) * (n - 1)
     return PolyMap(
@@ -199,7 +233,7 @@ def diagonal_family(ds):
             jet_of(
                 n,
                 2,
-                [(tuple(int(t == i) for t in range(n)), sc(1, d))]
+                [(tuple(int(j == i) for j in range(n)), sc(1, d))]
                 + ([(square, sc(1, 3))] if i else []),
             )
             for i, d in enumerate(ds)
@@ -259,23 +293,6 @@ def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
         assert eliminated and all(min(shape) <= n for shape in eliminated.values())
         assert all(rows <= n for rows in shifted)
         assert built and all(rows <= n and cols <= n for rows, cols in built)
-
-
-def diagonal_family(ds):
-    """lambda_i = 1/d_i, plus z1^2/3 in components 2..n."""
-    n = len(ds)
-    square = (2,) + (0,) * (n - 1)
-    return PolyMap(
-        tuple(
-            jet_of(
-                n,
-                2,
-                [(tuple(int(j == i) for j in range(n)), sc(1, d))]
-                + ([(square, sc(1, 3))] if i else []),
-            )
-            for i, d in enumerate(ds)
-        )
-    )
 
 
 def test_large_sparse_operator_analysis():

@@ -4,28 +4,39 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroeder import linalg
+from schroeder.engine import truncated_operator
 from schroeder.linalg import (
     ExactMatrix,
+    JordanBasis,
     SingularMatrixError,
+    Vector,
+    incremental_jordanize,
     inverse,
     kernel_basis,
     mat_mul,
     mat_pow,
     mat_vec,
     rank,
-    triangular_kernel,
     vectors_rank,
 )
 from schroeder.scalars import ONE, ZERO, Scalar
 
 import linalg_oracles as oracle
-from conftest import dense_vector, random_lower_matrix, sc, sc_fraction_pool, sparse_lower
+from conftest import (
+    dense_vector,
+    random_poly_map,
+    sc,
+    sc_fraction_pool,
+    sparse_lower,
+)
+from test_jordan import GAUSSIAN_SPECTRUM, REAL_SPECTRUM, lower_triangular
 
 
 def random_matrix(rng, rows, cols, *, gaussian=False):
@@ -189,26 +200,23 @@ def test_kernel_basis_annihilates_and_spans():
             assert vectors_rank(ker) == len(ker)
 
 
-#: Diagonal pools with repeated entries, so that kernels have dimension > 1.
-REAL_DIAGONALS = (sc(1, 2), sc(1, 2), sc(1, 2), sc(1, 4), sc(1, 3))
-GAUSSIAN_DIAGONALS = REAL_DIAGONALS + (
-    Scalar.of(0, Fraction(1, 2)),
-    Scalar.of(0, Fraction(1, 2)),
-    Scalar.of(Fraction(1, 2), Fraction(1, 2)),
-)
+def corner_kernel(m: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, List[Vector]]:
+    """(blocks of mu in the corner, eigenvectors of the corner-restricted mu-chains), dense."""
+    basis = incremental_jordanize(*sparse_lower(m), n, corner_only=True)
+    blocks = sum(1 for b in basis.original_blocks if b.eigenvalue == mu)
+    vectors = [dense_vector(c.vectors[0], m.rows) for c in basis.chains if c.eigenvalue == mu]
+    return blocks, vectors
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.booleans())
-def test_triangular_kernel_matches_sympy(seed, size, gaussian):
-    rng = random.Random(seed)
-    pool = GAUSSIAN_DIAGONALS if gaussian else REAL_DIAGONALS
-    m = random_lower_matrix(
-        rng, size, pool, gaussian=gaussian, density=rng.choice([0.15, 0.3, 0.6])
-    )
-    n = rng.randint(1, size)
-    mu = rng.choice(m.diagonal_entries() + (sc(1, 5),))
-    ker = [dense_vector(v, size) for v in triangular_kernel(*sparse_lower(m), mu)]
+@given(st.data(), st.integers(1, 14), st.booleans())
+def test_corner_kernel_matches_sympy(data, size, gaussian):
+    """The eigenvectors of the mu-chains are a basis of ker(M - mu) for a
+    corner eigenvalue mu, and there are none for a value off the diagonal."""
+    n = data.draw(st.integers(1, min(4, size)))
+    m = data.draw(lower_triangular(size, gaussian, corner=n))
+    mu = data.draw(st.sampled_from(m.diagonal_entries()[:n] + (sc(1, 5),)))
+    corner, ker = corner_kernel(m, n, mu)
     shifted = m.shift(mu)
     for v in ker:
         assert len(v) == size
@@ -216,20 +224,10 @@ def test_triangular_kernel_matches_sympy(seed, size, gaussian):
     assert vectors_rank(ker) == len(ker)
     dims = (len(ker), vectors_rank([v[:n] for v in ker]))
     assert dims == oracle.nullspace_dimensions(m, mu, n)
-    top = ExactMatrix.from_rows([row[:n] for row in m.entries[:n]])
-    corner = len(triangular_kernel(*sparse_lower(top), mu))
     assert (corner,) + dims == oracle.report_dimensions(m, n, mu)
 
 
-def test_triangular_kernel_requires_lower_triangular():
-    upper = ExactMatrix.from_rows([[sc(1, 2), ONE], [ZERO, sc(1, 2)]])
-    with pytest.raises(ValueError, match="not lower triangular"):
-        triangular_kernel(*sparse_lower(upper), sc(1, 2))
-    with pytest.raises(ValueError, match="2 rows but 1 diagonal entries"):
-        triangular_kernel([[], []], (ZERO,), ZERO)
-
-
-def test_triangular_kernel_constraint_rows():
+def test_corner_kernel_constraint_rows():
     # Row 2 couples both eigenvectors of 1/2; row 3 is a zero row at 1/2.
     h = sc(1, 2)
     m = ExactMatrix.from_rows(
@@ -240,10 +238,42 @@ def test_triangular_kernel_constraint_rows():
             [ZERO, ZERO, ZERO, h],
         ]
     )
-    ker = [dense_vector(v, 4) for v in triangular_kernel(*sparse_lower(m), h)]
+    _, ker = corner_kernel(m, 2, h)
     assert len(ker) == 3
     assert vectors_rank([v[:2] for v in ker]) == 1
-    assert triangular_kernel(*sparse_lower(m), sc(1, 3)) == []
+    assert corner_kernel(m, 2, sc(1, 3)) == (0, [])
+
+
+def corner_filtered(basis: JordanBasis) -> JordanBasis:
+    """A chain basis without the chains of eigenvalues its corner lacks."""
+    corner = {b.eigenvalue for b in basis.original_blocks}
+    return JordanBasis(
+        tuple(c for c in basis.chains if c.eigenvalue in corner), basis.original_blocks
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 9), st.booleans())
+def test_corner_only_filters_the_complete_basis(data, size, gaussian):
+    n = data.draw(st.integers(1, min(4, size)))
+    m = data.draw(lower_triangular(size, gaussian, corner=n))
+    lower, diag = sparse_lower(m)
+    restricted = incremental_jordanize(lower, diag, n, corner_only=True)
+    assert restricted == corner_filtered(incremental_jordanize(lower, diag, n))
+    assert restricted == corner_filtered(oracle.incremental_jordanize(m, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_corner_only_filters_the_complete_basis_on_operators(seed, dim, gaussian):
+    rng = random.Random(seed)
+    pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
+    diag = [rng.choice(pool) for _ in range(dim)]
+    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
+    op = truncated_operator(phi)
+    restricted = incremental_jordanize(op.lower, op.diag, dim, corner_only=True)
+    assert restricted == corner_filtered(incremental_jordanize(op.lower, op.diag, dim))
+    assert restricted == corner_filtered(oracle.incremental_jordanize(op.matrix, dim))
 
 
 def test_shift_changes_only_the_diagonal():
