@@ -20,22 +20,23 @@ Parsing has one reader per element, each running every check in order:
 matrix entry, `_rational` for a rational.  A term's refusal carries a path
 relative to the term, and `_parse_components` puts the term's own path
 in front of it only when it refuses, so an accepted term formats no
-path; `parse_matrix` does the same for its entries.  Each distinct
-coefficient string is parsed once per list of components or matrix.
+path; `parse_matrix` does the same for its entries.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from typing import Any, Dict, List, Optional, Tuple
 
 from .engine import AnalysisReport, SchroederSolution, VerifyReport
 from .compop import TruncatedCompOp
 from .linalg import ExactMatrix
 from .maps import PolyMap
-from .scalars import Scalar, ratio_str
+from .scalars import Scalar, from_ints, ratio_str
 from .series import Jet, MultiIndex
 
 
@@ -142,24 +143,35 @@ def _under(exc: DocumentError, prefix: str) -> DocumentError:
     return DocumentError(exc.message, prefix + (exc.path or ""))
 
 
-def _rational(value: Any, rationals: Dict[str, Fraction], at: str) -> Fraction:
-    """A rational, each distinct string parsed once per `rationals` cache; refused at `at`."""
+# The grammar of a rational string, one on every Python: what `Fraction`
+# reads on 3.12 and later, but no exponents ("1e-1000000" is ten bytes for
+# a million-digit denominator).  `\d` is any digit that `int` reads.
+_DIGITS = r"(\d+(?:_\d+)*)"
+_RATIONAL = re.compile(rf"\s*([-+]?)(?=\.?\d){_DIGITS}?(?:\s*/\s*{_DIGITS}|\.{_DIGITS}?)?\s*")
+
+
+def _rational(value: Any, at: str) -> Tuple[int, int]:
+    """(n, d) in lowest terms, d > 0; refused at `at`, as is a string past `int`'s digit limit."""
     if isinstance(value, str):
-        out = rationals.get(value)
-        if out is None:
-            try:
-                # Fraction also reads exponents, and "1e-1000000" is ten
-                # bytes for a million-digit denominator.
-                if "e" in value or "E" in value:
-                    raise ValueError(value)
-                out = rationals[value] = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DocumentError(f"not a rational: {value!r}", at) from exc
-        return out
+        m = _RATIONAL.fullmatch(value)
+        try:
+            if m is None:
+                raise ValueError(value)
+            sign, n, d, decimal = m.groups()
+            n, d = int(n or 0), int(d or 1)
+            if decimal:
+                d = 10 ** len(decimal.replace("_", ""))
+                n = n * d + int(decimal)
+            if not d:
+                raise ZeroDivisionError(value)
+            g = gcd(n, d)
+            return (-n if sign == "-" else n) // g, d // g
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"not a rational: {value!r}", at) from exc
     if isinstance(value, bool):
         raise DocumentError("expected a rational string, got a boolean", at)
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise DocumentError(
             "floating point numbers are not accepted; write the value as a rational string", at
@@ -167,30 +179,30 @@ def _rational(value: Any, rationals: Dict[str, Fraction], at: str) -> Fraction:
     raise DocumentError(f"expected a rational string, got {type(value).__name__}", at)
 
 
-def _scalar(value: Any, rationals: Dict[str, Fraction], at: str) -> Scalar:
+def _scalar(value: Any, at: str) -> Scalar:
     """A coefficient, refused at `at` or a part of it."""
     if isinstance(value, dict):
         if len(value) != 2 or "re" not in value or "im" not in value:
             extra = set(value) - {"re", "im"}
             if extra:
                 raise DocumentError(f"unexpected keys {sorted(extra)}", at)
-        return Scalar(
-            _rational(value.get("re", 0), rationals, at + ".re"),
-            _rational(value.get("im", 0), rationals, at + ".im"),
-        )
+        a, d = _rational(value.get("re", 0), at + ".re")
+        b, e = _rational(value.get("im", 0), at + ".im")
+        return from_ints(a * e, b * d, d * e)
     if isinstance(value, (str, int)) and not isinstance(value, bool):
-        return Scalar(_rational(value, rationals, at), 0)
+        a, d = _rational(value, at)
+        return from_ints(a, 0, d)
     raise DocumentError(
         f"expected a coefficient object or rational string, got {type(value).__name__}", at
     )
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
-    return _rational(value, {}, path)
+    return Fraction(*_rational(value, path))
 
 
 def parse_scalar(value: Any, path: str) -> Scalar:
-    return _scalar(value, {}, path)
+    return _scalar(value, path)
 
 
 def scalar_json(s: Scalar) -> Dict[str, str]:
@@ -199,11 +211,7 @@ def scalar_json(s: Scalar) -> Dict[str, str]:
 
 
 def _parse_term(
-    term: Any,
-    dim: int,
-    degree: Optional[int],
-    terms: Dict[MultiIndex, Scalar],
-    rationals: Dict[str, Fraction],
+    term: Any, dim: int, degree: Optional[int], terms: Dict[MultiIndex, Scalar]
 ) -> None:
     """One term into its component's `terms`, with every check in order.
 
@@ -237,7 +245,7 @@ def _parse_term(
         )
     if alpha in terms:
         raise DocumentError("monomial repeats an earlier term", ".monomial")
-    terms[alpha] = _scalar(term["coefficient"], rationals, ".coefficient")
+    terms[alpha] = _scalar(term["coefficient"], ".coefficient")
 
 
 def _parse_components(
@@ -245,7 +253,6 @@ def _parse_components(
 ) -> Tuple[Jet, ...]:
     """Jets of the declared `degree`, or else of the highest term's degree (at least 1).
 
-    Each distinct coefficient string is parsed once for the whole list.
     The terms are already unique and within the degree, so each jet is
     built from them directly, without zeros.
     """
@@ -253,7 +260,6 @@ def _parse_components(
         raise DocumentError("components must be a list", path)
     if len(value) != dim:
         raise DocumentError(f"{len(value)} components for dimension {dim}", path)
-    rationals: Dict[str, Fraction] = {}
     term_maps = []
     for i, comp in enumerate(value):
         if not isinstance(comp, list):
@@ -261,7 +267,7 @@ def _parse_components(
         terms: Dict[MultiIndex, Scalar] = {}
         for j, term in enumerate(comp):
             try:
-                _parse_term(term, dim, degree, terms, rationals)
+                _parse_term(term, dim, degree, terms)
             except DocumentError as exc:
                 raise _under(exc, f"{path}[{i}][{j}]") from exc.__cause__
         term_maps.append(terms)
@@ -292,7 +298,6 @@ def _components_map(data: Dict[str, Any], dim: int, degree: Optional[int]) -> Po
 def parse_matrix(value: Any, n: int, path: str) -> ExactMatrix:
     if not isinstance(value, list) or len(value) != n:
         raise DocumentError(f"expected {n} rows", path)
-    rationals: Dict[str, Fraction] = {}
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
@@ -300,7 +305,7 @@ def parse_matrix(value: Any, n: int, path: str) -> ExactMatrix:
         entries = []
         for j, e in enumerate(row):
             try:
-                entries.append(_scalar(e, rationals, ""))
+                entries.append(_scalar(e, ""))
             except DocumentError as exc:
                 raise _under(exc, f"{path}[{i}][{j}]") from exc.__cause__
         rows.append(entries)

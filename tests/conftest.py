@@ -14,12 +14,14 @@ that exercise the main code paths:
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import pytest
 
+from schroeder import cli
 from schroeder.compop import TruncatedCompOp, build, truncation_degree
 from schroeder.linalg import ExactMatrix, SparseVector
 from schroeder.maps import PolyMap
@@ -30,6 +32,18 @@ from schroeder.series import Jet, MultiIndex
 def sc(num, den=1) -> Scalar:
     """A real rational scalar num/den."""
     return Scalar.of(Fraction(num, den))
+
+
+def main_in_process(*args: str) -> int:
+    """Run `cli.main` in this process with the given arguments; returns its exit code."""
+    saved = sys.argv
+    sys.argv = ["schroeder", *args]
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+    finally:
+        sys.argv = saved
+    return stop.value.code
 
 
 def jet_of(dim: int, degree: int, terms) -> Jet:

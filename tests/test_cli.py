@@ -22,14 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schroeder
-from schroeder import cli
 from schroeder.documents import dump, load, map_json, parse_solution_document
 from schroeder.engine import component_rank
 from schroeder.linalg import ExactMatrix, inverse, rank
 from schroeder.maps import conjugate_map
 from schroeder.scalars import Scalar
 
-from conftest import random_poly_map, sc
+from conftest import main_in_process, random_poly_map, sc
 
 OBSTRUCTED_DOC = {
     "dimension": 2,
@@ -401,18 +400,6 @@ def test_repeated_monomial_exits_one(tmp_path):
     assert res.returncode == 1
     assert "$.components[0][1].monomial: monomial repeats an earlier term" in res.stderr
     assert res.stdout == ""
-
-
-def main_in_process(*args: str) -> int:
-    """Run `cli.main` in this process with the given arguments; returns its exit code."""
-    saved = sys.argv
-    sys.argv = ["schroeder", *args]
-    try:
-        with pytest.raises(SystemExit) as stop:
-            cli.main()
-    finally:
-        sys.argv = saved
-    return stop.value.code
 
 
 def test_verify_walks_past_the_recursion_limit(tmp_path):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from schroeder.engine import solve, verify
 from schroeder.linalg import ExactMatrix
 from schroeder.scalars import Scalar
 
-from conftest import sc
+from conftest import main_in_process, sc
 
 
 def test_parse_rational_accepted_forms():
@@ -68,6 +71,142 @@ def test_parse_scalar_forms():
 def test_scalar_json_round_trip():
     s = Scalar.of(Fraction(-5, 7), Fraction(2, 3))
     assert parse_scalar(scalar_json(s), "$") == s
+
+
+#: Spellings the grammar accepts, each with its value as (numerator, denominator).
+ACCEPTED_SPELLINGS = [
+    ("1_000", 1000, 1),
+    ("1 / 2", 1, 2),
+    ("1/0_1", 1, 1),
+    (" +3 ", 3, 1),
+    (".5", 1, 2),
+    ("1.", 1, 1),
+    ("5.5_5", 111, 20),
+    ("\u0661/\u0662", 1, 2),  # Arabic-Indic one and two, as `int` reads them
+    ("1/2\n", 1, 2),
+]
+
+REFUSED_SPELLINGS = ["1e5", "3E2", "_1", "1__0", "1_", "/2", "1/-2", "- 1", "0x10", "1/0", "", " "]
+
+
+def _spelled_map(spelling: str) -> dict:
+    """A map with `spelling` as a bare coefficient and as an imaginary part."""
+    return {
+        "dimension": 2,
+        "components": [
+            [
+                {"monomial": [1, 0], "coefficient": "1/2"},
+                {"monomial": [2, 0], "coefficient": spelling},
+            ],
+            [
+                {"monomial": [0, 1], "coefficient": "1/3"},
+                {"monomial": [1, 1], "coefficient": {"re": "0", "im": spelling}},
+            ],
+        ],
+    }
+
+
+def _solve_in_process(doc: dict, tmp_path: Path) -> tuple:
+    """(exit code, stdout, stderr) of `schroeder solve` on `doc` at degree 3, machine format."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main_in_process("solve", str(path), "--degree", "3", "--format", "machine")
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("spelling, n, d", ACCEPTED_SPELLINGS)
+def test_an_accepted_spelling_reads_as_its_plain_ratio(spelling, n, d, tmp_path):
+    value, plain = Fraction(n, d), f"{n}/{d}"
+    assert parse_rational(spelling, "$") == value
+    assert parse_scalar(spelling, "$") == parse_scalar(plain, "$")
+    assert parse_scalar({"re": spelling, "im": spelling}, "$") == Scalar.of(value, value)
+    spelled = _solve_in_process(_spelled_map(spelling), tmp_path)
+    assert spelled == _solve_in_process(_spelled_map(plain), tmp_path)
+    assert spelled[0] == 0 and spelled[1]
+
+
+@pytest.mark.parametrize("spelling", REFUSED_SPELLINGS)
+def test_a_refused_spelling_is_not_a_rational(spelling, tmp_path):
+    message = f"not a rational: {spelling!r}"
+    with pytest.raises(DocumentError) as info:
+        parse_rational(spelling, "$")
+    assert str(info.value) == "$: " + message
+    with pytest.raises(DocumentError) as info:
+        parse_scalar({"re": "1", "im": spelling}, "$")
+    assert str(info.value) == "$.im: " + message
+    code, out, err = _solve_in_process(_spelled_map(spelling), tmp_path)
+    assert (code, out) == (1, "")
+    assert err == f"error: $.components[0][1].coefficient: {message}\n"
+
+
+_blank = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def spelled_rationals(draw):
+    """(a rational string, its value), both built from drawn integers, not from `Fraction(str)`."""
+
+    def digits(text: str) -> str:
+        cuts = draw(st.sets(st.integers(1, len(text) - 1))) if len(text) > 1 else set()
+        return "".join(("_" if i in cuts else "") + c for i, c in enumerate(text))
+
+    def padded(n: int) -> str:
+        return digits("0" * draw(st.integers(0, 3)) + str(n))
+
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    n = draw(st.integers(0, 10**30))
+    form = draw(st.sampled_from(["integer", "ratio", "decimal"]))
+    if form == "integer":
+        body, value = padded(n), Fraction(n)
+    elif form == "ratio":
+        d = draw(st.integers(1, 10**30))
+        body, value = padded(n) + draw(_blank) + "/" + draw(_blank) + padded(d), Fraction(n, d)
+    else:
+        width = draw(st.integers(0, 12))
+        frac = draw(st.integers(0, 10**width - 1))
+        whole = not width or draw(st.booleans())
+        body = (padded(n) if whole else "") + "." + (digits(str(frac).zfill(width)) if width else "")
+        value = Fraction((n if whole else 0) * 10**width + frac, 10**width)
+    return draw(_blank) + sign + body + draw(_blank), -value if sign == "-" else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_rationals())
+def test_a_spelling_built_from_integers_reads_as_those_integers(case):
+    text, value = case
+    assert parse_rational(text, "$") == value
+    assert parse_scalar({"re": "0", "im": text}, "$") == Scalar.of(0, value)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int <-> str digit limit"
+)
+def test_more_digits_than_int_reads_is_refused_in_process():
+    many = "1" * (sys.get_int_max_str_digits() + 1)
+    for text in (many, "1/" + many, "0." + many):
+        with pytest.raises(DocumentError) as info:
+            parse_rational(text, "$")
+        assert str(info.value) == f"$: not a rational: {text!r}"
+    doc = {"dimension": 1, "components": [[{"monomial": [1], "coefficient": many}]]}
+    with pytest.raises(DocumentError) as info:
+        parse_map_document(doc)
+    assert info.value.path == "$.components[0][0].coefficient"
+    assert info.value.message == f"not a rational: {many!r}"
+
+
+def test_map_and_solution_documents_parse_without_fraction(monkeypatch, diagonal_map):
+    """Only the public `parse_rational` builds a `Fraction`."""
+    doc = dict(MAP_DOC, conjugator=[["1", "0"], ["1/2", {"re": "1", "im": "-1/3"}]])
+    solution = json.loads(dump(solution_json(solve(diagonal_map, degree=4))))
+    expected = parse_map_document(doc), parse_solution_document(solution)
+
+    def no_fraction(*args):
+        raise AssertionError("a document was read through Fraction")
+
+    monkeypatch.setattr("schroeder.documents.Fraction", no_fraction)
+    assert (parse_map_document(doc), parse_solution_document(solution)) == expected
 
 
 MAP_DOC = {
