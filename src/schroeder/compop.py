@@ -21,9 +21,9 @@ structure.
 `build(phi, K)` is the one operator builder, for a K its caller has
 searched, and `eigenvalue_products` is the one table of lambda^alpha,
 which the lifter reads beyond K.  The degree-1 columns are phi's own
-components, and every other column phi^beta comes from the
-Gaussian-integer powers of one `maps.PowerTable`, the same powers that
-composition, the lifter and `verify` use.
+components; every other column phi^beta is scattered straight from the
+packed Gaussian-integer power P^beta of one `maps.PowerTable`, the kind
+of table that composition, the lifter and `verify` use, with no `Jet`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from functools import cached_property, cmp_to_key
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ExactMatrix, SparseVector
-from .maps import PolyMap, PowerTable, monomial_power
-from .scalars import ONE, ZERO, Scalar
+from .maps import PolyMap, PowerTable
+from .scalars import ONE, ZERO, Scalar, from_ints
 from .series import Jet, MultiIndex, enumerate_monomials, order_key
 
 
@@ -179,34 +179,37 @@ def build(phi: PolyMap, k: int) -> TruncatedCompOp:
     Requires an upper-triangular derivative.  Each column phi^beta is
     scattered into the rows of its terms; a term in a row above its
     column would break triangularity.  A degree-1 column, beta = e_i, is
-    the component phi_i itself; every other column is read from one
-    `maps.PowerTable`.
+    the component phi_i itself.  Every other column is the packed power
+    P^beta of one `maps.PowerTable`, read into rows by packed key (`rows`
+    holds the rows of degree >= 2), each entry reduced once over D^|beta|.
     """
     _upper_triangular_derivative(phi)
     source = phi.truncate(k)
     basis = tuple(enumerate_monomials(phi.dim, k))
     index = {alpha: i for i, alpha in enumerate(basis)}
     table = PowerTable(source)
+    rows = {table.encode(alpha): i for i, alpha in enumerate(basis) if sum(alpha) >= 2}
     lower: List[List[Tuple[int, Scalar]]] = [[] for _ in basis]
     diag = [ZERO] * len(basis)
     for j, beta in enumerate(basis):
-        if sum(beta) == 1:
-            column = source.components[beta.index(1)].coeffs
+        m = sum(beta)
+        if m == 1:
+            column = [(index[a], x) for a, x in source.components[beta.index(1)].coeffs.items()]
         else:
-            column = monomial_power(source, beta, table).coeffs
-        for alpha, x in column.items():
-            i = index[alpha]
+            d, parts = table.denom_powers[m], table.power(beta).values()
+            if table.real:
+                column = [(rows[g], from_ints(v, 0, d)) for p in parts for g, v in p.items() if v]
+            else:
+                column = [(rows[g], from_ints(a, b, d))
+                          for p in parts for g, (a, b) in p.items() if a or b]
+        for i, x in column:
             if i < j:
-                raise RuntimeError(
-                    f"operator matrix is not lower triangular in column {j}"
-                )
+                raise RuntimeError(f"operator matrix is not lower triangular in column {j}")
             if i == j:
                 diag[i] = x
             else:
                 lower[i].append((j, x))
-    return TruncatedCompOp(
-        source, k, basis, tuple(tuple(row) for row in lower), tuple(diag), index
-    )
+    return TruncatedCompOp(source, k, basis, tuple(map(tuple, lower)), tuple(diag), index)
 
 
 def jet_vector(op: TruncatedCompOp, f: Jet) -> Tuple[Scalar, ...]:

@@ -26,17 +26,15 @@ path; `parse_matrix` does the same for its entries.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
 from typing import Any, Dict, List, Optional, Tuple
 
 from .engine import AnalysisReport, SchroederSolution, VerifyReport
 from .compop import TruncatedCompOp
 from .linalg import ExactMatrix
 from .maps import PolyMap
-from .scalars import Scalar, from_ints, ratio_str
+from .scalars import Scalar, from_ints, ratio_str, read_rational
 from .series import Jet, MultiIndex
 
 
@@ -143,30 +141,12 @@ def _under(exc: DocumentError, prefix: str) -> DocumentError:
     return DocumentError(exc.message, prefix + (exc.path or ""))
 
 
-# The grammar of a rational string, one on every Python: what `Fraction`
-# reads on 3.12 and later, but no exponents ("1e-1000000" is ten bytes for
-# a million-digit denominator).  `\d` is any digit that `int` reads.
-_DIGITS = r"(\d+(?:_\d+)*)"
-_RATIONAL = re.compile(rf"\s*([-+]?)(?=\.?\d){_DIGITS}?(?:\s*/\s*{_DIGITS}|\.{_DIGITS}?)?\s*")
-
-
 def _rational(value: Any, at: str) -> Tuple[int, int]:
-    """(n, d) in lowest terms, d > 0; refused at `at`, as is a string past `int`'s digit limit."""
+    """(n, d) in lowest terms, d > 0, by `scalars.read_rational`'s grammar; refused at `at`."""
     if isinstance(value, str):
-        m = _RATIONAL.fullmatch(value)
         try:
-            if m is None:
-                raise ValueError(value)
-            sign, n, d, decimal = m.groups()
-            n, d = int(n or 0), int(d or 1)
-            if decimal:
-                d = 10 ** len(decimal.replace("_", ""))
-                n = n * d + int(decimal)
-            if not d:
-                raise ZeroDivisionError(value)
-            g = gcd(n, d)
-            return (-n if sign == "-" else n) // g, d // g
-        except (ValueError, ZeroDivisionError) as exc:
+            return read_rational(value)
+        except ValueError as exc:
             raise DocumentError(f"not a rational: {value!r}", at) from exc
     if isinstance(value, bool):
         raise DocumentError("expected a rational string, got a boolean", at)

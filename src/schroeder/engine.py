@@ -31,7 +31,7 @@ so callers only need a triangular derivative.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
@@ -203,15 +203,15 @@ def _report(prep: _Prep, chains: JordanBasis) -> AnalysisReport:
     # of ker(C - mu), so their count is its dimension and their first n
     # coordinates give its projection to the linear monomials.
     multiplicity = Counter(b.eigenvalue for b in chains.original_blocks)
+    # The rows of degree >= 2 follow the n linear ones; grouped by diagonal entry.
+    by_value = defaultdict(list)
+    for alpha, x in zip(op.basis[n:], op.diag[n:]):
+        by_value[x].append(alpha)
     records = []
     for mu, orig in multiplicity.items():
         kb = [dict(c.vectors[0]) for c in chains.chains if c.eigenvalue == mu]
         proj = vectors_rank([[v.get(j, ZERO) for j in range(n)] for v in kb])
-        witnesses = tuple(
-            alpha
-            for alpha, x in zip(op.basis, op.diag)
-            if sum(alpha) >= 2 and x == mu
-        )
+        witnesses = tuple(by_value.get(mu, ()))
         records.append(
             EigenvalueRecord(
                 value=mu,

@@ -9,9 +9,9 @@ Composition runs over the Gaussian integers.  `PowerTable` scales phi by
 the lcm D of its denominators, so P = D*phi has integer coefficients,
 and memoizes the powers P^alpha; an `IntSum` adds multiples of them
 degree by degree on one denominator.  `compose`, `map_compose`,
-`conjugate_map` and the engine's lifter all go through these two, and
-`monomial_power`, which gives the operator builder its columns, reads
-the same table.  Inside both, a monomial gamma of phi's source
+`conjugate_map` and the engine's lifter go through these two, `compop.build`
+scatters its columns from a table's powers, and `monomial_power` reads
+one power as a `Jet`.  Inside both, a monomial gamma of phi's source
 variables is the int key sum gamma_i * B^i, with B = phi.degree + 1, so
 multiplying two monomials adds two ints.  A key becomes a tuple again,
 and a coefficient a canonical `Scalar`, once, when it is read; nothing

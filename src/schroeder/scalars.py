@@ -17,14 +17,15 @@ of products with one reduction in place of two.  `Scalar.ints` and
 `from_ints` hand the three integers to the integer composition of `maps`
 and take its sums back, with one gcd per coefficient.
 
-These integers are the only numbers the solver computes with, and `str`
-prints from them through `ratio_str`.  `fractions.Fraction` is only the
-public edge: `Scalar(re, im)` and `of` accept it, and `re`, `im` and
-`abs_sq` return it for outside readers.
+These integers are the only numbers the solver computes with: `str`
+prints them through `ratio_str`, and `read_rational` reads rational
+strings into them, for documents and `of`.  `Fraction` is the public
+edge only: `Scalar(re, im)` and `of` accept it; `re`, `im`, `abs_sq` return it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
@@ -36,6 +37,31 @@ def ratio_str(n: int, d: int) -> str:
     """n/d in lowest terms as "n/d", or "n" when d divides n; for d > 0."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+# One rational grammar on every Python: what `Fraction` reads on 3.12+, without exponents
+# ("1e-1000000" is ten bytes for a million-digit denominator); `\d` is any digit `int` reads.
+_DIGITS = r"(\d+(?:_\d+)*)"
+_RATIONAL = re.compile(rf"\s*([-+]?)(?=\.?\d){_DIGITS}?(?:\s*/\s*{_DIGITS}|\.{_DIGITS}?)?\s*")
+
+
+def read_rational(text: str) -> Tuple[int, int]:
+    """(n, d) in lowest terms, d > 0; ValueError naming `text`, also past `int`'s digit limit."""
+    m = _RATIONAL.fullmatch(text)
+    try:
+        if m is None:
+            raise ValueError(text)
+        sign, n, d, decimal = m.groups()
+        n, d = int(n or 0), int(d or 1)
+        if decimal:
+            d = 10 ** len(decimal.replace("_", ""))
+            n = n * d + int(decimal)
+        if not d:
+            raise ZeroDivisionError(text)
+        g = gcd(n, d)
+        return (-n if sign == "-" else n) // g, d // g
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text!r}") from exc
 
 
 class Scalar:
@@ -56,8 +82,9 @@ class Scalar:
 
     @staticmethod
     def of(re: Union[int, str, Fraction], im: Union[int, str, Fraction] = 0) -> Scalar:
-        """Build a scalar from ints, Fractions, or rational strings like "3/4"."""
-        return Scalar(Fraction(re), Fraction(im))
+        """Build a scalar from ints, Fractions, or rational strings ("3/4", by `read_rational`)."""
+        re, im = (read_rational(x) if isinstance(x, str) else (x,) for x in (re, im))
+        return Scalar(Fraction(*re), Fraction(*im))
 
     def ints(self) -> Tuple[int, int, int]:
         """The canonical integers (a, b, d) with self == (a + b*i) / d."""

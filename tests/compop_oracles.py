@@ -4,9 +4,10 @@
 `series_oracles.monomial_power` and reads all N coefficients of each,
 so it builds the N x N `ExactMatrix` entry by entry and checks
 triangularity by scanning every entry above the diagonal.  It checks
-`compop.build`, which reads its columns from a Gaussian-integer
-`maps.PowerTable`, scatters each column's terms into sparse rows and
-never forms the dense matrix.
+`compop.build`, which takes each column of degree >= 2 straight from the
+packed Gaussian-integer power of a `maps.PowerTable`, sends each packed
+monomial key to its row, reduces each nonzero entry once, and never
+forms a `Jet` or the dense matrix.
 """
 
 from __future__ import annotations

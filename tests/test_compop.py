@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import resonance_oracles as oracle
 from compop_oracles import dense_operator
-from schroeder import compop
+from schroeder import compop, engine, maps
 from schroeder.compop import (
     UnsupportedSpectrumError,
     build,
@@ -21,9 +21,9 @@ from schroeder.compop import (
     truncation_degree,
     vector_jet,
 )
-from schroeder.engine import detect_resonance
+from schroeder.engine import analyze, detect_resonance, solve, truncated_operator
 from schroeder.linalg import ExactMatrix, mat_vec
-from schroeder.maps import PolyMap, compose
+from schroeder.maps import PolyMap, PowerTable, compose
 from schroeder.scalars import I, Scalar
 from schroeder.series import Jet, monomial_count
 
@@ -247,7 +247,70 @@ def test_sparse_build_matches_dense_oracle(seed, dim, k, linear, gaussian):
     assert op.matrix == matrix
     assert op.diag == matrix.diagonal_entries()
     assert all(j < i for i, row in enumerate(op.lower) for j, _ in row)
+    assert all(a < b for row in op.lower for (a, _), (b, _) in zip(row, row[1:]))
     assert all(not x.is_zero() for row in op.lower for _, x in row)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_build_skips_a_cancelled_power_coefficient(gaussian):
+    """phi = (l1 z1 + z1^2, l2 z2 + q z1 z2) with q = -l2 / l1: the z1^2 z2
+    coefficient of phi1 * phi2, l1 q + l2, cancels inside the packed power."""
+    l1 = gq(0, "1/2") if gaussian else sc(1, 2)
+    l2 = sc(1, 3)
+    q = -(l2 / l1)
+    phi = PolyMap(
+        (
+            jet_of(2, 3, [((1, 0), l1), ((2, 0), sc(1))]),
+            jet_of(2, 3, [((0, 1), l2), ((1, 1), q)]),
+        )
+    )
+    table = PowerTable(phi)
+    zero = (0, 0) if gaussian else 0
+    assert table.power((1, 1))[3][table.encode((2, 1))] == zero
+    op = build(phi, 3)
+    basis, matrix, _ = dense_operator(phi, 3)
+    assert op.matrix == matrix
+    assert op.matrix.at(basis.index((2, 1)), basis.index((1, 1))).is_zero()
+    assert all(not x.is_zero() for row in op.lower for _, x in row)
+    assert all(a < b for row in op.lower for (a, _), (b, _) in zip(row, row[1:]))
+
+
+def test_build_at_degree_one_reads_only_the_components():
+    """At K = 1 every column is a component; the quadratic terms are cut."""
+    phi = PolyMap(
+        (
+            jet_of(3, 2, [((1, 0, 0), sc(1, 2)), ((0, 1, 0), sc(1, 3)), ((2, 0, 0), sc(1))]),
+            jet_of(3, 2, [((0, 1, 0), gq(0, "1/4")), ((0, 0, 1), sc(-1, 5))]),
+            jet_of(3, 2, [((0, 0, 1), sc(1, 6)), ((1, 1, 0), sc(2))]),
+        )
+    )
+    op = build(phi, 1)
+    basis, matrix, index = dense_operator(phi, 1)
+    assert (op.basis, op.index, op.matrix) == (basis, index, matrix)
+    assert op.diag == (sc(1, 2), gq(0, "1/4"), sc(1, 6))
+    assert op.lower == ((), ((0, sc(1, 3)),), ((1, sc(-1, 5)),))
+    assert op.source == phi.truncate(1)
+
+
+def test_build_never_calls_monomial_power(obstructed_map, coupled_map, record_calls):
+    """The operator's columns come straight from the packed powers."""
+    modules = [m for m in (maps, compop, engine) if hasattr(m, "monomial_power")]
+    calls = record_calls("monomial_power", *modules)
+    gaussian = PolyMap(
+        (
+            jet_of(2, 3, [((1, 0), gq(0, "1/2"))]),
+            jet_of(2, 3, [((0, 1), sc(-1, 4)), ((2, 0), gq(1, 1)), ((1, 1), sc(1, 3))]),
+        )
+    )
+    for phi in (obstructed_map, coupled_map, gaussian):
+        assert truncation_degree(phi.linear_part().diagonal_entries()) >= 2
+        for run in (
+            lambda: analyze(phi),
+            lambda: solve(phi, degree=4, mode="independent"),
+            lambda: truncated_operator(phi),
+        ):
+            run()
+            assert calls == []
 
 
 def test_build_refuses_a_term_above_its_column(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schroeder.documents import DocumentError, parse_scalar
 from schroeder.scalars import I, ONE, ZERO, Scalar, scalar_inv
 
 import scalar_oracles as oracle
@@ -25,6 +26,24 @@ def test_constructors_and_constants():
     assert Scalar.of(Fraction(1, 2), Fraction(-2, 3)).im == Fraction(-2, 3)
     assert ZERO.is_zero() and not ONE.is_zero()
     assert I * I == -ONE
+
+
+@pytest.mark.parametrize(
+    "text, value", [("1 / 2", Fraction(1, 2)), ("1_000", Fraction(1000)), (".5", Fraction(1, 2))]
+)
+def test_of_reads_strings_by_the_document_grammar(text, value):
+    assert Scalar.of(text) == Scalar(value, Fraction(0)) == parse_scalar(text, "c")
+    assert Scalar.of(0, text) == Scalar(Fraction(0), value)
+
+
+@pytest.mark.parametrize("text", ["1e-3", "3E2", "0x10"])
+def test_of_refuses_what_documents_refuse(text):
+    with pytest.raises(ValueError, match=f"not a rational: {text!r}"):
+        Scalar.of(text)
+    with pytest.raises(ValueError, match=f"not a rational: {text!r}"):
+        Scalar.of(1, text)
+    with pytest.raises(DocumentError, match=f"c: not a rational: {text!r}"):
+        parse_scalar(text, "c")
 
 
 def test_str_forms():
