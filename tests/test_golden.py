@@ -4,10 +4,12 @@ Each case runs one `schroeder` command in-process on a fixture map with
 `--format machine` and compares the document it writes with the file of
 the same name under `tests/golden/`, byte for byte; the same command
 with `--format text` must print the `.txt` file beside it.  The `verify`
-cases check the committed solution documents.  Two more maps are
-fixtures conjugated by a unimodular matrix and carry it as their
-`"conjugator"`, so the CLI's conjugation in and transport back are
-pinned as well.  The `--help` page of the group and of each subcommand
+cases check the committed solution documents.  Four more maps are
+fixtures conjugated by a matrix and carry it as their `"conjugator"`, so
+the CLI's conjugation in and transport back are pinned as well: two by
+a unimodular matrix, two by a scaled signed permutation.  One more map
+has a diagonal derivative whose repeated eigenvalue is out of order, so
+the engine's Jordan transition is a permutation.  The `--help` page of the group and of each subcommand
 is pinned as `help*.txt`.  After a change that is meant to alter the
 output, regenerate every file with
 
@@ -28,6 +30,7 @@ import pytest
 
 from schroeder import cli
 from schroeder.documents import parse_map_document
+from schroeder.linalg import transition_to_jordan_triangular
 from schroeder.maps import conjugate_map
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,8 +107,52 @@ CONJUGATED = {
     },
 }
 
+#: Fixtures conjugated by a scaled signed permutation C, as in `CONJUGATED`.
+PERMUTED = {
+    "obstructed-perm": {
+        "dimension": 2,
+        "components": [
+            [_term([1, 0], "1/4"), _term([0, 2], "-1/4")],
+            [_term([0, 1], "1/2")],
+        ],
+        "conjugator": [["0", "2"], ["-1", "0"]],
+    },
+    "coupled-perm": {
+        "dimension": 4,
+        "components": [
+            [_term([1, 0, 0, 0], "1/4")],
+            [_term([0, 1, 0, 0], "1/8")],
+            [_term([0, 0, 1, 0], "1/2")],
+            [_term([1, 0, 0, 0], "-1/24"), _term([0, 0, 0, 1], "1/4"),
+             _term([0, 0, 2, 0], "-1/8")],
+        ],
+        "conjugator": [
+            ["0", "0", "1", "0"],
+            ["0", "0", "0", "-1"],
+            ["1/3", "0", "0", "0"],
+            ["0", "2", "0", "0"],
+        ],
+    },
+}
+
+#: A map with derivative diag(1/2, 1/4, 1/2): the engine's Jordan
+#: transition swaps z2 and z3 to bring the two 1/2s together.
+REPEATED = {
+    "repeated": {
+        "dimension": 3,
+        "components": [
+            [_term([1, 0, 0], "1/2"), _term([0, 2, 0], "1/3")],
+            [_term([0, 1, 0], "1/4"), _term([1, 1, 0], "1/5")],
+            [_term([0, 0, 1], "1/2"), _term([2, 0, 0], "1/6"), _term([0, 1, 1], "-1/7")],
+        ],
+    },
+}
+
+#: The maps whose cases follow the layout of `CONJUGATED`'s.
+CONJUGATED_LAYOUT = {**CONJUGATED, **PERMUTED, **REPEATED}
+
 #: Every map document the cases run on, by name.
-DOCUMENTS = {**MAPS, **CONJUGATED}
+DOCUMENTS = {**MAPS, **CONJUGATED_LAYOUT}
 
 #: The golden solutions that `verify` replays, by file stem.
 SOLUTIONS = ("solve", "solve-power-k2", "solve-power-k3")
@@ -128,8 +175,8 @@ def _cases() -> List[Tuple[str, str, List[str], int]]:
             solution = str(GOLDEN / f"{name}.{stem}.json")
             out.append((f"{name}.verify-{stem}.json", name, ["verify", solution], 0))
         out.append((f"{name}.matrix.json", name, ["matrix"], 0))
-    for name in CONJUGATED:
-        blocked = name == "obstructed-conj"
+    for name in CONJUGATED_LAYOUT:
+        blocked = name.startswith("obstructed")
         solve = ["solve", "--degree", "10"]
         out.append((f"{name}.analyze.json", name, ["analyze"], 2 if blocked else 0))
         out.append((f"{name}.solve.json", name, solve, 2 if blocked else 0))
@@ -198,11 +245,21 @@ def test_map_documents_are_the_fixtures(name, request):
     assert phi == request.getfixturevalue(f"{name}_map")
 
 
-@pytest.mark.parametrize("name", sorted(CONJUGATED))
+@pytest.mark.parametrize("name", sorted({**CONJUGATED, **PERMUTED}))
 def test_conjugated_documents_conjugate_to_the_fixtures(name, request):
-    phi, conjugator = parse_map_document(CONJUGATED[name])
-    fixture = request.getfixturevalue(f"{name.removesuffix('-conj')}_map")
+    phi, conjugator = parse_map_document(DOCUMENTS[name])
+    fixture = request.getfixturevalue(f"{name.split('-')[0]}_map")
     assert conjugate_map(phi, conjugator) == fixture
+
+
+def test_repeated_map_has_a_permutation_transition():
+    phi, conjugator = parse_map_document(REPEATED["repeated"])
+    assert conjugator is None
+    chain_matrix, jordan = transition_to_jordan_triangular(phi.linear_part().transpose())
+    assert [[str(x) for x in row] for row in chain_matrix.entries] == [
+        ["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]
+    ]
+    assert [str(x) for x in jordan.diagonal_entries()] == ["1/2", "1/2", "1/4"]
 
 
 @pytest.mark.parametrize(
