@@ -26,7 +26,9 @@ replays a solution against the equation term by term, composing
 through one `maps.PowerTable` of the map.
 
 Conjugation in and out inverts the conjugator once (`maps._conjugate`),
-so callers only need a triangular derivative.
+so callers only need a triangular derivative.  A diagonal derivative's
+transition is a permutation, often the identity: conjugating by it only
+relabels terms (`maps.map_compose`).
 """
 
 from __future__ import annotations

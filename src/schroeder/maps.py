@@ -8,14 +8,17 @@ cost stays bounded by the truncation degree.
 Composition runs over the Gaussian integers.  `PowerTable` scales phi by
 the lcm D of its denominators, so P = D*phi has integer coefficients,
 and memoizes the powers P^alpha; an `IntSum` adds multiples of them
-degree by degree on one denominator.  `compose`, `map_compose`,
-`conjugate_map` and the engine's lifter go through these two, `compop.build`
-scatters its columns from a table's powers, and `monomial_power` reads
-one power as a `Jet`.  Inside both, a monomial gamma of phi's source
-variables is the int key sum gamma_i * B^i, with B = phi.degree + 1, so
-multiplying two monomials adds two ints.  A key becomes a tuple again,
-and a coefficient a canonical `Scalar`, once, when it is read; nothing
-here multiplies `Scalar` jets.
+degree by degree on one denominator.  `compose`, `map_compose` and the
+engine's lifter go through these two, `compop.build` scatters its
+columns from a table's powers, and `monomial_power` reads one power as
+a `Jet`.  A monomial inner map, each component c_i * z_t(i) with the
+t(i) distinct, forms neither: `map_compose` relabels the outer map's
+terms, so `conjugate_map` by a scaled permutation, the identity
+included, costs a relabel.  Inside tables and sums, a monomial gamma
+of phi's source variables is the int key sum gamma_i * B^i, with
+B = phi.degree + 1, so multiplying two monomials adds two ints.  A key
+becomes a tuple again, and a coefficient a canonical `Scalar`, once,
+when it is read; nothing here multiplies `Scalar` jets.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import lcm
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .linalg import ExactMatrix, inverse
-from .scalars import Scalar, from_ints
+from .scalars import ONE, Scalar, from_ints
 from .series import Jet, MultiIndex, add_into, unit_index
 
 
@@ -356,18 +359,52 @@ def compose(f: Jet, phi: PolyMap, memo: Optional[PowerTable] = None) -> Jet:
     return Jet(phi.source_dim, degree, coeffs)
 
 
+def _monomial_targets(g: PolyMap) -> Optional[List[Tuple[int, Scalar]]]:
+    """(t, c) for each component g_i = c * z_t, if every one is such a term and no t repeats."""
+    terms = [list(c.coeffs.items()) for c in g.components]
+    if any(len(t) != 1 or sum(t[0][0]) != 1 for t in terms):
+        return None
+    out = [(alpha.index(1), x) for [(alpha, x)] in terms]
+    return out if len({t for t, _ in out}) == len(out) else None
+
+
 def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
-    """Componentwise composition f(g(z)), through one power table of g."""
+    """Componentwise composition f(g(z)), truncated to min(f.degree, g.degree).
+
+    A monomial g, g_i = c_i * z_t(i) with the t(i) distinct, relabels:
+    each term x * z^alpha of f becomes x * prod c_i^alpha_i * z^t(alpha),
+    one term, and the identity copies f.  Any other g goes through one
+    power table of g.
+    """
     if f.source_dim != g.dim:
         raise ValueError(
             f"inner map has {g.dim} components, outer expects {f.source_dim}"
         )
-    table = PowerTable(g)
-    return PolyMap(tuple(compose(c, g, table) for c in f.components))
+    targets = _monomial_targets(g)
+    if targets is None:
+        table = PowerTable(g)
+        return PolyMap(tuple(compose(c, g, table) for c in f.components))
+    f, m = f.truncate(min(f.degree, g.degree)), g.source_dim
+    if targets == [(i, ONE) for i in range(m)]:
+        return f
+    powers = [_Memo(c.__pow__) for _, c in targets]
+    comps = []
+    for component in f.components:
+        coeffs: Dict[MultiIndex, Scalar] = {}
+        for alpha, x in component.coeffs.items():
+            beta = [0] * m
+            for (t, c), e, power in zip(targets, alpha, powers):
+                if e:
+                    beta[t] = e
+                    if c != ONE:
+                        x = x * power[e]
+            coeffs[tuple(beta)] = x
+        comps.append(Jet(m, f.degree, coeffs))
+    return PolyMap(tuple(comps))
 
 
 def matrix_apply(m: ExactMatrix, phi: PolyMap) -> PolyMap:
-    """The map z -> M * phi(z); cheaper than composing with a linear map."""
+    """The map z -> M * phi(z), no composition; an entry 1 adds its component unscaled."""
     if m.cols != phi.dim:
         raise ValueError(f"matrix has {m.cols} columns, map has {phi.dim} components")
     comps = []
@@ -376,7 +413,7 @@ def matrix_apply(m: ExactMatrix, phi: PolyMap) -> PolyMap:
         for j in range(m.cols):
             s = m.at(i, j)
             if not s.is_zero():
-                add_into(acc, phi.components[j].coeffs, s)
+                add_into(acc, phi.components[j].coeffs, None if s == ONE else s)
         comps.append(Jet(phi.source_dim, phi.degree, acc))
     return PolyMap(tuple(comps))
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import series_oracles as oracle
 from compop_oracles import dense_operator
-from schroeder import series
+from schroeder import compop, engine, maps, series
 from schroeder.compop import build
-from schroeder.engine import verify
+from schroeder.engine import analyze, solve, solve_power, verify
 from schroeder.linalg import ExactMatrix, inverse, mat_mul
 from schroeder.maps import (
     PolyMap,
@@ -26,7 +26,7 @@ from schroeder.maps import (
     matrix_map,
     monomial_power,
 )
-from schroeder.scalars import ONE, Scalar
+from schroeder.scalars import ONE, ZERO, Scalar
 from schroeder.series import Jet, monomials_of_degree, unit_index
 
 from conftest import jet_of, random_poly_map, sc, sc_fraction_pool, traced_peak
@@ -133,11 +133,21 @@ def test_composition_linear_part_is_product():
     assert map_compose(f, g).linear_part() == mat_mul(f.linear_part(), g.linear_part())
 
 
-def test_matrix_apply_matches_composition():
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[sc(2), sc(-1)], [sc(0), sc(1, 2)]],
+        [[sc(1), sc(0)], [sc(0), sc(1)]],
+        [[sc(0), sc(1)], [sc(1), sc(0)]],
+    ],
+    ids=["triangular", "identity", "permutation"],
+)
+def test_matrix_apply_matches_composition(rows):
     rng = random.Random(29)
     phi = random_poly_map(rng, 2, [sc(1, 2), sc(1, 3)], 3)
-    m = ExactMatrix.from_rows([[sc(2), sc(-1)], [sc(0), sc(1, 2)]])
+    m = ExactMatrix.from_rows(rows)
     assert matrix_apply(m, phi) == map_compose(matrix_map(m, 3), phi)
+    assert matrix_apply(m, phi) == oracle.map_compose(matrix_map(m, 3), phi)
 
 
 def test_conjugation_round_trip_and_linear_part():
@@ -383,3 +393,117 @@ def test_build_and_compose_multiply_no_jets():
         assert build(phi, 3).matrix == matrix
         assert compose(f.components[1], phi) == want.components[1]
         assert map_compose(f, phi) == want
+
+
+#: Nonzero scales of a monomial map's terms, 1 and -1 among them.
+SCALES = (
+    ONE, -ONE, sc(1, 2), sc(-3, 5), sc(7),
+    Scalar.of(0, 1), Scalar.of(Fraction(2, 3), -1), Scalar.of(-1, Fraction(1, 4)),
+)
+
+
+def _scaled_signed_permutation(rng: random.Random, n: int) -> ExactMatrix:
+    """The n x n matrix with one entry from `SCALES` per row and column, at random."""
+    cols = rng.sample(range(n), n)
+    return ExactMatrix.from_rows(
+        [[rng.choice(SCALES) if j == cols[i] else ZERO for j in range(n)] for i in range(n)]
+    )
+
+
+@st.composite
+def monomial_compositions(draw):
+    """A map f: C^n -> C^k and a monomial g: C^m -> C^n, g_i = c_i * z_t(i), t injective.
+
+    m >= n, so g is a scaled permutation when m == n; g's degree is
+    below, equal to or above f's.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 4))
+    f_degree = draw(st.integers(1, 5))
+    g_degree = max(1, f_degree + draw(st.integers(-1, 1)))
+    targets = draw(st.permutations(range(m)))[:n]
+    scales = [draw(st.sampled_from(SCALES)) for _ in range(n)]
+    g = PolyMap(tuple(Jet.monomial(m, g_degree, unit_index(m, t), c) for t, c in zip(targets, scales)))
+    gaussian = draw(st.booleans())
+    f = PolyMap(tuple(_random_jet(rng, n, f_degree, gaussian, 1) for _ in range(draw(st.integers(1, 3)))))
+    return f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_compositions())
+@example((
+    PolyMap((jet_of(2, 3, [((1, 0), sc(1, 2)), ((1, 2), sc(1, 3))]),)),
+    PolyMap((Jet.monomial(2, 3, (1, 0)), Jet.monomial(2, 3, (0, 1)))),
+))
+def test_monomial_map_compose_matches_the_oracle(drawn):
+    f, g = drawn
+    got = map_compose(f, g)
+    assert got == oracle.map_compose(f, g)
+    assert got.degree == min(f.degree, g.degree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5), st.booleans())
+def test_conjugating_by_a_scaled_signed_permutation_matches_the_oracle(seed, n, degree, gaussian):
+    rng = random.Random(seed)
+    phi = PolyMap(tuple(_random_jet(rng, n, degree, gaussian, 1) for _ in range(n)))
+    d = _scaled_signed_permutation(rng, n)
+    inner = oracle.map_compose(phi, matrix_map(inverse(d), degree))
+    assert conjugate_map(phi, d) == oracle.map_compose(matrix_map(d, degree), inner)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        PolyMap((Jet.monomial(2, 3, (1, 0), sc(1, 2)), Jet.monomial(2, 3, (1, 0), sc(-1)))),
+        PolyMap((Jet.monomial(2, 3, (0, 1), sc(3)), Jet.zero(2, 3))),
+    ],
+    ids=["two-on-one-variable", "zero-component"],
+)
+def test_a_monomial_map_that_is_not_a_relabel_composes_through_a_table(g, record_calls):
+    f = PolyMap((
+        jet_of(2, 3, [((1, 0), sc(1, 2)), ((1, 1), sc(2, 3)), ((0, 3), Scalar.of(0, 1))]),
+        jet_of(2, 3, [((0, 1), sc(-1)), ((2, 1), sc(5))]),
+    ))
+    tables = record_calls("PowerTable", maps)
+    assert map_compose(f, g) == oracle.map_compose(f, g)
+    assert [args[0] for args in tables] == [g]
+
+
+def _all_linear(phi: PolyMap) -> bool:
+    return all(sum(alpha) == 1 for c in phi.components for alpha in c.coeffs)
+
+
+def test_a_diagonal_derivative_forms_no_table_of_a_linear_map(record_calls):
+    """The identity and permutation transitions of diagonal derivatives relabel terms.
+
+    One map has distinct eigenvalues (transition the identity), the
+    other diag(1/2, 1/4, 1/2) (transition a permutation); both have
+    K = 2, so the map the engine works with keeps its quadratic terms.
+    """
+    distinct = PolyMap((
+        jet_of(2, 3, [((1, 0), sc(1, 2)), ((1, 1), sc(1, 3)), ((0, 3), sc(2, 7))]),
+        jet_of(2, 3, [((0, 1), sc(1, 4)), ((0, 2), sc(1, 5))]),
+    ))
+    repeated = PolyMap((
+        jet_of(3, 2, [((1, 0, 0), sc(1, 2)), ((0, 2, 0), sc(1, 3))]),
+        jet_of(3, 2, [((0, 1, 0), sc(1, 4)), ((1, 1, 0), sc(1, 5))]),
+        jet_of(3, 2, [((0, 0, 1), sc(1, 2)), ((2, 0, 0), sc(1, 6)), ((0, 1, 1), sc(-1, 7))]),
+    ))
+    tables = record_calls("PowerTable", maps, compop, engine)
+    for phi in (distinct, repeated):
+        assert analyze(phi).full_rank
+        solutions = [
+            solve(phi, degree, mode)
+            for degree in (None, 6)
+            for mode in ("full-rank", "independent")
+        ]
+        for solution in solutions:
+            assert verify(phi, solution.components).first_failure is None
+        squared = solve_power(phi, 2, 6)
+        assert verify(phi, squared.components, 2).first_failure is None
+        rng = random.Random(phi.dim)
+        conjugate_map(phi, _scaled_signed_permutation(rng, phi.dim))
+    assert tables
+    assert not [args[0] for args in tables if _all_linear(args[0])]
