@@ -404,7 +404,7 @@ def map_compose(f: PolyMap, g: PolyMap) -> PolyMap:
 
 
 def matrix_apply(m: ExactMatrix, phi: PolyMap) -> PolyMap:
-    """The map z -> M * phi(z), no composition; an entry 1 adds its component unscaled."""
+    """The map z -> M * phi(z), without composing; an entry 1 adds its component unscaled."""
     if m.cols != phi.dim:
         raise ValueError(f"matrix has {m.cols} columns, map has {phi.dim} components")
     comps = []
