@@ -9,9 +9,9 @@ fixtures conjugated by a matrix and carry it as their `"conjugator"`, so
 the CLI's conjugation in and transport back are pinned as well: two by
 a unimodular matrix, two by a scaled signed permutation.  One more map
 has a diagonal derivative whose repeated eigenvalue is out of order, so
-the engine's Jordan transition is a permutation.  The `--help` page of the group and of each subcommand
-is pinned as `help*.txt`.  After a change that is meant to alter the
-output, regenerate every file with
+the engine's Jordan transition is a permutation.  The `--help` page of
+the group and of each subcommand is pinned as `help*.txt`.  After a
+change that is meant to alter the output, regenerate every file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
