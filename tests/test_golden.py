@@ -9,9 +9,12 @@ fixtures conjugated by a matrix and carry it as their `"conjugator"`, so
 the CLI's conjugation in and transport back are pinned as well: two by
 a unimodular matrix, two by a scaled signed permutation.  One more map
 has a diagonal derivative whose repeated eigenvalue is out of order, so
-the engine's Jordan transition is a permutation.  The `--help` page of
-the group and of each subcommand is pinned as `help*.txt`.  After a
-change that is meant to alter the output, regenerate every file with
+the engine's Jordan transition is a permutation.  The last mixes a
+resonant pair with an eigenvalue whose squared modulus has a prime no
+other eigenvalue's has, so the resonance search is pinned beyond
+spectra of powers of 1/2.  The `--help` page of the group and of each
+subcommand is pinned as `help*.txt`.  After a change that is meant to
+alter the output, regenerate every file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -148,8 +151,22 @@ REPEATED = {
     },
 }
 
+#: A map with derivative diag(1/2, 1/3, 1/4): 1/4 is resonant at z1^2,
+#: while 1/3 is the only eigenvalue whose squared modulus has the prime 3,
+#: so no resonance can involve it.
+MIXED = {
+    "mixed": {
+        "dimension": 3,
+        "components": [
+            [_term([1, 0, 0], "1/2"), _term([0, 2, 0], "1/3")],
+            [_term([0, 1, 0], "1/3"), _term([1, 0, 1], "1/5")],
+            [_term([0, 0, 1], "1/4"), _term([1, 1, 0], "1/7")],
+        ],
+    },
+}
+
 #: The maps whose cases follow the layout of `CONJUGATED`'s.
-CONJUGATED_LAYOUT = {**CONJUGATED, **PERMUTED, **REPEATED}
+CONJUGATED_LAYOUT = {**CONJUGATED, **PERMUTED, **REPEATED, **MIXED}
 
 #: Every map document the cases run on, by name.
 DOCUMENTS = {**MAPS, **CONJUGATED_LAYOUT}
