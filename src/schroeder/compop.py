@@ -10,10 +10,13 @@ The obstruction lives in the resonance set: the exponents alpha with
 |alpha| >= 2 whose product lambda^alpha is again an eigenvalue.  The set
 is finite because every |lambda_i| < 1: appending a factor only shrinks
 |lambda^alpha|, and a product below the smallest eigenvalue modulus can
-never come back to the spectrum.  `resonances` walks the exponents
-depth first, one multiplication per exponent, and cuts a branch as soon
-as |lambda^alpha|^2 < min |lambda_j|^2.  Squared moduli are pairs
-(a^2 + b^2, d^2) of `Scalar.ints`, compared by cross-multiplication.
+never come back to the spectrum.  An eigenvalue that owns a prime, one
+dividing its reduced |lambda_i|^2 and no other |lambda_k|^2, is in no
+resonance, so `resonances` keeps the entangled rest (by gcds alone) and
+walks their exponents depth first, one multiplication per exponent,
+cutting a branch as soon as |lambda^alpha|^2 < min |lambda_j|^2 over
+them.  Squared moduli are pairs (a^2 + b^2, d^2) of `Scalar.ints`,
+compared by cross-multiplication.
 `truncation_degree` is the largest |alpha| in that set (at least 1), so
 the K-truncated matrix carries the complete eigenvalue-collision
 structure.
@@ -28,8 +31,9 @@ of table that composition, the lifter and `verify` use, with no `Jet`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import ExactMatrix, SparseVector
@@ -77,29 +81,60 @@ def eigenvalue_products(
     return out
 
 
+def _entangled(squares: Sequence[Tuple[int, int]]) -> List[int]:
+    """The i such that each prime of the reduced |lambda_i|^2 divides another's.
+
+    One product of the reduced numerators x denominators; per i, one
+    division gives the others' product and a gcd loop strips its primes.
+    """
+    cores = [n * q // math.gcd(n, q) ** 2 for n, q in squares]
+    total = math.prod(cores)
+    keep = []
+    for i, core in enumerate(cores):
+        g = math.gcd(core, total // core)
+        while g > 1:
+            core //= g
+            g = math.gcd(core, g)
+        if core == 1:
+            keep.append(i)
+    return keep
+
+
 def resonances(diag: Sequence[Scalar]) -> List[Tuple[MultiIndex, Scalar]]:
     """All (alpha, lambda^alpha) with |alpha| >= 2 and lambda^alpha in the spectrum.
 
-    Depth first over exponents.  An exponent grows only by e_i with i at
-    or past its last index, so each is reached once, and its product and
-    squared modulus each take one multiplication from its parent's.  A
-    child with |lambda^alpha|^2 < min |lambda_j|^2 is never formed: every
+    If a prime p divides the reduced |lambda_i|^2 and no other
+    |lambda_k|^2, p-adic valuations of |lambda^alpha|^2 = |lambda_j|^2
+    force alpha_i = 0 for j != i and alpha = e_i for j = i: lambda_i is
+    neither a factor nor the value of a resonance.  So the walk, depth
+    first, runs over the other, entangled eigenvalues only.  An exponent
+    grows only by e_i with i at or past its last index, so each is
+    reached once, and its product and squared modulus each take one
+    multiplication from its parent's.  A child with |lambda^alpha|^2
+    below the smallest entangled |lambda_j|^2 is never formed: every
     further factor has modulus below 1, so nothing beneath it can equal
-    an eigenvalue.  Returned in basis order.
+    one of them.  Returned in basis order.
     """
     squares = _squares(diag)
     n = len(diag)
-    lo_n, lo_q = min(squares, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
-    spectrum = set(diag)
+    keep = _entangled(squares)
+    if not keep:
+        return []
+    lo_n, lo_q = squares[keep[0]]
+    for i in keep[1:]:
+        x, y = squares[i]
+        if x * lo_q < lo_n * y:
+            lo_n, lo_q = x, y
+    spectrum = {diag[i] for i in keep}
     found = []
-    # (alpha, lowest index alpha may still grow in, lambda^alpha, |lambda^alpha|^2 as p/q)
+    # (alpha, first position in keep it may grow by, lambda^alpha, |lambda^alpha|^2 as p/q)
     stack = [
-        (tuple(int(j == i) for j in range(n)), i, diag[i], *squares[i])
-        for i in range(n)
+        (tuple(int(j == i) for j in range(n)), start, diag[i], *squares[i])
+        for start, i in enumerate(keep)
     ]
     while stack:
         alpha, first, prod, p, q = stack.pop()
-        for i in range(first, n):
+        for at, i in enumerate(keep[first:], first):
             child_p, child_q = p * squares[i][0], q * squares[i][1]
             if child_p * lo_q < lo_n * child_q:
                 continue
@@ -107,7 +142,7 @@ def resonances(diag: Sequence[Scalar]) -> List[Tuple[MultiIndex, Scalar]]:
             child_prod = prod * diag[i]
             if child_prod in spectrum:
                 found.append((child, child_prod))
-            stack.append((child, i, child_prod, child_p, child_q))
+            stack.append((child, at, child_prod, child_p, child_q))
     found.sort(key=lambda hit: order_key(hit[0]))
     return found
 
@@ -118,7 +153,8 @@ def truncation_degree(diag: Sequence[Scalar]) -> int:
     Raises `UnsupportedSpectrumError` unless 0 < |lambda_i| < 1 for all i.
     Then a product with |lambda^alpha|^2 < min |lambda_j|^2 cannot be an
     eigenvalue, and neither can any multiple of it, so `resonances`
-    searches a finite tree.
+    searches a finite tree, over the entangled eigenvalues only: with
+    none, as when each owns a prime, it forms no product.
     """
     found = resonances(diag)
     # In basis order, the last exponent has the largest degree.
@@ -181,13 +217,14 @@ def build(phi: PolyMap, k: int) -> TruncatedCompOp:
     column would break triangularity.  A degree-1 column, beta = e_i, is
     the component phi_i itself.  Every other column is the packed power
     P^beta of one `maps.PowerTable`, read into rows by packed key (`rows`
-    holds the rows of degree >= 2), each entry reduced once over D^|beta|.
+    holds the rows of degree >= 2), each entry reduced once over D^|beta|;
+    at k = 1 there is no such column and no table is formed.
     """
     _upper_triangular_derivative(phi)
     source = phi.truncate(k)
     basis = tuple(enumerate_monomials(phi.dim, k))
     index = {alpha: i for i, alpha in enumerate(basis)}
-    table = PowerTable(source)
+    table = PowerTable(source) if k > 1 else None
     rows = {table.encode(alpha): i for i, alpha in enumerate(basis) if sum(alpha) >= 2}
     lower: List[List[Tuple[int, Scalar]]] = [[] for _ in basis]
     diag = [ZERO] * len(basis)

@@ -4,8 +4,11 @@
 below min |lambda|^2; no product of total degree >= B can be an
 eigenvalue.  `resonances` enumerates every exponent up to B in basis
 order, powers each product from scratch and keeps those that lie in the
-spectrum.  It checks `compop.resonances`, which walks the exponents depth
-first and prunes, and shares no search or modulus code with it.
+spectrum.  It checks `compop.resonances`, which first drops every
+eigenvalue owning a prime of its reduced squared modulus, then walks the
+exponents of the rest depth first and prunes.  The oracle keeps every
+eigenvalue in every exponent, so it checks that filter too, and it shares
+no filter, search or modulus code with it.
 """
 
 from __future__ import annotations

@@ -122,10 +122,8 @@ def test_truncation_degree_on_the_pruning_boundary():
         assert truncation_degree(diag) == k
 
 
-def test_resonance_search_multiplies_once_per_admissible_exponent(monkeypatch):
-    # The brute force powers about 241k products for this spectrum; the
-    # pruned search forms lambda^alpha once for each alpha = (a, 0) with
-    # (999/1000)^(2a) >= 1/4, that is for 2 <= a <= 692.
+def count_products(monkeypatch):
+    """A list that gains one entry per `Scalar.__mul__` call from now on."""
     calls = []
     mul = Scalar.__mul__
 
@@ -134,8 +132,54 @@ def test_resonance_search_multiplies_once_per_admissible_exponent(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(Scalar, "__mul__", counted)
+    return calls
+
+
+def test_resonance_search_multiplies_once_per_admissible_exponent(monkeypatch):
+    # 999/1000 owns the primes 3 and 37 of its squared modulus, so it is in
+    # no resonance and the search forms no product.  In the second spectrum
+    # every prime is shared (999/2000 = 999/1000 * 1/2), and the brute force
+    # would power millions of products; the pruned search forms lambda^alpha
+    # once per admissible alpha, about 700 here, mostly (a, 0, 0) and
+    # (a, 0, 1) with (999/1000)^(2a) above the prune bound.
+    calls = count_products(monkeypatch)
     assert truncation_degree([sc(999, 1000), sc(1, 2)]) == 1
+    assert calls == []
+    assert truncation_degree([sc(999, 1000), sc(1, 2), sc(999, 2000)]) == 2
     assert len(calls) <= 700
+
+
+def test_near_one_spectrum_forms_almost_no_product(monkeypatch):
+    # 999/1000 owns 3 and 37, 998/1000 = 499/500 owns 499; only 1/2 is
+    # left, and its square already falls below the prune bound.
+    near_one = [sc(999, 1000), sc(998, 1000), sc(1, 2)]
+    phi = PolyMap(
+        tuple(jet_of(3, 1, [(tuple(int(j == i) for j in range(3)), lam)])
+              for i, lam in enumerate(near_one))
+    )
+    calls = count_products(monkeypatch)
+    assert truncation_degree(near_one) == 1
+    assert len(calls) <= 3
+    assert detect_resonance(phi) == []
+
+
+def test_shared_prime_of_a_reduced_modulus_keeps_a_conjugate_pair():
+    # |(3 +- 4i)/10|^2 = 25/100 = 1/4: the pair shares 5 before reduction
+    # and only 2 after, as 1/4 does, so all three take part.
+    diag = [gq("3/10", "2/5"), gq("3/10", "-2/5"), sc(1, 4)]
+    assert resonances(diag) == oracle.resonances(diag) == [((1, 1, 0), sc(1, 4))]
+
+
+def test_mixed_spectrum_matches_brute_force():
+    # 1/3 owns 3 and 2/7 owns 7; the rest resonate among themselves.
+    diag = [
+        sc(1, 2), sc(1, 3), gq("3/10", "2/5"), sc(2, 7), sc(1, 4), gq("-7/100", "6/25"), sc(1, 8)
+    ]
+    found = resonances(diag)
+    assert found == oracle.resonances(diag)
+    assert len(found) == 4
+    assert all(alpha[1] == alpha[3] == 0 for alpha, _ in found)
+    assert truncation_degree(diag) == oracle.truncation_degree(diag) == 3
 
 
 def test_eigenvalue_products_order_and_values():
@@ -275,8 +319,9 @@ def test_build_skips_a_cancelled_power_coefficient(gaussian):
     assert all(a < b for row in op.lower for (a, _), (b, _) in zip(row, row[1:]))
 
 
-def test_build_at_degree_one_reads_only_the_components():
+def test_build_at_degree_one_reads_only_the_components(record_calls):
     """At K = 1 every column is a component; the quadratic terms are cut."""
+    tables = record_calls("PowerTable", compop)
     phi = PolyMap(
         (
             jet_of(3, 2, [((1, 0, 0), sc(1, 2)), ((0, 1, 0), sc(1, 3)), ((2, 0, 0), sc(1))]),
@@ -290,6 +335,9 @@ def test_build_at_degree_one_reads_only_the_components():
     assert op.diag == (sc(1, 2), gq(0, "1/4"), sc(1, 6))
     assert op.lower == ((), ((0, sc(1, 3)),), ((1, sc(-1, 5)),))
     assert op.source == phi.truncate(1)
+    assert tables == []
+    build(phi, 2)
+    assert len(tables) == 1
 
 
 def test_build_never_calls_monomial_power(obstructed_map, coupled_map, record_calls):
