@@ -140,8 +140,8 @@ def test_resonance_search_multiplies_once_per_admissible_exponent(monkeypatch):
     # no resonance and the search forms no product.  In the second spectrum
     # every prime is shared (999/2000 = 999/1000 * 1/2), and the brute force
     # would power millions of products; the pruned search forms lambda^alpha
-    # once per admissible alpha, about 700 here, mostly (a, 0, 0) and
-    # (a, 0, 1) with (999/1000)^(2a) above the prune bound.
+    # once per admissible alpha, 693 here, all but one of them (a, 0, 0)
+    # with (999/1000)^(2a) >= |999/2000|^2.
     calls = count_products(monkeypatch)
     assert truncation_degree([sc(999, 1000), sc(1, 2)]) == 1
     assert calls == []
