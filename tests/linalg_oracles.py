@@ -10,6 +10,12 @@ and restricted to the corner's eigenvalues, which takes the operator's
 sparse rows and never forms the shifted operator.  `chain_is_valid`
 densifies a Jordan chain and replays its chain relation exactly.
 
+`jordan_chains_triangular` and `transition_to_jordan_triangular` are the
+first release's kernel filtration and chain matrix, with every product,
+span and similarity check written on plain lists: they read only
+`kernel_basis` from `linalg` (checked against sympy entry for entry), so
+the library's (S, J) must equal theirs.
+
 The kernel-dimension sequence and null spaces come from sympy's
 `DomainMatrix` over Q or Q(i), and `sympy_jordan_blocks` reads block
 structure from sympy's `Matrix.jordan_form`.  `sympy_kernel_basis` and
@@ -58,6 +64,112 @@ def chain_is_valid(m: ExactMatrix, chain: JordanChain) -> bool:
             return False
         prev = tuple(v)
     return True
+
+
+def _list_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> List[List[Scalar]]:
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _list_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vector:
+    return tuple(_dot(row, v) for row in a)
+
+
+class _Span:
+    """Echelon rows, each 1 at its pivot and reduced against the rows before it."""
+
+    def __init__(self, vectors: Sequence[Sequence[Scalar]] = ()) -> None:
+        self.rows: List[Tuple[int, List[Scalar]]] = []
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v: Sequence[Scalar]) -> bool:
+        """Add v; False if it is already in the span."""
+        v = list(v)
+        for p, row in self.rows:
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, row)]
+        pivot = next((c for c, x in enumerate(v) if not x.is_zero()), None)
+        if pivot is None:
+            return False
+        inv = ONE / v[pivot]
+        self.rows.append((pivot, [x * inv for x in v]))
+        return True
+
+
+def _normalize_chain(lam: Scalar, vectors: Sequence[Vector]) -> JordanChain:
+    """Leading eigenvector coordinate 1, zeroed in the higher vectors by shift moves."""
+    vecs = [list(v) for v in vectors]
+    lead = next(i for i, x in enumerate(vecs[0]) if not x.is_zero())
+    inv = ONE / vecs[0][lead]
+    vecs = [[x * inv for x in v] for v in vecs]
+    for shift in range(1, len(vecs)):
+        mu = vecs[shift][lead]
+        if mu.is_zero():
+            continue
+        for i in range(shift, len(vecs)):
+            vecs[i] = [x - mu * y for x, y in zip(vecs[i], vecs[i - shift])]
+    return JordanChain(
+        lam, tuple(tuple((j, x) for j, x in enumerate(v) if not x.is_zero()) for v in vecs)
+    )
+
+
+def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
+    """The kernel filtration of the first release, on plain lists.
+
+    Kernels of (M - lam)^p up to lam's count on the diagonal; per p,
+    from the longest down, the first kernel vectors that enlarge the span
+    of the kernel below and the images of the tops already taken start
+    chains of length p.
+    """
+    n = m.rows
+    mult = sum(m.entries[i][i] == lam for i in range(n))
+    if not mult:
+        return []
+    shifted = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.entries)]
+    power = shifted
+    kernels = [kernel_basis(ExactMatrix.from_rows(power))]
+    while len(kernels[-1]) < mult:
+        power = _list_mul(power, shifted)
+        kernels.append(kernel_basis(ExactMatrix.from_rows(power)))
+    chains: List[JordanChain] = []
+    carried: List[Vector] = []
+    for p in range(len(kernels), 0, -1):
+        lower = kernels[p - 2] if p >= 2 else []
+        need = len(kernels[p - 1]) - len(lower) - len(carried)
+        span = _Span(lower + carried)
+        tops = [v for v in kernels[p - 1] if span.add(v)][:need]
+        assert len(tops) == need
+        for t in tops:
+            vecs = [t]
+            for _ in range(p - 1):
+                vecs.append(_list_vec(shifted, vecs[-1]))
+            vecs.reverse()
+            chains.append(_normalize_chain(lam, vecs))
+        carried = [_list_vec(shifted, v) for v in carried + tops]
+    return chains
+
+
+def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[List[List[Scalar]], List[List[Scalar]]]:
+    """(S, J) as row lists: the chains of `jordan_chains_triangular` as columns of S,
+    eigenvalues in order of first occurrence, blocks by increasing length,
+    and a @ S == S @ J checked by two full products."""
+    n = a.rows
+    cols: List[List[Scalar]] = []
+    jordan = [[ZERO] * n for _ in range(n)]
+    for lam in dict.fromkeys(a.entries[i][i] for i in range(n)):
+        for chain in sorted(jordan_chains_triangular(a, lam), key=lambda c: c.length):
+            for i, v in enumerate(reversed(chain.vectors)):
+                pos = len(cols)
+                jordan[pos][pos] = lam
+                if i:
+                    jordan[pos][pos - 1] = ONE
+                col = [ZERO] * n
+                for j, x in v:
+                    col[j] = x
+                cols.append(col)
+    s = [list(row) for row in zip(*cols)]
+    assert _list_mul(a.entries, s) == _list_mul(s, jordan)
+    return s, jordan
 
 
 def parse_jordan_corner(corner: ExactMatrix) -> List[Block]:

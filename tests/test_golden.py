@@ -12,7 +12,8 @@ has a diagonal derivative whose repeated eigenvalue is out of order, so
 the engine's Jordan transition is a permutation.  The last mixes a
 resonant pair with an eigenvalue whose squared modulus has a prime no
 other eigenvalue's has, so the resonance search is pinned beyond
-spectra of powers of 1/2.  The `--help` page of the group and of each
+spectra of powers of 1/2.  The map tri3 has a lower-triangular,
+non-diagonal derivative, so its Jordan transition is dense.  The `--help` page of the group and of each
 subcommand is pinned as `help*.txt`.  After a change that is meant to
 alter the output, regenerate every file with
 
@@ -165,8 +166,24 @@ MIXED = {
     },
 }
 
+#: A map with lower-triangular, non-diagonal derivative and simple
+#: eigenvalues 1/2, 1/3 and 1/5: no resonance, so K = 1, and the
+#: engine's Jordan transition is a dense chain matrix.
+TRIANGULAR = {
+    "tri3": {
+        "dimension": 3,
+        "components": [
+            [_term([1, 0, 0], "1/2"), _term([0, 2, 0], "1/5"), _term([1, 0, 1], "1/7")],
+            [_term([1, 0, 0], "1"), _term([0, 1, 0], "1/3"), _term([1, 1, 0], "1/7"),
+             _term([0, 0, 2], "1/11")],
+            [_term([1, 0, 0], "2/3"), _term([0, 1, 0], "1/4"), _term([0, 0, 1], "1/5"),
+             _term([2, 0, 0], "1/13")],
+        ],
+    },
+}
+
 #: The maps whose cases follow the layout of `CONJUGATED`'s.
-CONJUGATED_LAYOUT = {**CONJUGATED, **PERMUTED, **REPEATED, **MIXED}
+CONJUGATED_LAYOUT = {**CONJUGATED, **PERMUTED, **REPEATED, **MIXED, **TRIANGULAR}
 
 #: Every map document the cases run on, by name.
 DOCUMENTS = {**MAPS, **CONJUGATED_LAYOUT}
@@ -277,6 +294,16 @@ def test_repeated_map_has_a_permutation_transition():
         ["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]
     ]
     assert [str(x) for x in jordan.diagonal_entries()] == ["1/2", "1/2", "1/4"]
+
+
+def test_tri3_has_a_dense_transition():
+    phi, conjugator = parse_map_document(TRIANGULAR["tri3"])
+    assert conjugator is None
+    chain_matrix, jordan = transition_to_jordan_triangular(phi.linear_part().transpose())
+    assert [[str(x) for x in row] for row in chain_matrix.entries] == [
+        ["1", "1", "1"], ["0", "-1/6", "-27/58"], ["0", "0", "36/145"]
+    ]
+    assert [str(x) for x in jordan.diagonal_entries()] == ["1/2", "1/3", "1/5"]
 
 
 @pytest.mark.parametrize(

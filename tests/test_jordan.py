@@ -399,6 +399,55 @@ def test_transition_blocks_match_sympy_jordan_form(data, size, gaussian, upper):
     assert oracle.jordan_block_pairs(blocks) == oracle.sympy_jordan_blocks(m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 6), st.booleans(), st.booleans())
+def test_transition_matches_the_first_release_oracle(data, size, gaussian, upper):
+    """(S, J) entry for entry as the list-based filtration of the first release.
+
+    The diagonal repeats values from a pool of 3, so that blocks of length
+    2 and 3 occur beside simple eigenvalues.
+    """
+    m = data.draw(lower_triangular(size, gaussian))
+    if upper:
+        m = m.transpose()
+    s, j = transition_to_jordan_triangular(m)
+    want_s, want_j = oracle.transition_to_jordan_triangular(m)
+    assert [list(row) for row in s.entries] == want_s
+    assert [list(row) for row in j.entries] == want_j
+
+
+#: Upper triangular: a 2-block of 1/2 at z1, z2 and a simple 1/3 whose
+#: eigenvector is dense.
+CHECKED = ExactMatrix.from_rows(
+    [[HALF, ONE, sc(1, 4)], [ZERO, HALF, sc(1, 5)], [ZERO, ZERO, THIRD]]
+)
+
+
+@pytest.mark.parametrize(
+    "lam, which", [(THIRD, 0), (HALF, 1)], ids=["simple-eigenvector", "generalized-vector"]
+)
+def test_similarity_check_refuses_a_wrong_chain(lam, which, monkeypatch):
+    """One entry of one chain vector changed, and the transition raises.
+
+    The true chains pass first, so a check that refuses them fails here too.
+    """
+    transition_to_jordan_triangular(CHECKED)
+    true_chains = linalg.jordan_chains_triangular
+
+    def wrong_chains(m, mu):
+        chains = true_chains(m, mu)
+        if mu != lam:
+            return chains
+        (first, *rest), vectors = chains, list(chains[0].vectors)
+        (j, x), *tail = vectors[which]
+        vectors[which] = ((j, x + ONE), *tail)
+        return [JordanChain(mu, tuple(vectors)), *rest]
+
+    monkeypatch.setattr(linalg, "jordan_chains_triangular", wrong_chains)
+    with pytest.raises(RuntimeError, match=re.escape("a@S == S@J")):
+        transition_to_jordan_triangular(CHECKED)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(1, 7), st.booleans())
 def test_incremental_blocks_match_sympy_jordan_form(data, size, gaussian):
