@@ -14,8 +14,10 @@ N x N matrix is formed.
 * `jordan_chains_triangular` finds the chains of a (small, dense)
   triangular matrix for one eigenvalue through the kernel filtration
   ker((M - lambda)^p), which is complete once its dimension reaches the
-  count of lambda on the diagonal; `transition_to_jordan_triangular`
-  stacks them into a chain matrix S and a Jordan form J with M S = S J.
+  count of lambda on the diagonal; at p = 1, as for a simple eigenvalue,
+  the kernel basis is the chain tops.  `transition_to_jordan_triangular`
+  stacks them into a chain matrix S and a Jordan form J, and checks
+  M S = S J exactly, one column at a time.
 * `jordan_blocks` reads the blocks of a lower Jordan-form corner in one
   pass over its rows.
 * `incremental_jordanize` appends the rows of M below a protected
@@ -81,9 +83,7 @@ class ExactMatrix:
         return self.entries[i][j]
 
     def transpose(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return ExactMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def shift(self, lam: Scalar) -> ExactMatrix:
         """self - lam * I (square matrices only); only the diagonal changes."""
@@ -123,13 +123,8 @@ class ExactMatrix:
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    bt = b.transpose().entries
-    return ExactMatrix.from_rows(
-        [
-            [_dot(ra, cb) for cb in bt]
-            for ra in a.entries
-        ]
-    )
+    bt = tuple(zip(*b.entries))
+    return ExactMatrix(a.rows, b.cols, tuple(tuple(_dot(ra, cb) for cb in bt) for ra in a.entries))
 
 
 def mat_vec(a: ExactMatrix, v: Sequence[Scalar]) -> Vector:
@@ -325,19 +320,20 @@ class JordanBasis:
 def _normalize_chain(lam: Scalar, vectors: Sequence[Vector]) -> JordanChain:
     """Canonical form of a dense chain, returned sparse: leading eigenvector
     coordinate 1, and that coordinate zeroed in all higher chain vectors by
-    shift moves."""
+    shift moves.  Zero entries, and a lead that is already 1, cost nothing."""
     vecs = [list(v) for v in vectors]
     lead = next((i for i, x in enumerate(vecs[0]) if not x.is_zero()), None)
     if lead is None:
         raise ValueError("zero eigenvector in chain")
-    inv = scalar_inv(vecs[0][lead])
-    vecs = [[x * inv for x in v] for v in vecs]
+    if vecs[0][lead] != ONE:
+        inv = scalar_inv(vecs[0][lead])
+        vecs = [[x if x.is_zero() else x * inv for x in v] for v in vecs]
     for shift in range(1, len(vecs)):
         mu = vecs[shift][lead]
         if mu.is_zero():
             continue
         for i in range(shift, len(vecs)):
-            vecs[i] = [x - mu * y for x, y in zip(vecs[i], vecs[i - shift])]
+            vecs[i] = [x if y.is_zero() else x - mu * y for x, y in zip(vecs[i], vecs[i - shift])]
     return JordanChain(
         lam, tuple(tuple((j, x) for j, x in enumerate(v) if not x.is_zero()) for v in vecs)
     )
@@ -351,7 +347,9 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     diagonal entry.  Block sizes agree with the differences of the
     sequence dim ker((M - lam)^p), which rises strictly to the algebraic
     multiplicity of lam, its count on the diagonal of a triangular M, and
-    then stays there; so the powers stop at the longest block.
+    then stays there; so the powers stop at the longest block.  When
+    ker(M - lam) already has that dimension, every block has length 1
+    and its canonical basis is the set of chain tops.
     """
     m._square()
     if not (m.is_lower_triangular() or m.is_upper_triangular()):
@@ -362,6 +360,8 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
     shifted = m.shift(lam)
     power = shifted
     kernels = [kernel_basis(shifted)]
+    if len(kernels[0]) == mult:
+        return [_normalize_chain(lam, [v]) for v in kernels[0]]
     while len(kernels[-1]) < mult:
         power = mat_mul(power, shifted)
         kernels.append(kernel_basis(power))
@@ -381,7 +381,8 @@ def jordan_chains_triangular(m: ExactMatrix, lam: Scalar) -> List[JordanChain]:
                 vecs.append(mat_vec(shifted, vecs[-1]))
             vecs.reverse()
             chains.append(_normalize_chain(lam, vecs))
-        carried = [mat_vec(shifted, v) for v in carried + tops]
+        if p > 1:
+            carried = [mat_vec(shifted, v) for v in carried + tops]
     return chains
 
 
@@ -523,6 +524,10 @@ def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[ExactMatrix, ExactM
     eigenvector.  Distinct eigenvalues appear in order of first occurrence
     on the diagonal; blocks of one eigenvalue are sorted by increasing length,
     and their sizes sum to that eigenvalue's count on the diagonal.
+
+    a @ S == S @ J is checked exactly, one column at a time: a s_c must
+    equal lambda_c s_c, plus s_(c+1) where J holds a 1 at (c+1, c).
+    That is n matrix-vector products, where two full products take n^2.
     """
     n = a.rows
     cols: List[List[Scalar]] = []
@@ -538,8 +543,10 @@ def transition_to_jordan_triangular(a: ExactMatrix) -> Tuple[ExactMatrix, ExactM
                 for j, x in v:
                     col[j] = x
                 cols.append(col)
-    s = ExactMatrix.from_rows(cols).transpose()
-    j = ExactMatrix.from_rows(jordan)
-    if mat_mul(a, s) != mat_mul(s, j):
-        raise RuntimeError("jordanization failed to satisfy a@S == S@J")
-    return s, j
+    for c, col in enumerate(cols):
+        want = [x if x.is_zero() else jordan[c][c] * x for x in col]
+        if c + 1 < n and jordan[c + 1][c] == ONE:
+            want = [x + y for x, y in zip(want, cols[c + 1])]
+        if mat_vec(a, col) != tuple(want):
+            raise RuntimeError("jordanization failed to satisfy a@S == S@J")
+    return ExactMatrix(n, n, tuple(zip(*cols))), ExactMatrix(n, n, tuple(map(tuple, jordan)))

@@ -73,10 +73,10 @@ class PolyMap:
         n = self.source_dim
         if self.dim != n:
             raise ValueError("linear part requires a self-map")
-        rows = []
-        for c in self.components:
-            rows.append([c.coefficient(unit_index(n, j)) for j in range(n)])
-        return ExactMatrix.from_rows(rows)
+        units = [unit_index(n, j) for j in range(n)]
+        return ExactMatrix(
+            n, n, tuple(tuple(c.coefficient(u) for u in units) for c in self.components)
+        )
 
 
 def matrix_map(m: ExactMatrix, degree: int) -> PolyMap:
