@@ -27,6 +27,8 @@ N x N matrix is formed.
   `corner_only` it keeps only the chains of the corner's eigenvalues;
   for each such mu, the eigenvectors of the mu-chains are a basis of
   ker(M - mu), so one sweep gives the kernels and the chains at once.
+  With `carry` it sweeps only the corner blocks of the eigenvalues given;
+  the others keep their corner chains.
 
 Chain storage convention: a `JordanChain` holds sparse vectors, tuples
 of (coordinate, nonzero entry) pairs in increasing coordinate order;
@@ -413,7 +415,8 @@ class _MutableChain:
 
 
 def incremental_jordanize(
-    lower: LowerRows, diag: Sequence[Scalar], n: int, *, corner_only: bool = False
+    lower: LowerRows, diag: Sequence[Scalar], n: int,
+    *, corner_only: bool = False, carry: Optional[Set[Scalar]] = None,
 ) -> JordanBasis:
     """Jordanize a sparse lower-triangular matrix by appending rows below a corner.
 
@@ -438,6 +441,11 @@ def incremental_jordanize(
     of its own eigenvalue, and every other update is per chain, so the
     result is the complete one filtered to the corner's eigenvalues, in
     the same order.
+
+    With `carry`, a corner block whose eigenvalue is not in it gets its
+    chain but no support, so it comes back as the corner's unit vectors:
+    the complete chain cut to the corner when no row past the corner has
+    that eigenvalue, as the chain then never merges or grows.
     """
     big = _check_lower(lower, diag)
     if not 1 <= n <= big:
@@ -449,8 +457,9 @@ def incremental_jordanize(
     for j, b in enumerate(blocks):
         vecs = [{b.offset + i: ONE} for i in range(b.length - 1, -1, -1)]
         chains.append(_MutableChain(b.eigenvalue, vecs))
-        for i in range(b.length):
-            support[b.offset + i].add(j)
+        if carry is None or b.eigenvalue in carry:
+            for i in range(b.length):
+                support[b.offset + i].add(j)
 
     for r in range(n, big):
         d = diag[r]

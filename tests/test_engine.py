@@ -209,6 +209,24 @@ def test_analyze_matches_sympy(seed, dim, gaussian):
     assert report.full_rank == all(possible)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.booleans())
+def test_analyze_equals_the_report_of_the_unfiltered_sweep(seed, dim, gaussian):
+    """`analyze` carries only the eigenvalues repeated past the corner,
+    and its report equals the one over the sweep that carries them all.
+
+    The pools mix resonant eigenvalues with 2/5 and 3/7, which no product
+    of the pool reaches, so most spectra have eigenvalues of both kinds.
+    """
+    rng = random.Random(seed)
+    pool = (GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM) + (sc(2, 5), sc(3, 7))
+    diag = [rng.choice(pool) for _ in range(dim)]
+    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
+    prep = engine._prepare(phi, None)
+    full = linalg.incremental_jordanize(prep.op.lower, prep.op.diag, dim, corner_only=True)
+    assert analyze(phi) == engine._report(prep, full)
+
+
 def test_eigenvalue_near_one_is_answered():
     # phi(z) = (999/1000 z1, z2/2 + z1^2/3): no product lambda^alpha with
     # |alpha| >= 2 is an eigenvalue, yet the brute force walked 241k exponents.
