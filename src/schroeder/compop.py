@@ -27,6 +27,8 @@ which the lifter reads beyond K.  The degree-1 columns are phi's own
 components; every other column phi^beta is scattered straight from the
 packed Gaussian-integer power P^beta of one `maps.PowerTable`, the kind
 of table that composition, the lifter and `verify` use, with no `Jet`.
+No exponent -> row map is formed: e_j is row j and a term of degree >= 2
+is found by its packed key; `TruncatedCompOp.index` is built on first read.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ class TruncatedCompOp:
     f(phi(z)).  The matrix is lower triangular: `lower[i]` lists the
     (column, entry) nonzeros of row i left of the diagonal, in column
     order, and `diag[i]` is the diagonal entry lambda^basis[i].  `matrix`
-    is the dense N x N form, built on first use.  `source` is phi
-    truncated to degree K.
+    is the dense N x N form and `index` the row of each exponent, both
+    built on first use.  `source` is phi truncated to degree K.
     """
 
     source: PolyMap
@@ -179,7 +181,6 @@ class TruncatedCompOp:
     basis: Tuple[MultiIndex, ...]
     lower: Tuple[Tuple[Tuple[int, Scalar], ...], ...]
     diag: Tuple[Scalar, ...]
-    index: Dict[MultiIndex, int]
 
     @property
     def size(self) -> int:
@@ -188,6 +189,11 @@ class TruncatedCompOp:
     @property
     def dim(self) -> int:
         return self.source.dim
+
+    @cached_property
+    def index(self) -> Dict[MultiIndex, int]:
+        """The row of each exponent, built on first use; the solver never reads it."""
+        return {alpha: i for i, alpha in enumerate(self.basis)}
 
     @cached_property
     def matrix(self) -> ExactMatrix:
@@ -215,15 +221,15 @@ def build(phi: PolyMap, k: int) -> TruncatedCompOp:
     Requires an upper-triangular derivative.  Each column phi^beta is
     scattered into the rows of its terms; a term in a row above its
     column would break triangularity.  A degree-1 column, beta = e_i, is
-    the component phi_i itself.  Every other column is the packed power
-    P^beta of one `maps.PowerTable`, read into rows by packed key (`rows`
-    holds the rows of degree >= 2), each entry reduced once over D^|beta|;
-    at k = 1 there is no such column and no table is formed.
+    the component phi_i itself, with its term e_j in row j.  Every other
+    column is the packed power P^beta of one `maps.PowerTable`, read into
+    rows by packed key (`rows` holds the rows of degree >= 2), each entry
+    reduced once over D^|beta|; at k = 1 there is no such column and no
+    table is formed.
     """
     _upper_triangular_derivative(phi)
     source = phi.truncate(k)
     basis = tuple(enumerate_monomials(phi.dim, k))
-    index = {alpha: i for i, alpha in enumerate(basis)}
     table = PowerTable(source) if k > 1 else None
     rows = {table.encode(alpha): i for i, alpha in enumerate(basis) if sum(alpha) >= 2}
     lower: List[List[Tuple[int, Scalar]]] = [[] for _ in basis]
@@ -231,7 +237,8 @@ def build(phi: PolyMap, k: int) -> TruncatedCompOp:
     for j, beta in enumerate(basis):
         m = sum(beta)
         if m == 1:
-            column = [(index[a], x) for a, x in source.components[beta.index(1)].coeffs.items()]
+            column = [(a.index(1) if sum(a) == 1 else rows[table.encode(a)], x)
+                      for a, x in source.components[beta.index(1)].coeffs.items()]
         else:
             d, parts = table.denom_powers[m], table.power(beta).values()
             if table.real:
@@ -246,7 +253,7 @@ def build(phi: PolyMap, k: int) -> TruncatedCompOp:
                 diag[i] = x
             else:
                 lower[i].append((j, x))
-    return TruncatedCompOp(source, k, basis, tuple(map(tuple, lower)), tuple(diag), index)
+    return TruncatedCompOp(source, k, basis, tuple(map(tuple, lower)), tuple(diag))
 
 
 def jet_vector(op: TruncatedCompOp, f: Jet) -> Tuple[Scalar, ...]:
