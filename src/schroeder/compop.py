@@ -28,7 +28,7 @@ components; every other column phi^beta is scattered straight from the
 packed Gaussian-integer power P^beta of one `maps.PowerTable`, the kind
 of table that composition, the lifter and `verify` use, with no `Jet`.
 No exponent -> row map is formed: e_j is row j and a term of degree >= 2
-is found by its packed key; `TruncatedCompOp.index` is built on first read.
+is found by its packed key; `basis.index` finds a row when one is needed.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ class TruncatedCompOp:
     f(phi(z)).  The matrix is lower triangular: `lower[i]` lists the
     (column, entry) nonzeros of row i left of the diagonal, in column
     order, and `diag[i]` is the diagonal entry lambda^basis[i].  `matrix`
-    is the dense N x N form and `index` the row of each exponent, both
-    built on first use.  `source` is phi truncated to degree K.
+    is the dense N x N form, built on first use.  `source` is phi
+    truncated to degree K.
     """
 
     source: PolyMap
@@ -189,11 +189,6 @@ class TruncatedCompOp:
     @property
     def dim(self) -> int:
         return self.source.dim
-
-    @cached_property
-    def index(self) -> Dict[MultiIndex, int]:
-        """The row of each exponent, built on first use; the solver never reads it."""
-        return {alpha: i for i, alpha in enumerate(self.basis)}
 
     @cached_property
     def matrix(self) -> ExactMatrix:

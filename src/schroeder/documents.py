@@ -5,9 +5,9 @@ so a round trip through a document loses nothing.  Serialization emits
 dictionaries in a fixed key order and terms in monomial order, making
 the output byte-stable for identical inputs.
 
-A coefficient is either an object {"re": "...", "im": "..."} (the "im"
-key may be omitted) or a bare rational string for real values.  Output
-always uses the two-key object form.
+A coefficient is either an object {"re": "...", "im": "..."} (either
+key may be omitted and reads as 0) or a bare rational string for real
+values.  Output always uses the two-key object form.
 
 `dump` renders a document as `json.dumps(data, indent=2)` plus a final
 newline, byte for byte, without the pure-Python encoder that `json` falls
@@ -16,11 +16,12 @@ through one `str.format` template per dimension, and everything else
 through a short recursion.
 
 Parsing has one reader per element, each running every check in order:
-`_parse_term` for a solution or map term, `_scalar` for a coefficient or
-matrix entry, `_rational` for a rational.  A term's refusal carries a path
-relative to the term, and `_parse_components` puts the term's own path
-in front of it only when it refuses, so an accepted term formats no
-path; `parse_matrix` does the same for its entries.
+`_parse_term` for a solution or map term, `parse_scalar` for a
+coefficient or matrix entry, `_rational` for a rational.  A term's
+refusal carries a path relative to the term, and `_parse_components`
+puts the term's own path in front of it only when it refuses, so an
+accepted term formats no path; `parse_matrix` does the same for its
+entries.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _rational(value: Any, at: str) -> Tuple[int, int]:
     raise DocumentError(f"expected a rational string, got {type(value).__name__}", at)
 
 
-def _scalar(value: Any, at: str) -> Scalar:
+def parse_scalar(value: Any, at: str) -> Scalar:
     """A coefficient, refused at `at` or a part of it."""
     if isinstance(value, dict):
         if len(value) != 2 or "re" not in value or "im" not in value:
@@ -179,10 +180,6 @@ def _scalar(value: Any, at: str) -> Scalar:
 
 def parse_rational(value: Any, path: str) -> Fraction:
     return Fraction(*_rational(value, path))
-
-
-def parse_scalar(value: Any, path: str) -> Scalar:
-    return _scalar(value, path)
 
 
 def scalar_json(s: Scalar) -> Dict[str, str]:
@@ -225,7 +222,7 @@ def _parse_term(
         )
     if alpha in terms:
         raise DocumentError("monomial repeats an earlier term", ".monomial")
-    terms[alpha] = _scalar(term["coefficient"], ".coefficient")
+    terms[alpha] = parse_scalar(term["coefficient"], ".coefficient")
 
 
 def _parse_components(
@@ -285,7 +282,7 @@ def parse_matrix(value: Any, n: int, path: str) -> ExactMatrix:
         entries = []
         for j, e in enumerate(row):
             try:
-                entries.append(_scalar(e, ""))
+                entries.append(parse_scalar(e, ""))
             except DocumentError as exc:
                 raise _under(exc, f"{path}[{i}][{j}]") from exc.__cause__
         rows.append(entries)

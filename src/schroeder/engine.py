@@ -4,10 +4,10 @@
 whether eigenvalue collisions lambda^alpha = mu obstruct a solution F
 with invertible derivative; the verdict is exact, computed from kernels
 of the truncated composition operator.  Every request sweeps the
-operator once: `incremental_jordanize` restricted to the eigenvalues of
-the derivative's Jordan corner gives the chains, and the eigenvectors of
-the mu-chains are a basis of ker(C - mu).  `analyze` sweeps only the
-eigenvalues that a row past the corner repeats.
+operator once: `incremental_jordanize` with `sweep` set to the
+eigenvalues of the derivative's Jordan corner gives the chains, and the
+eigenvectors of the mu-chains are a basis of ker(C - mu).  `analyze`
+sweeps only the corner eigenvalues that a row past the corner repeats.
 
 `solve` (k = 1) and `solve_power` (any k >= 1) share one construction:
 conjugate the map so its derivative is an upper Jordan matrix, take
@@ -238,14 +238,14 @@ def _report(prep: _Prep, chains: JordanBasis) -> AnalysisReport:
 def analyze(phi: PolyMap) -> AnalysisReport:
     """Exact verdict on the existence of a solution with invertible derivative.
 
-    The sweep carries only the eigenvalues that a row past the corner has
-    on its diagonal: the chains of any other mu gain only coordinates past
-    the corner, which `_report` does not read.
+    The sweep extends only the corner eigenvalues that a row past the
+    corner has on its diagonal: the chains of any other mu gain only
+    coordinates past the corner, which `_report` does not read.
     """
     prep = _prepare(phi, None)
     op = prep.op
     chains = incremental_jordanize(
-        op.lower, op.diag, phi.dim, corner_only=True, carry=set(op.diag[phi.dim:])
+        op.lower, op.diag, phi.dim, sweep=set(op.diag[:phi.dim]) & set(op.diag[phi.dim:])
     )
     return _report(prep, chains)
 
@@ -410,7 +410,8 @@ def _construct(
     """The construction behind `solve` and `solve_power`; `gate` demands a full-rank verdict."""
     request = DEFAULT_DEGREE if degree is None else degree
     prep = _prepare(phi, max(request, power))
-    chains = incremental_jordanize(prep.op.lower, prep.op.diag, phi.dim, corner_only=True)
+    op = prep.op
+    chains = incremental_jordanize(op.lower, op.diag, phi.dim, sweep=set(op.diag[:phi.dim]))
     if gate:
         report = _report(prep, chains)
         if not report.full_rank:

@@ -24,11 +24,10 @@ N x N matrix is formed.
   Jordan corner one at a time, maintaining a chain basis.  It only ever
   appends chains, so chain j extends corner block j.  A row is coupled
   only with the chains that have support on its nonzero columns.  With
-  `corner_only` it keeps only the chains of the corner's eigenvalues;
-  for each such mu, the eigenvectors of the mu-chains are a basis of
-  ker(M - mu), so one sweep gives the kernels and the chains at once.
-  With `carry` it sweeps only the corner blocks of the eigenvalues given;
-  the others keep their corner chains.
+  `sweep` it extends only the chains of the eigenvalues given; for each
+  corner eigenvalue mu in it, the eigenvectors of the mu-chains are a
+  basis of ker(M - mu), so one sweep gives the kernels and the chains
+  at once.
 
 Chain storage convention: a `JordanChain` holds sparse vectors, tuples
 of (coordinate, nonzero entry) pairs in increasing coordinate order;
@@ -416,7 +415,7 @@ class _MutableChain:
 
 def incremental_jordanize(
     lower: LowerRows, diag: Sequence[Scalar], n: int,
-    *, corner_only: bool = False, carry: Optional[Set[Scalar]] = None,
+    *, sweep: Optional[Set[Scalar]] = None,
 ) -> JordanBasis:
     """Jordanize a sparse lower-triangular matrix by appending rows below a corner.
 
@@ -436,28 +435,24 @@ def incremental_jordanize(
     couplings and keeps a zero coordinate without any arithmetic.  The
     chains come back sparse, as a `JordanBasis`.
 
-    With `corner_only`, a row whose diagonal entry is not an eigenvalue
-    of the corner starts no chain.  A chain only ever merges with chains
-    of its own eigenvalue, and every other update is per chain, so the
-    result is the complete one filtered to the corner's eigenvalues, in
-    the same order.
-
-    With `carry`, a corner block whose eigenvalue is not in it gets its
-    chain but no support, so it comes back as the corner's unit vectors:
-    the complete chain cut to the corner when no row past the corner has
-    that eigenvalue, as the chain then never merges or grows.
+    `sweep` is the set of eigenvalues whose chains the rows extend;
+    None sweeps every eigenvalue.  A corner block whose eigenvalue is
+    not in it gets its chain but no support, so it comes back as the
+    corner's unit vectors, and a row whose diagonal entry is not in it
+    starts no chain.  A chain only ever merges with chains of its own
+    eigenvalue, and every other update is per chain, so the chains of
+    the eigenvalues in `sweep` are the complete ones, in the same order.
     """
     big = _check_lower(lower, diag)
     if not 1 <= n <= big:
         raise ValueError(f"corner size {n} out of range")
     blocks = jordan_blocks(lower[:n], diag[:n])
-    corner_eigenvalues = {b.eigenvalue for b in blocks}
     chains: List[_MutableChain] = []
     support: List[Set[int]] = [set() for _ in range(big)]
     for j, b in enumerate(blocks):
         vecs = [{b.offset + i: ONE} for i in range(b.length - 1, -1, -1)]
         chains.append(_MutableChain(b.eigenvalue, vecs))
-        if carry is None or b.eigenvalue in carry:
+        if sweep is None or b.eigenvalue in sweep:
             for i in range(b.length):
                 support[b.offset + i].add(j)
 
@@ -514,7 +509,7 @@ def incremental_jordanize(
                 _set_nonzero(w.vectors[j], r, a[j + 1])
             w.vectors.insert(0, {r: a[0]})
             support[r].add(winner)
-        elif not corner_only or d in corner_eigenvalues:
+        elif sweep is None or d in sweep:
             support[r].add(len(chains))
             chains.append(_MutableChain(d, [{r: ONE}]))
 

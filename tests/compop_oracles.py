@@ -12,7 +12,7 @@ forms a `Jet` or the dense matrix.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from schroeder.linalg import ExactMatrix
 from schroeder.maps import PolyMap
@@ -22,8 +22,8 @@ from series_oracles import monomial_power
 
 def dense_operator(
     phi: PolyMap, k: int
-) -> Tuple[Tuple[MultiIndex, ...], ExactMatrix, Dict[MultiIndex, int]]:
-    """(basis, matrix, index) of the composition operator truncated at degree k."""
+) -> Tuple[Tuple[MultiIndex, ...], ExactMatrix]:
+    """(basis, matrix) of the composition operator truncated at degree k."""
     source = phi.truncate(k)
     basis = tuple(enumerate_monomials(phi.dim, k))
     memo: dict = {}
@@ -35,5 +35,4 @@ def dense_operator(
     matrix = ExactMatrix.from_rows(rows)
     if not matrix.is_lower_triangular():
         raise RuntimeError("operator matrix is not lower triangular")
-    index = {alpha: i for i, alpha in enumerate(basis)}
-    return basis, matrix, index
+    return basis, matrix

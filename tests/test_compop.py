@@ -219,8 +219,8 @@ def test_operator_shape_and_diagonal(obstructed_map):
 
 def test_operator_entries_quadratic_coupling(obstructed_map):
     op = operator_at_k(obstructed_map)
-    row = op.index[(2, 0)]
-    col = op.index[(0, 1)]
+    row = op.basis.index((2, 0))
+    col = op.basis.index((0, 1))
     assert op.matrix.at(row, col) == sc(1, 16)
     dense = [
         [sc(1, 2), 0, 0, 0, 0],
@@ -244,10 +244,10 @@ def test_operator_entries_four_variable_coupling(coupled_map):
     z3 = (0, 0, 1, 0)
     z1z3 = (1, 0, 1, 0)
     z1z2 = (1, 1, 0, 0)
-    assert op.matrix.at(op.index[z1sq], op.index[e2]) == sc(1, 8)
-    assert op.matrix.at(op.index[z3], op.index[e2]) == sc(1, 8)
-    assert op.matrix.at(op.index[z1z3], op.index[z1z2]) == sc(1, 16)
-    assert op.matrix.at(op.index[z1z3], op.index[z1z3]) == sc(1, 8)
+    assert op.matrix.at(op.basis.index(z1sq), op.basis.index(e2)) == sc(1, 8)
+    assert op.matrix.at(op.basis.index(z3), op.basis.index(e2)) == sc(1, 8)
+    assert op.matrix.at(op.basis.index(z1z3), op.basis.index(z1z2)) == sc(1, 16)
+    assert op.matrix.at(op.basis.index(z1z3), op.basis.index(z1z3)) == sc(1, 8)
     top = ExactMatrix.from_rows([row[:4] for row in op.matrix.entries[:4]])
     assert top == coupled_map.linear_part().transpose()
 
@@ -285,9 +285,8 @@ def test_sparse_build_matches_dense_oracle(seed, dim, k, linear, gaussian):
             rng, dim, diag, degree, upper_density=density, gaussian=gaussian
         )
     op = build(phi, k)
-    basis, matrix, index = dense_operator(phi, k)
+    basis, matrix = dense_operator(phi, k)
     assert op.basis == basis
-    assert op.index == index
     assert op.matrix == matrix
     assert op.diag == matrix.diagonal_entries()
     assert all(j < i for i, row in enumerate(op.lower) for j, _ in row)
@@ -312,7 +311,7 @@ def test_build_skips_a_cancelled_power_coefficient(gaussian):
     zero = (0, 0) if gaussian else 0
     assert table.power((1, 1))[3][table.encode((2, 1))] == zero
     op = build(phi, 3)
-    basis, matrix, _ = dense_operator(phi, 3)
+    basis, matrix = dense_operator(phi, 3)
     assert op.matrix == matrix
     assert op.matrix.at(basis.index((2, 1)), basis.index((1, 1))).is_zero()
     assert all(not x.is_zero() for row in op.lower for _, x in row)
@@ -330,8 +329,8 @@ def test_build_at_degree_one_reads_only_the_components(record_calls):
         )
     )
     op = build(phi, 1)
-    basis, matrix, index = dense_operator(phi, 1)
-    assert (op.basis, op.index, op.matrix) == (basis, index, matrix)
+    basis, matrix = dense_operator(phi, 1)
+    assert (op.basis, op.matrix) == (basis, matrix)
     assert op.diag == (sc(1, 2), gq(0, "1/4"), sc(1, 6))
     assert op.lower == ((), ((0, sc(1, 3)),), ((1, sc(-1, 5)),))
     assert op.source == phi.truncate(1)
@@ -383,7 +382,7 @@ def test_operator_diagonal_law():
     op = build(phi, 3)
     for alpha in op.basis:
         expect = diag[0] ** alpha[0] * diag[1] ** alpha[1]
-        assert op.matrix.at(op.index[alpha], op.index[alpha]) == expect
+        assert op.matrix.at(op.basis.index(alpha), op.basis.index(alpha)) == expect
 
 
 def test_operator_action_is_composition():

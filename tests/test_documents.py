@@ -60,6 +60,8 @@ def test_parse_scalar_forms():
         Fraction(1, 2), Fraction(-1, 3)
     )
     assert parse_scalar({"re": "2"}, "$") == sc(2)
+    assert parse_scalar({"im": "1"}, "$") == Scalar.of(0, 1)
+    assert parse_scalar({}, "$") == sc(0)
     assert parse_scalar("7/8", "$") == sc(7, 8)
     assert parse_scalar(3, "$") == sc(3)
     with pytest.raises(DocumentError):

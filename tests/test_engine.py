@@ -212,8 +212,8 @@ def test_analyze_matches_sympy(seed, dim, gaussian):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.booleans())
 def test_analyze_equals_the_report_of_the_unfiltered_sweep(seed, dim, gaussian):
-    """`analyze` carries only the eigenvalues repeated past the corner,
-    and its report equals the one over the sweep that carries them all.
+    """`analyze` sweeps only the corner eigenvalues repeated past the
+    corner, and its report equals the one over the sweep of them all.
 
     The pools mix resonant eigenvalues with 2/5 and 3/7, which no product
     of the pool reaches, so most spectra have eigenvalues of both kinds.
@@ -223,7 +223,9 @@ def test_analyze_equals_the_report_of_the_unfiltered_sweep(seed, dim, gaussian):
     diag = [rng.choice(pool) for _ in range(dim)]
     phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
     prep = engine._prepare(phi, None)
-    full = linalg.incremental_jordanize(prep.op.lower, prep.op.diag, dim, corner_only=True)
+    full = linalg.incremental_jordanize(
+        prep.op.lower, prep.op.diag, dim, sweep=set(prep.op.diag[:dim])
+    )
     assert analyze(phi) == engine._report(prep, full)
 
 

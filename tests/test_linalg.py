@@ -202,7 +202,8 @@ def test_kernel_basis_annihilates_and_spans():
 
 def corner_kernel(m: ExactMatrix, n: int, mu: Scalar) -> Tuple[int, List[Vector]]:
     """(blocks of mu in the corner, eigenvectors of the corner-restricted mu-chains), dense."""
-    basis = incremental_jordanize(*sparse_lower(m), n, corner_only=True)
+    lower, diag = sparse_lower(m)
+    basis = incremental_jordanize(lower, diag, n, sweep=set(diag[:n]))
     blocks = sum(1 for b in basis.original_blocks if b.eigenvalue == mu)
     vectors = [dense_vector(c.vectors[0], m.rows) for c in basis.chains if c.eigenvalue == mu]
     return blocks, vectors
@@ -258,7 +259,7 @@ def test_corner_only_filters_the_complete_basis(data, size, gaussian):
     n = data.draw(st.integers(1, min(4, size)))
     m = data.draw(lower_triangular(size, gaussian, corner=n))
     lower, diag = sparse_lower(m)
-    restricted = incremental_jordanize(lower, diag, n, corner_only=True)
+    restricted = incremental_jordanize(lower, diag, n, sweep=set(diag[:n]))
     assert restricted == corner_filtered(incremental_jordanize(lower, diag, n))
     assert restricted == corner_filtered(oracle.incremental_jordanize(m, n))
 
@@ -271,9 +272,55 @@ def test_corner_only_filters_the_complete_basis_on_operators(seed, dim, gaussian
     diag = [rng.choice(pool) for _ in range(dim)]
     phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
     op = truncated_operator(phi)
-    restricted = incremental_jordanize(op.lower, op.diag, dim, corner_only=True)
+    restricted = incremental_jordanize(op.lower, op.diag, dim, sweep=set(op.diag[:dim]))
     assert restricted == corner_filtered(incremental_jordanize(op.lower, op.diag, dim))
     assert restricted == corner_filtered(oracle.incremental_jordanize(op.matrix, dim))
+
+
+def assert_sweep_extends_only(lower, diag, n: int, sweep: set) -> None:
+    """`sweep` gives the complete chains of its eigenvalues, in the same
+    order, the corner unit vectors of every other corner block, and no
+    other chain past the corner blocks."""
+    complete = incremental_jordanize(lower, diag, n)
+    basis = incremental_jordanize(lower, diag, n, sweep=sweep)
+    blocks = basis.original_blocks
+    assert blocks == complete.original_blocks
+    assert [c for c in basis.chains if c.eigenvalue in sweep] == [
+        c for c in complete.chains if c.eigenvalue in sweep
+    ]
+    for b, c in zip(blocks, basis.chains):
+        assert c.eigenvalue == b.eigenvalue
+        if b.eigenvalue not in sweep:
+            assert c.vectors == tuple(((b.offset + i, ONE),) for i in reversed(range(b.length)))
+    assert all(c.eigenvalue in sweep for c in basis.chains[len(blocks):])
+
+
+def corner_subsets(diag, n: int):
+    """Any set of the eigenvalues of the first n diagonal entries."""
+    return st.sets(st.sampled_from(list(dict.fromkeys(diag[:n]))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 9), st.booleans())
+def test_sweep_extends_only_the_chains_of_its_eigenvalues(data, size, gaussian):
+    n = data.draw(st.integers(1, min(4, size)))
+    m = data.draw(lower_triangular(size, gaussian, corner=n))
+    lower, diag = sparse_lower(m)
+    assert_sweep_extends_only(lower, diag, n, data.draw(corner_subsets(diag, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_sweep_extends_only_the_chains_of_its_eigenvalues_on_operators(
+    data, seed, dim, gaussian
+):
+    rng = random.Random(seed)
+    pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
+    diag = [rng.choice(pool) for _ in range(dim)]
+    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
+    op = truncated_operator(phi)
+    sweep = data.draw(corner_subsets(op.diag, dim))
+    assert_sweep_extends_only(op.lower, op.diag, dim, sweep)
 
 
 def test_shift_changes_only_the_diagonal():

@@ -360,7 +360,7 @@ def test_a_power_equal_to_the_degree_decodes_to_itself(n, gaussian):
     ])
     assert compose(f, phi) == oracle.compose(f, phi)
     assert map_compose(phi, phi) == oracle.map_compose(phi, phi)
-    _, matrix, _ = dense_operator(phi, n)
+    _, matrix = dense_operator(phi, n)
     assert build(phi, n).matrix == matrix
 
 
@@ -382,7 +382,7 @@ def test_build_and_compose_multiply_no_jets():
         jet_of(2, 3, [((1, 0), s("2/3")), ((1, 1), s(1, "-1/5"))]),
         jet_of(2, 3, [((0, 1), s(0, 1)), ((2, 0), s("1/4")), ((0, 3), s("-7/2"))]),
     ))
-    _, matrix, _ = dense_operator(phi, 3)
+    _, matrix = dense_operator(phi, 3)
     want = oracle.map_compose(f, phi)
     with mock.patch.object(series, "jet_mul", side_effect=AssertionError("a jet was multiplied")):
         assert build(phi, 3).matrix == matrix
