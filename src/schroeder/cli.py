@@ -9,7 +9,6 @@ maps, or bad invocations.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import sys
 from typing import Any, Callable, List, Optional, Tuple
@@ -352,7 +351,7 @@ def solve_cmd(
     except NoFullRankError as exc:
         _render(exc.report, documents.analysis_json, _analysis_text, fmt, out)
         return 2
-    sol = dataclasses.replace(sol, components=back(sol.components))
+    sol = sol._replace(components=back(sol.components))
     _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 
@@ -377,7 +376,7 @@ def solve_power_cmd(
     """Construct a truncated solution of F(phi(z)) = phi'(0)^k F(z)."""
     _, phi, back = _load_map(map_path)
     sol = solve_power(phi, power, degree=degree)
-    sol = dataclasses.replace(sol, components=back(sol.components))
+    sol = sol._replace(components=back(sol.components))
     _render(sol, documents.solution_json, _solution_text, fmt, out)
     return 0
 

@@ -34,9 +34,7 @@ is found by its packed key; `basis.index` finds a row when one is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import ExactMatrix, SparseVector
 from .maps import PolyMap, PowerTable
@@ -163,8 +161,7 @@ def truncation_degree(diag: Sequence[Scalar]) -> int:
     return sum(found[-1][0]) if found else 1
 
 
-@dataclass(frozen=True)
-class TruncatedCompOp:
+class TruncatedCompOp(NamedTuple):
     """The operator matrix over monomials of degree 1..K, kept sparse.
 
     Column j of the matrix holds the coefficients of phi^basis[j];
@@ -172,7 +169,7 @@ class TruncatedCompOp:
     f(phi(z)).  The matrix is lower triangular: `lower[i]` lists the
     (column, entry) nonzeros of row i left of the diagonal, in column
     order, and `diag[i]` is the diagonal entry lambda^basis[i].  `matrix`
-    is the dense N x N form, built on first use.  `source` is phi
+    is the dense N x N form, built anew on each read.  `source` is phi
     truncated to degree K.
     """
 
@@ -190,9 +187,9 @@ class TruncatedCompOp:
     def dim(self) -> int:
         return self.source.dim
 
-    @cached_property
+    @property
     def matrix(self) -> ExactMatrix:
-        """The dense N x N matrix, built on first use; the solver never reads it."""
+        """The dense N x N matrix, built on each read; the solver never reads it."""
         rows = []
         for i, nonzeros in enumerate(self.lower):
             row = [ZERO] * self.size

@@ -35,10 +35,9 @@ relabels terms (`maps.map_compose`).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .compop import (
     TruncatedCompOp,
@@ -85,8 +84,7 @@ class NoFullRankError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class EigenvalueRecord:
+class EigenvalueRecord(NamedTuple):
     """Exact obstruction data for one eigenvalue of the derivative."""
 
     value: Scalar
@@ -98,8 +96,7 @@ class EigenvalueRecord:
     full_rank_possible: bool
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     dimension: int
     truncation_degree: int
     basis_size: int
@@ -107,8 +104,7 @@ class AnalysisReport:
     full_rank: bool
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     """Where a solution component comes from: block of the derivative and chain slot."""
 
     index: int
@@ -118,8 +114,7 @@ class ComponentInfo:
     block_size: int
 
 
-@dataclass(frozen=True)
-class SchroederSolution:
+class SchroederSolution(NamedTuple):
     """A truncated solution F of F(phi(z)) = phi'(0)^power F(z)."""
 
     power: int
@@ -134,8 +129,7 @@ class SchroederSolution:
         return self.derivative_rank == self.components.dim
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Result of replaying a solution against the equation."""
 
     degree: int
@@ -149,8 +143,7 @@ class VerifyReport:
         return self.first_failure is None
 
 
-@dataclass(frozen=True)
-class _Prep:
+class _Prep(NamedTuple):
     phi: PolyMap
     conjugator: ExactMatrix
     conjugator_inv: ExactMatrix

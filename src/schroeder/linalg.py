@@ -41,9 +41,8 @@ scalar.  Dense matrices are immutable `ExactMatrix` objects.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .scalars import ONE, ZERO, Scalar, scalar_inv
 
@@ -58,8 +57,7 @@ class SingularMatrixError(ValueError):
     """Raised when an inverse or a unique solve is requested of a singular matrix."""
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(NamedTuple):
     rows: int
     cols: int
     entries: Tuple[Tuple[Scalar, ...], ...]
@@ -280,8 +278,7 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows([row[n:] for row in echelon.rows])
 
 
-@dataclass(frozen=True)
-class JordanChain:
+class JordanChain(NamedTuple):
     """Sparse vectors e_1..e_k with (M - lam) e_1 = 0 and (M - lam) e_j = e_{j-1}."""
 
     eigenvalue: Scalar
@@ -292,8 +289,7 @@ class JordanChain:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A Jordan block of the protected corner: eigenvalue, length, offset."""
 
     eigenvalue: Scalar
@@ -301,8 +297,7 @@ class Block:
     offset: int
 
 
-@dataclass(frozen=True)
-class JordanBasis:
+class JordanBasis(NamedTuple):
     """A chain basis of a matrix that extends the blocks of a protected corner.
 
     Chain j extends corner block j (`original_blocks[j]`); the chains

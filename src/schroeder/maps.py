@@ -23,32 +23,42 @@ when it is read; nothing here multiplies `Scalar` jets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import lcm
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .linalg import ExactMatrix, inverse
 from .scalars import ONE, Scalar, from_ints
 from .series import Jet, MultiIndex, add_into, unit_index
 
 
-@dataclass(frozen=True)
-class PolyMap:
+# A NamedTuple body may not define `__new__`, so `PolyMap` checks its
+# field in a subclass of this one.
+class _PolyMapFields(NamedTuple):
     components: Tuple[Jet, ...]
 
-    def __post_init__(self) -> None:
-        if not self.components:
+
+class PolyMap(_PolyMapFields):
+    __slots__ = ()
+
+    def __new__(cls, components: Tuple[Jet, ...]) -> PolyMap:
+        if not components:
             raise ValueError("map needs at least one component")
-        dim = self.components[0].dim
-        deg = self.components[0].degree
-        for i, c in enumerate(self.components):
+        dim = components[0].dim
+        deg = components[0].degree
+        for i, c in enumerate(components):
             if c.dim != dim:
                 raise ValueError(f"component {i} has dimension {c.dim}, expected {dim}")
             if c.degree != deg:
                 raise ValueError(f"component {i} has degree {c.degree}, expected {deg}")
             if not c.constant_term().is_zero():
                 raise ValueError(f"component {i} does not vanish at the origin")
+        return super().__new__(cls, components)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Tuple[Jet, ...]]) -> PolyMap:
+        """`_replace` builds through this, so a replaced map is checked too."""
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:

@@ -25,12 +25,11 @@ filled in, so equal jets print equally.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -89,8 +88,7 @@ def unit_index(n: int, i: int) -> MultiIndex:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(NamedTuple):
     """A power series truncated at total degree `degree`.
 
     `coeffs` maps exponent tuples to nonzero scalars.  Use `Jet.build` to
@@ -99,7 +97,7 @@ class Jet:
 
     dim: int
     degree: int
-    coeffs: Dict[MultiIndex, Scalar] = field(default_factory=dict)
+    coeffs: Dict[MultiIndex, Scalar]
 
     @staticmethod
     def build(dim: int, deg: int, terms: Iterable[Tuple[MultiIndex, Scalar]]) -> Jet:
@@ -135,7 +133,7 @@ class Jet:
         return sorted(self.coeffs.items(), key=lambda kv: order_key(kv[0]))
 
     def __repr__(self) -> str:
-        """The dataclass form, with `coeffs` listed in monomial order.
+        """The NamedTuple form, with `coeffs` listed in monomial order.
 
         A dict shows its insertion order, which depends on how the jet
         was computed; listing the terms in order makes equal jets print

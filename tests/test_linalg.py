@@ -253,30 +253,6 @@ def corner_filtered(basis: JordanBasis) -> JordanBasis:
     )
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(1, 9), st.booleans())
-def test_corner_only_filters_the_complete_basis(data, size, gaussian):
-    n = data.draw(st.integers(1, min(4, size)))
-    m = data.draw(lower_triangular(size, gaussian, corner=n))
-    lower, diag = sparse_lower(m)
-    restricted = incremental_jordanize(lower, diag, n, sweep=set(diag[:n]))
-    assert restricted == corner_filtered(incremental_jordanize(lower, diag, n))
-    assert restricted == corner_filtered(oracle.incremental_jordanize(m, n))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
-def test_corner_only_filters_the_complete_basis_on_operators(seed, dim, gaussian):
-    rng = random.Random(seed)
-    pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
-    diag = [rng.choice(pool) for _ in range(dim)]
-    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
-    op = truncated_operator(phi)
-    restricted = incremental_jordanize(op.lower, op.diag, dim, sweep=set(op.diag[:dim]))
-    assert restricted == corner_filtered(incremental_jordanize(op.lower, op.diag, dim))
-    assert restricted == corner_filtered(oracle.incremental_jordanize(op.matrix, dim))
-
-
 def assert_sweep_extends_only(lower, diag, n: int, sweep: set) -> None:
     """`sweep` gives the complete chains of its eigenvalues, in the same
     order, the corner unit vectors of every other corner block, and no
@@ -295,6 +271,15 @@ def assert_sweep_extends_only(lower, diag, n: int, sweep: set) -> None:
     assert all(c.eigenvalue in sweep for c in basis.chains[len(blocks):])
 
 
+def assert_corner_sweep_filters_the_complete_basis(lower, diag, n: int, m: ExactMatrix) -> None:
+    """Swept over every corner eigenvalue, the basis is the complete one,
+    from `incremental_jordanize` and from the oracle on the dense form
+    `m`, less the chains of eigenvalues the corner lacks."""
+    restricted = incremental_jordanize(lower, diag, n, sweep=set(diag[:n]))
+    assert restricted == corner_filtered(incremental_jordanize(lower, diag, n))
+    assert restricted == corner_filtered(oracle.incremental_jordanize(m, n))
+
+
 def corner_subsets(diag, n: int):
     """Any set of the eigenvalues of the first n diagonal entries."""
     return st.sets(st.sampled_from(list(dict.fromkeys(diag[:n]))))
@@ -307,6 +292,7 @@ def test_sweep_extends_only_the_chains_of_its_eigenvalues(data, size, gaussian):
     m = data.draw(lower_triangular(size, gaussian, corner=n))
     lower, diag = sparse_lower(m)
     assert_sweep_extends_only(lower, diag, n, data.draw(corner_subsets(diag, n)))
+    assert_corner_sweep_filters_the_complete_basis(lower, diag, n, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,6 +307,7 @@ def test_sweep_extends_only_the_chains_of_its_eigenvalues_on_operators(
     op = truncated_operator(phi)
     sweep = data.draw(corner_subsets(op.diag, dim))
     assert_sweep_extends_only(op.lower, op.diag, dim, sweep)
+    assert_corner_sweep_filters_the_complete_basis(op.lower, op.diag, dim, op.matrix)
 
 
 def test_shift_changes_only_the_diagonal():
