@@ -280,6 +280,26 @@ def assert_corner_sweep_filters_the_complete_basis(lower, diag, n: int, m: Exact
     assert restricted == corner_filtered(oracle.incremental_jordanize(m, n))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 9), st.booleans())
+def test_corner_only_filters_the_complete_basis(data, size, gaussian):
+    n = data.draw(st.integers(1, min(4, size)))
+    m = data.draw(lower_triangular(size, gaussian, corner=n))
+    lower, diag = sparse_lower(m)
+    assert_corner_sweep_filters_the_complete_basis(lower, diag, n, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_corner_only_filters_the_complete_basis_on_operators(seed, dim, gaussian):
+    rng = random.Random(seed)
+    pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
+    diag = [rng.choice(pool) for _ in range(dim)]
+    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
+    op = truncated_operator(phi)
+    assert_corner_sweep_filters_the_complete_basis(op.lower, op.diag, dim, op.matrix)
+
+
 def corner_subsets(diag, n: int):
     """Any set of the eigenvalues of the first n diagonal entries."""
     return st.sets(st.sampled_from(list(dict.fromkeys(diag[:n]))))
@@ -292,7 +312,6 @@ def test_sweep_extends_only_the_chains_of_its_eigenvalues(data, size, gaussian):
     m = data.draw(lower_triangular(size, gaussian, corner=n))
     lower, diag = sparse_lower(m)
     assert_sweep_extends_only(lower, diag, n, data.draw(corner_subsets(diag, n)))
-    assert_corner_sweep_filters_the_complete_basis(lower, diag, n, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,7 +326,6 @@ def test_sweep_extends_only_the_chains_of_its_eigenvalues_on_operators(
     op = truncated_operator(phi)
     sweep = data.draw(corner_subsets(op.diag, dim))
     assert_sweep_extends_only(op.lower, op.diag, dim, sweep)
-    assert_corner_sweep_filters_the_complete_basis(op.lower, op.diag, dim, op.matrix)
 
 
 def test_shift_changes_only_the_diagonal():
