@@ -22,9 +22,11 @@ the K-truncated matrix carries the complete eigenvalue-collision
 structure.
 
 `build(phi, K)` is the one operator builder, for a K its caller has
-searched, and `eigenvalue_products` is the one table of lambda^alpha,
-which the lifter reads beyond K.  The degree-1 columns are phi's own
-components; every other column phi^beta is scattered straight from the
+searched, and `eigenvalue_products` is the lifter's table of
+lambda^alpha past K: it holds the powers of single eigenvalues and
+multiplies out a product only at an exponent that is read.  The
+degree-1 columns are phi's own components; every other column
+phi^beta is scattered straight from the
 packed Gaussian-integer power P^beta of one `maps.PowerTable`, the kind
 of table that composition, the lifter and `verify` use, with no `Jet`.
 No exponent -> row map is formed: e_j is row j and a term of degree >= 2
@@ -34,10 +36,12 @@ is found by its packed key; `basis.index` finds a row when one is needed.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from functools import reduce
+from operator import mul
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .linalg import ExactMatrix, SparseVector
-from .maps import PolyMap, PowerTable
+from .maps import PolyMap, PowerTable, _Memo
 from .scalars import ONE, ZERO, Scalar, from_ints
 from .series import Jet, MultiIndex, enumerate_monomials, order_key
 
@@ -61,24 +65,33 @@ def _squares(diag: Sequence[Scalar]) -> List[Tuple[int, int]]:
     return squares
 
 
-def eigenvalue_products(
-    diag: Sequence[Scalar], min_total: int, max_total: int
-) -> List[Tuple[MultiIndex, Scalar]]:
-    """All (alpha, lambda^alpha) with min_total <= |alpha| <= max_total, in basis order.
+def eigenvalue_products(diag: Sequence[Scalar], max_power: int) -> _Memo:
+    """lambda^alpha at every exponent alpha with each alpha_i <= max_power, formed when read.
 
-    One multiplication per exponent: lambda^alpha = lambda^(alpha - e_i)
-    * lambda_i for the first i with alpha_i > 0, and alpha - e_i comes a
-    degree earlier in the basis.  The lifter's divisors come from here.
+    The table starts as the pairs (e*e_i, lambda_i^e) for 1 <= e <=
+    max_power, in that order by i then e, one multiplication each.  Any
+    other lambda^alpha is the product of its factors lambda_i^alpha_i,
+    at most n - 1 multiplications, formed on its first lookup and kept.
+    The lifter's divisors come from here, so it forms a product only at
+    an exponent it solves.
     """
-    table: Dict[MultiIndex, Scalar] = {(0,) * len(diag): ONE}
-    out = []
-    for alpha in enumerate_monomials(len(diag), max_total):
-        i = next(j for j, e in enumerate(alpha) if e)
-        prod = table[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]] * diag[i]
-        table[alpha] = prod
-        if sum(alpha) >= min_total:
-            out.append((alpha, prod))
-    return out
+    n = len(diag)
+    powers = []
+    for lam in diag:
+        row = [lam]
+        for _ in range(max_power - 1):
+            row.append(row[-1] * lam)
+        powers.append(row)
+
+    def form(alpha: MultiIndex) -> Scalar:
+        factors = [row[e - 1] for row, e in zip(powers, alpha) if e]
+        return reduce(mul, factors) if factors else ONE
+
+    table = _Memo(form)
+    for i, row in enumerate(powers):
+        for e, prod in enumerate(row, 1):
+            table[(0,) * i + (e,) + (0,) * (n - i - 1)] = prod
+    return table
 
 
 def _entangled(squares: Sequence[Tuple[int, int]]) -> List[int]:

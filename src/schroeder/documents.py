@@ -21,7 +21,7 @@ coefficient or matrix entry, `_rational` for a rational.  A term's
 refusal carries a path relative to the term, and `_parse_components`
 puts the term's own path in front of it only when it refuses, so an
 accepted term formats no path; `parse_matrix` does the same for its
-entries.
+entries, and `parse_scalar` for the ".re" and ".im" parts of an object.
 """
 
 from __future__ import annotations
@@ -167,8 +167,14 @@ def parse_scalar(value: Any, at: str) -> Scalar:
             extra = set(value) - {"re", "im"}
             if extra:
                 raise DocumentError(f"unexpected keys {sorted(extra)}", at)
-        a, d = _rational(value.get("re", 0), at + ".re")
-        b, e = _rational(value.get("im", 0), at + ".im")
+        # A part's path is formed only when the part is refused.
+        part = ".re"
+        try:
+            a, d = _rational(value.get("re", 0), "")
+            part = ".im"
+            b, e = _rational(value.get("im", 0), "")
+        except DocumentError as exc:
+            raise _under(exc, at + part) from exc.__cause__
         return from_ints(a * e, b * d, d * e)
     if isinstance(value, (str, int)) and not isinstance(value, bool):
         a, d = _rational(value, at)

@@ -269,9 +269,12 @@ class _Lifter:
     lambda^alpha z^alpha alone unless L has a Jordan block; only then do
     the terms of a layer feed later exponents of the same layer, through
     the layer's `Scalar` coefficients.  An exponent with neither a composed
-    nor a target coefficient has x = 0 and is skipped.  The powers of
-    psi and the table of products lambda^alpha from `eigenvalue_products`
-    are shared by every chain lifted with one lifter, and dropped with it.
+    nor a target coefficient has x = 0 and is skipped, and its divisor is
+    never formed: the table from `eigenvalue_products` holds the powers
+    lambda_i^e and multiplies out lambda^alpha at its first lookup.  The
+    powers of psi and that table are shared by every chain lifted with
+    one lifter, so each lambda^alpha is formed at most once, and both are
+    dropped with it.
     """
 
     def __init__(self, psi: PolyMap, base_degree: int, out_degree: int):
@@ -281,9 +284,7 @@ class _Lifter:
         self.powers = PowerTable(psi)
         linear = psi.linear_part()
         self.jordan = not (linear.is_lower_triangular() and linear.is_upper_triangular())
-        self.diag_power = dict(
-            eigenvalue_products(linear.diagonal_entries(), base_degree + 1, out_degree)
-        )
+        self.diag_power = eigenvalue_products(linear.diagonal_entries(), out_degree)
 
     def lift(self, g0: Jet, rhs: Optional[Jet], lam: Scalar) -> Jet:
         """Solve g(psi(z)) = lambda g + rhs through the output degree.
@@ -461,7 +462,8 @@ def _remix(block_jets: List[Jet], lam: Scalar, power: int, work: int) -> List[Je
         for j in range(s):
             c = chain[j][i]
             if not c.is_zero():
-                add_into(acc, products[j].coeffs, c * scales[j])
+                c = c * scales[j]
+                add_into(acc, products[j].coeffs, None if c == ONE else c)
         out.append(Jet(block_jets[0].dim, work, acc))
     return out
 
@@ -492,11 +494,18 @@ def _power_chain(lam: Scalar, s: int, power: int) -> List[List[Scalar]]:
 
 
 def _jet_pow(f: Jet, e: int) -> Jet:
-    """f^e for e >= 1."""
-    out = f
-    for _ in range(e - 1):
-        out = out * f
-    return out
+    """f^e for e >= 1, by binary powering: about log2(e) squares, each `f * f`.
+
+    A square multiplies each unordered pair of terms once (`series.jet_mul`).
+    """
+    out = None
+    while True:
+        if e & 1:
+            out = f if out is None else out * f
+        e >>= 1
+        if not e:
+            return out
+        f = f * f
 
 
 def verify(phi: PolyMap, components: PolyMap, power: int = 1) -> VerifyReport:

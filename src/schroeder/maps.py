@@ -108,14 +108,14 @@ def matrix_map(m: ExactMatrix, degree: int) -> PolyMap:
 Graded = Dict[int, Dict[int, Any]]
 
 
-class _Memo(dict[int, Any]):
+class _Memo(dict[Any, Any]):
     """A mapping whose value at each key is `form(key)`, formed on its first lookup."""
 
-    def __init__(self, form: Callable[[int], Any]):
+    def __init__(self, form: Callable[[Any], Any]):
         super().__init__()
         self.form = form
 
-    def __missing__(self, key: int) -> Any:
+    def __missing__(self, key: Any) -> Any:
         value = self[key] = self.form(key)
         return value
 

@@ -15,8 +15,11 @@ Products are graded: `jet_mul` groups the right factor's terms by the
 total degrees that occur, so each left term meets only the terms whose
 product stays within the truncation, and every coefficient accumulates
 through the fused form `Scalar.__mul__(x, y, acc)` = acc + x*y, at one
-gcd reduction per product.  Composition and the operator's columns
-multiply no jets: both read the Gaussian-integer powers of `maps`.
+gcd reduction per product.  A square, a jet times itself, forms each
+unordered pair of terms once and doubles the cross terms, so it makes
+about half the products of a general product of the same size.
+Composition and the operator's columns multiply no jets: both read the
+Gaussian-integer powers of `maps`.
 
 A jet prints its terms in monomial order, whatever order its table was
 filled in, so equal jets print equally.
@@ -223,9 +226,12 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
     so each term of `f` meets only the terms whose product survives the
     truncation, found by bisecting those degrees.  Every coefficient
     accumulates through the fused `Scalar.__mul__`; sums that cancel are
-    dropped once at the end.
+    dropped once at the end.  A jet times itself (`g is f`) is a square
+    and multiplies each unordered pair of terms once (`_square`).
     """
     f._check(g)
+    if g is f:
+        return _square(f)
     deg = min(f.degree, g.degree)
     by_degree: Dict[int, List[Tuple[MultiIndex, Scalar]]] = {}
     for b, cb in g.coeffs.items():
@@ -244,4 +250,32 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
         for b, cb in up_to[room - 1]:
             gamma = tuple(map(add, a, b))
             acc[gamma] = mul(ca, cb, get(gamma))
+    return Jet(f.dim, deg, {gamma: c for gamma, c in acc.items() if c})
+
+
+def _square(f: Jet) -> Jet:
+    """f * f, each unordered pair of terms multiplied once.
+
+    With the terms in order of degree, the partners after a term whose
+    product survives the truncation are a run, found by bisection.  A
+    term meets itself once and each partner once, through its doubled
+    coefficient 2*c, formed once per term; a term whose square is past
+    the truncation has no partner after it, and neither has any later one.
+    """
+    deg = f.degree
+    terms = sorted(f.coeffs.items(), key=lambda term: sum(term[0]))
+    degrees = [sum(a) for a, _ in terms]
+    acc: Dict[MultiIndex, Scalar] = {}
+    mul, get = Scalar.__mul__, acc.get  # read per call, as in `add_into`
+    for i, (a, ca) in enumerate(terms):
+        end = bisect_right(degrees, deg - degrees[i])
+        if end <= i:
+            break
+        gamma = tuple(map(add, a, a))
+        acc[gamma] = mul(ca, ca, get(gamma))
+        if end > i + 1:
+            twice = ca + ca
+            for b, cb in terms[i + 1 : end]:
+                gamma = tuple(map(add, a, b))
+                acc[gamma] = mul(twice, cb, get(gamma))
     return Jet(f.dim, deg, {gamma: c for gamma, c in acc.items() if c})

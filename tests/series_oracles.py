@@ -5,7 +5,10 @@ truncation degree; `add_into` and `jet_mul` add each product through
 `Scalar.__mul__` and `Scalar.__add__` and drop a sum the moment it
 cancels.  They check `schroeder.series.jet_mul` and `add_into`, which
 group the right factor by degree and accumulate through the fused
-`Scalar.__mul__(x, y, acc)`, and share neither with them.
+`Scalar.__mul__(x, y, acc)`, and share neither with them.  A square
+goes through the same pairwise `jet_mul`, ordered pairs and all, and
+`jet_pow` is e - 1 repeated products; they check the square path of
+`series.jet_mul` and the binary powering of `engine._jet_pow`.
 
 `monomial_power`, `compose` and `map_compose` are the `Scalar` route
 that `schroeder.maps` used before it composed over the Gaussian
@@ -77,6 +80,14 @@ def jet_mul(f: Jet, g: Jet) -> Jet:
             else:
                 acc[gamma] = s
     return Jet(f.dim, deg, acc)
+
+
+def jet_pow(f: Jet, e: int) -> Jet:
+    """f^e for e >= 1, by e - 1 repeated products."""
+    out = f
+    for _ in range(e - 1):
+        out = jet_mul(out, f)
+    return out
 
 
 def monomial_power(phi: PolyMap, alpha: MultiIndex, memo: Optional[PowerMemo] = None) -> Jet:

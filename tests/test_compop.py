@@ -183,7 +183,11 @@ def test_mixed_spectrum_matches_brute_force():
 
 
 def test_eigenvalue_products_order_and_values():
-    prods = dict(eigenvalue_products([sc(1, 2), sc(1, 4)], 2, 2))
+    prods = eigenvalue_products([sc(1, 2), sc(1, 4)], 2)
+    # The powers of single eigenvalues, by eigenvalue then exponent, and nothing more.
+    assert list(prods.items()) == [
+        ((1, 0), sc(1, 2)), ((2, 0), sc(1, 4)), ((0, 1), sc(1, 4)), ((0, 2), sc(1, 16))
+    ]
     assert prods[(2, 0)] == sc(1, 4)
     assert prods[(1, 1)] == sc(1, 8)
     assert prods[(0, 2)] == sc(1, 16)

@@ -128,11 +128,17 @@ def spectra(draw):
 @example((_s(0, "1/2"), _s("1/3"), _s(0, "1/2")), 2, 4)
 def test_eigenvalue_product_table_matches_direct_powering(diag, lo, hi):
     lo, hi = min(lo, hi), max(lo, hi)
-    table = compop.eigenvalue_products(diag, lo, hi)
-    want = [a for a in enumerate_monomials(len(diag), hi) if sum(a) >= lo]
-    assert [alpha for alpha, _ in table] == want
-    for alpha, prod in table:
-        assert prod == oracle.diag_power(diag, alpha)
+    n = len(diag)
+    table = compop.eigenvalue_products(diag, hi)
+    # It starts as the powers of single eigenvalues, by eigenvalue then exponent.
+    units = [unit_index(n, i) for i in range(n)]
+    powers = [tuple(e * x for x in unit) for unit in units for e in range(1, hi + 1)]
+    assert list(table) == powers
+    want = [a for a in enumerate_monomials(n, hi) if sum(a) >= lo]
+    for alpha in want + powers:
+        assert table[alpha] == oracle.diag_power(diag, alpha)
+    # A product is kept once read; no other is formed.
+    assert set(table) == set(powers) | set(want)
 
 
 def _outcome(run):
@@ -215,8 +221,10 @@ def _products_with(value, at):
     """`eigenvalue_products` with the product at exponent `at` replaced by `value`."""
     real = compop.eigenvalue_products
 
-    def patched(diag, lo, hi):
-        return [(alpha, value if alpha == at else prod) for alpha, prod in real(diag, lo, hi)]
+    def patched(diag, max_power):
+        table = real(diag, max_power)
+        table[at] = value
+        return table
 
     return mock.patch.object(engine, "eigenvalue_products", patched)
 
@@ -237,6 +245,108 @@ def test_a_vanished_divisor_is_refused_where_a_coefficient_is_solved():
     with _products_with(half, (2, 1)):
         sol = solve(linear, degree=5)
     assert [c.coeffs for c in sol.components.components] == [{(1, 0): ONE}, {(0, 1): ONE}]
+
+
+def _lifters(run):
+    """The lifters `run` makes, each after its last lift, whatever `run` returns.
+
+    Each keeps its map (`psi`), the keys its table of lambda^alpha
+    started with (`start`) and the (rhs, lifted jet) of each lift.
+    """
+    made = []
+
+    class Recording(engine._Lifter):
+        def __init__(self, psi: PolyMap, base_degree: int, out_degree: int):
+            super().__init__(psi, base_degree, out_degree)
+            self.psi = psi
+            self.start = set(self.diag_power)
+            self.lifted = []
+            made.append(self)
+
+        def lift(self, g0, rhs, lam):
+            g = super().lift(g0, rhs, lam)
+            self.lifted.append((rhs, g))
+            return g
+
+    with mock.patch.object(engine, "_Lifter", Recording):
+        _outcome(run)
+    return made
+
+
+def _solved(lifter) -> set:
+    """Exponents past the base degree where a lift had a composed or a target coefficient.
+
+    With g the lifted jet, g(psi) - lambda g = rhs holds through the output
+    degree, so an exponent carries a coefficient of g, of rhs or of g(psi)
+    exactly when the lifter solved it, up to a composed coefficient that
+    cancels within a Jordan layer.
+    """
+    out = set()
+    for rhs, g in lifter.lifted:
+        composed = series_oracles.compose(g, lifter.psi)
+        for jet in (g, composed) + ((rhs,) if rhs is not None else ()):
+            out.update(a for a in jet.coeffs if lifter.base < sum(a) <= lifter.out)
+    return out
+
+
+def test_a_linear_map_forms_no_eigenvalue_product_past_k():
+    linear = PolyMap((
+        Jet.build(3, 8, [((1, 0, 0), _s("1/2")), ((0, 0, 1), _s("1/5"))]),
+        Jet.build(3, 8, [((0, 1, 0), _s(0, "1/3"))]),
+        Jet.build(3, 8, [((0, 0, 1), _s("1/7"))]),
+    ))
+    for run in (lambda: solve(linear, degree=8), lambda: solve_power(linear, 3, degree=8)):
+        (lifter,) = _lifters(run)
+        assert lifter.base == 1 and lifter.out == 8
+        assert _solved(lifter) == set()
+        assert set(lifter.diag_power) == lifter.start
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_maps(max_dim=3), st.integers(1, 3))
+def test_the_lifter_forms_eigenvalue_products_only_where_it_solves(drawn, power):
+    phi = drawn[0]
+    degree = 6 if phi.dim == 3 else 8
+    for lifter in _lifters(lambda: solve_power(phi, power, degree=degree)):
+        diag = lifter.psi.linear_part().diagonal_entries()
+        formed = set(lifter.diag_power) - lifter.start
+        for alpha in formed:
+            assert lifter.diag_power[alpha] == oracle.diag_power(diag, alpha)
+        solved = _solved(lifter)
+        assert solved - lifter.start <= formed
+        if not lifter.jordan:
+            assert formed <= solved
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_maps(max_degree=5), st.integers(1, 8))
+def test_binary_power_of_a_jet_matches_repeated_products(drawn, e):
+    phi, rng, _ = drawn
+    f = _with_constant(rng.choice(phi.components), rng)
+    assert engine._jet_pow(f, e) == series_oracles.jet_pow(f, e)
+
+
+#: (z1/2 + z2^2/3, z2/3 + z1^2/5), and a Gaussian Jordan block with a z1*z2 coupling.
+POWERED_MAPS = (
+    PolyMap((
+        Jet.build(2, 2, [((1, 0), _s("1/2")), ((0, 2), _s("1/3"))]),
+        Jet.build(2, 2, [((0, 1), _s("1/3")), ((2, 0), _s("1/5"))]),
+    )),
+    PolyMap((
+        Jet.build(2, 2, [((1, 0), _s(0, "1/2")), ((0, 1), ONE), ((2, 0), _s("1/3"))]),
+        Jet.build(2, 2, [((0, 1), _s(0, "1/2")), ((1, 1), _s("1/4", "-1/4"))]),
+    )),
+)
+
+
+@pytest.mark.parametrize("power", range(4, 9))
+def test_solve_power_by_binary_powering_matches_repeated_products(power):
+    for phi in POWERED_MAPS:
+        fast = solve_power(phi, power, degree=power + 2)
+        with mock.patch.object(engine, "_jet_pow", series_oracles.jet_pow):
+            slow = solve_power(phi, power, degree=power + 2)
+        assert fast == slow
+        assert verify(phi, fast.components, power).passed
 
 
 def _oracle_first_failure(phi: PolyMap, f: PolyMap, power: int):

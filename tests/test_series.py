@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,63 @@ def test_graded_product_matches_the_pairwise_oracle(pair):
         assert got == oracle.jet_mul(x, y)
         assert got.degree == min(x.degree, y.degree)
         assert_no_zero_stored(got.coeffs)
+
+
+@st.composite
+def squared_jets(draw):
+    """A real or Gaussian jet in 1-4 variables, its terms up to its degree.
+
+    Half the time it is f = 1 + h - h^2/2, h free of constants, so that
+    f^2 = 1 + 2h - h^3 + h^4/4: every coefficient of h^2 cancels.
+    """
+    dim = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 5))
+    coeffs = draw(coeff_kinds)
+    mons = [(0,) * dim] + enumerate_monomials(dim, max(degree, 1))
+    f = Jet.build(dim, degree, draw(st.lists(st.tuples(st.sampled_from(mons), coeffs), max_size=7)))
+    if draw(st.booleans()):
+        h = Jet(dim, degree, {a: c for a, c in f.coeffs.items() if any(a)})
+        one = Jet.monomial(dim, degree, (0,) * dim)
+        f = one + h - oracle.jet_mul(h, h).scale(sc(1, 2))
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(squared_jets())
+def test_a_square_matches_the_pairwise_oracle(f):
+    copy = Jet(f.dim, f.degree, dict(f.coeffs))
+    got = jet_mul(f, f)
+    assert got == oracle.jet_mul(f, f) == jet_mul(f, copy)
+    assert got.degree == f.degree
+    assert_no_zero_stored(got.coeffs)
+
+
+def _scalar_products(run) -> int:
+    """How many `Scalar.__mul__` calls `run` makes, counted on the class attribute."""
+    count = 0
+    real = Scalar.__mul__
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    with mock.patch.object(Scalar, "__mul__", counted):
+        run()
+    return count
+
+
+def test_a_square_multiplies_each_unordered_pair_once():
+    # Degrees 1 and 2 within degree 4: every pair of the t = 5 terms survives.
+    f = Jet.build(2, 4, [
+        ((1, 0), sc(1, 2)), ((0, 1), Scalar.of(1, 3)), ((2, 0), sc(-2)),
+        ((1, 1), Scalar.of(0, "1/5")), ((0, 2), sc(3, 7)),
+    ])
+    t = len(f.coeffs)
+    copy = Jet(f.dim, f.degree, dict(f.coeffs))
+    assert _scalar_products(lambda: f * f) <= t * (t + 1) // 2 + t
+    assert _scalar_products(lambda: f * copy) == t * t
+    assert f * f == f * copy == oracle.jet_mul(f, f)
 
 
 @settings(max_examples=200, deadline=None)
