@@ -5,15 +5,25 @@ readable report or a machine document (--format machine).  Exit codes:
 0 on success, 2 for a definite negative verdict (no full-rank solution,
 or a verification failure), 1 for unreadable documents, unsupported
 maps, or bad invocations.
+
+Two tables describe the command line.  `_OPTIONS` gives each flag its
+metavar (None for a switch), default and help line; `_COMMANDS` gives
+each subcommand its function, its positional arguments and its flags in
+help order.  `_parse` reads argv against them in one loop: it takes
+`--opt value` and `--opt=value`, options among the arguments, and `--`,
+and checks each value by its metavar.  `_help` renders the `--help`
+pages from the same tables and the commands' docstrings, in click's
+layout at 78 columns, and each refusal keeps click's wording.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import sys
-from typing import Any, Callable, List, Optional, Tuple
-
-import click
+import textwrap
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
 from . import __version__, documents
 from .compop import TruncatedCompOp, UnsupportedSpectrumError
@@ -156,7 +166,7 @@ def _operator_text(op: TruncatedCompOp) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        click.echo(text, nl=False, file=sys.stdout)
+        sys.stdout.write(text)
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -219,95 +229,12 @@ def _sample_check(phi: PolyMap, seed: int, samples: int = 8, radius: float = 0.0
         if not contracts:
             bad += 1
     if bad:
-        click.echo(
+        sys.stderr.write(
             f"warning: map failed to contract {bad} of {samples} float samples "
-            f"at radius {radius}; the fixed point may not be attracting",
-            file=sys.stderr,
+            f"at radius {radius}; the fixed point may not be attracting\n"
         )
 
 
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "machine"]),
-    default="text",
-    show_default=True,
-    help="Human readable text or a JSON document.",
-)
-out_option = click.option(
-    "--out",
-    type=click.Path(dir_okay=False),
-    default=None,
-    help="Write the output to a file instead of stdout.",
-)
-sample_option = click.option(
-    "--sample-check",
-    is_flag=True,
-    help="Float-sample the map near 0 and warn if it fails to contract.",
-)
-degree_option = click.option(
-    "--degree",
-    type=click.IntRange(min=1),
-    default=DEFAULT_DEGREE,
-    show_default=True,
-    help="Output degree; raised to the operator truncation degree when smaller.",
-)
-seed_option = click.option(
-    "--seed",
-    type=int,
-    default=0,
-    show_default=True,
-    help="Seed for --sample-check sampling.",
-)
-
-
-def _print_and_exit(text: Callable[[click.Context], str]) -> Callable:
-    """The callback of an eager flag that prints text(ctx) to stdout and exits.
-
-    Click's own --help and --version callbacks echo with no file, which
-    caches a wrapper per stream that keeps every redirected stdout alive;
-    this one names the current `sys.stdout`.
-    """
-
-    def callback(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-        if value and not ctx.resilient_parsing:
-            click.echo(text(ctx), file=sys.stdout, color=ctx.color)
-            ctx.exit()
-
-    return callback
-
-
-help_option = click.help_option(callback=_print_and_exit(lambda ctx: ctx.get_help()))
-version_option = click.option(
-    "--version",
-    is_flag=True,
-    expose_value=False,
-    is_eager=True,
-    help="Show the version and exit.",
-    callback=_print_and_exit(
-        lambda ctx: f"{ctx.find_root().info_name}, version {__version__}"
-    ),
-)
-
-
-@click.group()
-@version_option
-@help_option
-def cli() -> None:
-    """Exact solver for the equation F(phi(z)) = phi'(0)^k F(z).
-
-    Maps are read from JSON documents holding exact rational
-    coefficients; see the package README for the format.
-    """
-
-
-@cli.command("analyze")
-@click.argument("map_path", metavar="MAP")
-@format_option
-@out_option
-@sample_option
-@seed_option
-@help_option
 def analyze_cmd(map_path: str, fmt: str, out: Optional[str], sample_check: bool, seed: int) -> int:
     """Decide whether a full-rank solution exists for k = 1."""
     original, phi, _ = _load_map(map_path)
@@ -318,30 +245,8 @@ def analyze_cmd(map_path: str, fmt: str, out: Optional[str], sample_check: bool,
     return 0 if report.full_rank else 2
 
 
-@cli.command("solve")
-@click.argument("map_path", metavar="MAP")
-@degree_option
-@click.option(
-    "--mode",
-    type=click.Choice(["full-rank", "independent"]),
-    default="full-rank",
-    show_default=True,
-    help="Gate on the full-rank verdict, or always construct independent components.",
-)
-@format_option
-@out_option
-@sample_option
-@seed_option
-@help_option
-def solve_cmd(
-    map_path: str,
-    degree: int,
-    mode: str,
-    fmt: str,
-    out: Optional[str],
-    sample_check: bool,
-    seed: int,
-) -> int:
+def solve_cmd(map_path: str, degree: int, mode: str, fmt: str, out: Optional[str],
+              sample_check: bool, seed: int) -> int:
     """Construct a truncated solution for k = 1."""
     original, phi, back = _load_map(map_path)
     if sample_check:
@@ -356,23 +261,7 @@ def solve_cmd(
     return 0
 
 
-@cli.command("solve-power")
-@click.argument("map_path", metavar="MAP")
-@click.option(
-    "--k",
-    "power",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    help="Exponent on the derivative factor.",
-)
-@degree_option
-@format_option
-@out_option
-@help_option
-def solve_power_cmd(
-    map_path: str, power: int, degree: int, fmt: str, out: Optional[str]
-) -> int:
+def solve_power_cmd(map_path: str, power: int, degree: int, fmt: str, out: Optional[str]) -> int:
     """Construct a truncated solution of F(phi(z)) = phi'(0)^k F(z)."""
     _, phi, back = _load_map(map_path)
     sol = solve_power(phi, power, degree=degree)
@@ -381,12 +270,6 @@ def solve_power_cmd(
     return 0
 
 
-@cli.command("verify")
-@click.argument("map_path", metavar="MAP")
-@click.argument("solution_path", metavar="SOLUTION")
-@format_option
-@out_option
-@help_option
 def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) -> int:
     """Check a solution document against the equation, term by term.
 
@@ -404,11 +287,6 @@ def verify_cmd(map_path: str, solution_path: str, fmt: str, out: Optional[str]) 
     return 0 if report.passed else 2
 
 
-@cli.command("matrix")
-@click.argument("map_path", metavar="MAP")
-@format_option
-@out_option
-@help_option
 def matrix_cmd(map_path: str, fmt: str, out: Optional[str]) -> int:
     """Print the truncated operator matrix in the engine's Jordan coordinates."""
     _, phi, _ = _load_map(map_path)
@@ -416,35 +294,180 @@ def matrix_cmd(map_path: str, fmt: str, out: Optional[str]) -> int:
     return 0
 
 
+#: Each flag's metavar (None for a switch), default and help line.
+_OPTIONS: Dict[str, Tuple[Optional[str], Any, str]] = {
+    "--format": ("[text|machine]", "text", "Human readable text or a JSON document."),
+    "--out": ("FILE", None, "Write the output to a file instead of stdout."),
+    "--sample-check": (None, False,
+                       "Float-sample the map near 0 and warn if it fails to contract."),
+    "--seed": ("INTEGER", 0, "Seed for --sample-check sampling."),
+    "--degree": ("INTEGER RANGE", DEFAULT_DEGREE,
+                 "Output degree; raised to the operator truncation degree when smaller."),
+    "--mode": ("[full-rank|independent]", "full-rank",
+               "Gate on the full-rank verdict, or always construct independent components."),
+    "--k": ("INTEGER RANGE", 1, "Exponent on the derivative factor."),
+    "--version": (None, False, "Show the version and exit."),
+    "--help": (None, False, "Show this message and exit."),
+}
+
+
+class _UsageError(Exception):
+    """A command line that names no command, or that its command refuses."""
+
+
+def _show(text: str) -> NoReturn:
+    sys.stdout.write(text + "\n")
+    sys.exit(0)
+
+
+def _rows(rows: List[Tuple[str, str]]) -> List[str]:
+    """A definition list: each term padded to the widest, its text wrapped within 78 columns."""
+    width = max(len(term) for term, _ in rows) + 2
+    lines = []
+    for term, text in rows:
+        first, *rest = textwrap.wrap(text, 76 - width) or [""]
+        lines += [f"  {term:<{width}}{first}"] + [" " * (width + 2) + line for line in rest]
+    return lines
+
+
+def _help(command: Optional[str]) -> str:
+    """The `--help` page of a subcommand, or of the group for None."""
+    fn, names, flags = _COMMANDS[command]
+    rows = []
+    for flag in (*flags, "--help"):
+        metavar, default, text = _OPTIONS[flag]
+        if metavar is not None:
+            flag += " " + metavar
+            if default is not None:
+                text += f"  [default: {default}{'; x>=1' if metavar.endswith('RANGE') else ''}]"
+        rows.append((flag, text))
+    # Under `python -OO` there are no docstrings, and the pages go without.
+    paragraphs = [textwrap.indent(textwrap.fill(" ".join(p.split()), 76), "  ")
+                  for p in (fn.__doc__ or "").split("\n\n")]
+    usage = " ".join(["Usage: schroeder", *filter(None, [command]), "[OPTIONS]", *names])
+    lines = [usage, "", "\n\n".join(paragraphs), "", "Options:", *_rows(rows)]
+    if command is None:
+        commands = sorted(filter(None, _COMMANDS))
+        width = 72 - max(map(len, commands))
+        docs = [_COMMANDS[name][0].__doc__ or "" for name in commands]
+        short = [textwrap.shorten(d.split("\n\n")[0], width, placeholder="...") for d in docs]
+        lines += ["", "Commands:", *_rows(list(zip(commands, short)))]
+    return "\n".join(lines)
+
+
+def _value(flag: str, text: str) -> Any:
+    """The value of flag given as text, checked by the flag's metavar."""
+    metavar = _OPTIONS[flag][0]
+    invalid = f"Invalid value for {flag!r}: "
+    if metavar == "FILE" and os.path.isdir(text):
+        raise _UsageError(f"{invalid}File {text!r} is a directory.")
+    choices = metavar[1:-1].split("|")
+    if metavar.startswith("[") and text not in choices:
+        raise _UsageError(f"{invalid}{text!r} is not one of {', '.join(map(repr, choices))}.")
+    if not metavar.startswith("INTEGER"):
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise _UsageError(f"{invalid}{text!r} is not a valid {metavar.lower()}.") from None
+    if metavar == "INTEGER RANGE" and value < 1:
+        raise _UsageError(f"{invalid}{value} is not in the range x>=1.")
+    return value
+
+
+def _parse(argv: List[str]) -> Tuple[Callable[..., int], List[Any]]:
+    """The command function that argv names, and its arguments in order.
+
+    These are the positionals, then each flag's value in the command's
+    flag order, which is the order of its parameters.  A `--help` before
+    any `--` prints the command's page and exits, whatever else argv
+    holds; so do `--help` and `--version` in place of the command.
+    """
+    command, *rest = argv or [None]
+    if command == "--":
+        command, *rest = rest or [None]
+    elif command in ("--help", "--version"):
+        _show(_help(None) if command == "--help" else f"schroeder, version {__version__}")
+    elif command and command.startswith("-") and command != "-":
+        flag = command.partition("=")[0]
+        if flag in ("--help", "--version"):
+            raise _UsageError(f"Option {flag!r} does not take a value.")
+        raise _UsageError(f"No such option {flag!r}.")
+    if command is None:
+        raise _UsageError("Missing command.")
+    if command not in _COMMANDS:
+        raise _UsageError(f"No such command {command!r}.")
+    fn, names, flags = _COMMANDS[command]
+    if "--help" in rest[: rest.index("--") if "--" in rest else len(rest)]:
+        _show(_help(command))
+    values = {flag: _OPTIONS[flag][1] for flag in flags}
+    args: List[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--":
+            args += tokens
+        elif not token.startswith("-") or token == "-":
+            args.append(token)
+        else:
+            flag, eq, text = token.partition("=")
+            if flag not in values and flag != "--help":
+                raise _UsageError(f"No such option {flag!r}.")
+            switch = _OPTIONS[flag][0] is None
+            if switch and eq:
+                raise _UsageError(f"Option {flag!r} does not take a value.")
+            if not switch and not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise _UsageError(f"Option {flag!r} requires an argument.")
+            values[flag] = True if switch else _value(flag, text)
+    if len(args) < len(names):
+        raise _UsageError(f"Missing argument '{names[len(args)]}'.")
+    extra = args[len(names):]
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    return fn, [*args, *values.values()]
+
+
 def main() -> None:
-    # Exact coefficients can outgrow CPython's int <-> str digit limit;
-    # lift it for this run and give the caller back its own.
+    """Exact solver for the equation F(phi(z)) = phi'(0)^k F(z).
+
+    Maps are read from JSON documents holding exact rational
+    coefficients; see the package README for the format.
+    """
+    # The docstring above is the group's help page.  Exact coefficients
+    # can outgrow CPython's int <-> str digit limit; lift it for this run
+    # and give the caller back its own.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code = cli.main(standalone_mode=False)
-    except click.exceptions.Abort:
+        fn, args = _parse(sys.argv[1:])
+        code = fn(*args)
+    except KeyboardInterrupt:
+        sys.stderr.write("\n")
         sys.exit(1)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
-    except (
-        DocumentError,
-        InvalidMapError,
-        UnsupportedSpectrumError,
-        SingularMatrixError,
-        RuntimeError,
-    ) as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, DocumentError, InvalidMapError, UnsupportedSpectrumError,
+            SingularMatrixError, RuntimeError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
         sys.exit(1)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    sys.exit(int(code) if isinstance(code, int) else 0)
+    sys.exit(code)
+
+
+#: Each subcommand's function, positional arguments and flags in help
+#: order; None is the group itself, whose page lists the subcommands.
+_COMMANDS = {
+    None: (main, ("COMMAND", "[ARGS]..."), ("--version",)),
+    "analyze": (analyze_cmd, ("MAP",), ("--format", "--out", "--sample-check", "--seed")),
+    "solve": (solve_cmd, ("MAP",),
+              ("--degree", "--mode", "--format", "--out", "--sample-check", "--seed")),
+    "solve-power": (solve_power_cmd, ("MAP",), ("--k", "--degree", "--format", "--out")),
+    "verify": (verify_cmd, ("MAP", "SOLUTION"), ("--format", "--out")),
+    "matrix": (matrix_cmd, ("MAP",), ("--format", "--out")),
+}
 
 
 if __name__ == "__main__":

@@ -386,6 +386,154 @@ def test_error_exit_codes(docs, tmp_path):
     assert run_cli("verify", str(singular), sol_path).returncode == 0
 
 
+
+def run_in_process(*args: str):
+    """(exit code, stdout, stderr) of `cli.main` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main_in_process(*args)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Refused command lines: argv, exit code and the whole of stderr.  `{map}`
+#: stands for a map document and `{dir}` for a directory.
+USAGE_ERRORS = [
+    (["solve", "{map}", "--degree", "0"], 1,
+     "error: Invalid value for '--degree': 0 is not in the range x>=1.\n"),
+    (["solve", "{map}", "--degree=x"], 1,
+     "error: Invalid value for '--degree': 'x' is not a valid integer range.\n"),
+    (["solve", "{map}", "--mode", "bad"], 1,
+     "error: Invalid value for '--mode': 'bad' is not one of 'full-rank', 'independent'.\n"),
+    (["solve-power", "{map}", "--k", "0"], 1,
+     "error: Invalid value for '--k': 0 is not in the range x>=1.\n"),
+    (["analyze", "{map}", "--seed", "x"], 1,
+     "error: Invalid value for '--seed': 'x' is not a valid integer.\n"),
+    (["analyze", "{map}", "--out", "{dir}"], 1,
+     "error: Invalid value for '--out': File '{dir}' is a directory.\n"),
+    (["solve", "{map}", "--degree"], 1, "error: Option '--degree' requires an argument.\n"),
+    (["analyze", "{map}", "--sample-check=1"], 1,
+     "error: Option '--sample-check' does not take a value.\n"),
+    (["analyze"], 1, "error: Missing argument 'MAP'.\n"),
+    (["verify", "{map}"], 1, "error: Missing argument 'SOLUTION'.\n"),
+    (["analyze", "{map}", "{map}"], 1, "error: Got unexpected extra argument ({map})\n"),
+    (["frobnicate"], 1, "error: No such command 'frobnicate'.\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr", USAGE_ERRORS, ids=[" ".join(a) for a, _, _ in USAGE_ERRORS])
+def test_usage_errors(docs, tmp_path, argv, code, stderr):
+    where = {"map": docs["diagonal"], "dir": str(tmp_path)}
+    got = run_in_process(*(a.format(**where) for a in argv))
+    assert got == (code, "", stderr.format(**where))
+
+
+def test_an_unknown_option_is_named():
+    code, out, err = run_in_process("analyze", "map.json", "--bogus")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: No such option '--bogus'.")
+
+
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        (["analyze", "{map}", "--format=machine"], ["analyze", "{map}", "--format", "machine"]),
+        (["analyze", "--format", "machine", "{map}"], ["analyze", "{map}", "--format", "machine"]),
+        (["analyze", "--", "{map}"], ["analyze", "{map}"]),
+        (["solve", "--degree", "0", "--help"], ["solve", "--help"]),
+    ],
+)
+def test_equivalent_command_lines(docs, argv, canonical):
+    def run(args):
+        return run_in_process(*(a.format(map=docs["diagonal"]) for a in args))
+
+    got = run(argv)
+    assert got[0] == 0
+    assert got[1]
+    assert got == run(canonical)
+
+
+def test_a_bare_call_asks_for_a_command():
+    res = run_cli()
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: Missing command.\n")
+    # Under `python -m` too, the program calls itself `schroeder`.
+    assert run_cli("--version").stdout == f"schroeder, version {schroeder.__version__}\n"
+    assert run_cli("--help").stdout.startswith("Usage: schroeder [OPTIONS] COMMAND [ARGS]...\n")
+
+
+def test_help_pages_print_without_docstrings():
+    """Under `python -OO` the pages lose the commands' text, nothing else."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
+    for args in (["--help"], ["solve", "--help"]):
+        res = subprocess.run(
+            [sys.executable, "-OO", "-m", "schroeder.cli", *args],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (res.returncode, res.stderr) == (0, "")
+        assert "  --help  " in res.stdout
+
+def test_an_interrupt_exits_one(docs, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("schroeder.cli.analyze", interrupted)
+    assert run_in_process("analyze", docs["diagonal"]) == (1, "", "\n")
+
+
+#: Tokens the parser fuzz draws command lines from: `{map}` is a map
+#: document, `{sol}` a solution document and `{dir}` the directory that
+#: holds them, which is also the working directory.
+FUZZ_TOKENS = [
+    "analyze", "solve", "solve-power", "verify", "matrix", "frobnicate",
+    "--", "--help", "--help=1", "--version", "--version=1", "--bogus", "-x", "-",
+    "{map}", "{sol}", "{dir}", "out.json",
+    "--format", "--format=text", "--format=machine", "--format=bad", "text", "machine",
+    "--out", "--out=out.json", "--out={dir}",
+    "--sample-check", "--sample-check=1",
+    "--degree", "--degree=3", "--degree=0", "--degree=x", "3", "0", "-1", "x",
+    "--mode", "--mode=independent", "--mode=full-rank", "--mode=bad", "independent",
+    "--k", "--k=2", "--k=0", "--seed", "--seed=5", "--seed=x",
+]
+
+FUZZ_SOLUTION = {
+    "kind": "solution", "dimension": 2, "power": 1, "degree": 1,
+    "components": [
+        [{"monomial": [1, 0], "coefficient": "1"}],
+        [{"monomial": [0, 1], "coefficient": "1"}],
+    ],
+}
+
+
+#: Up to six tokens; half of the draws start with a subcommand.
+fuzz_argvs = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6) | st.builds(
+    lambda command, rest: [command, *rest],
+    st.sampled_from(FUZZ_TOKENS[:5]),
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=fuzz_argvs)
+def test_every_command_line_exits_zero_one_or_two(tmp_path_factory, argv):
+    """No command line escapes the parser as anything but an exit code.
+
+    Each draw runs in a fresh directory, the working directory, so every
+    `--out` writes under it.
+    """
+    work = tmp_path_factory.mktemp("fuzz")
+    where = {"map": str(work / "map.json"), "sol": str(work / "sol.json"), "dir": str(work)}
+    Path(where["map"]).write_text(dump(OBSTRUCTED_DOC), encoding="utf-8")
+    Path(where["sol"]).write_text(dump(FUZZ_SOLUTION), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        code, _, err = run_in_process(*(a.format(**where) for a in argv))
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error:")
+
 def test_repeated_monomial_exits_one(tmp_path):
     # Summed, z1 listed twice as 1/4 would analyze as eigenvalue 1/2.
     twice = tmp_path / "twice.json"
@@ -462,9 +610,9 @@ def test_numbers_past_the_int_str_digit_limit(tmp_path):
 def test_in_process_runs_keep_no_redirected_stream_alive(docs):
     """`cli.main` holds no reference to the streams it wrote to.
 
-    `click.echo` without `file=` caches a wrapper per stream in a
-    `WeakKeyDictionary` whose value is the stream itself, so every
-    redirected stdout or stderr would stay alive for the whole process.
+    It writes to whatever `sys.stdout` and `sys.stderr` are when it runs;
+    a front end that cached a wrapper per stream would keep every
+    redirected stdout or stderr alive for the whole process.
     """
     requests = (
         (["analyze", docs["obstructed"]], 2),

@@ -32,10 +32,11 @@ from typing import List, Tuple
 
 import pytest
 
-from schroeder import cli
 from schroeder.documents import parse_map_document
 from schroeder.linalg import transition_to_jordan_triangular
 from schroeder.maps import conjugate_map
+
+from conftest import main_in_process
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -245,14 +246,12 @@ def text_name(golden: str) -> str:
 def _stdout_of(args: List[str]) -> Tuple[bytes, int]:
     """What `schroeder <args>` prints to stdout, and its exit code.
 
-    The help width is fixed at the 78 columns click uses without a
-    terminal, so the pages do not depend on the terminal the tests run in.
+    The help pages are laid out at a fixed 78 columns, whatever the
+    terminal the tests run in.
     """
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = cli.cli.main(
-            args, prog_name="schroeder", standalone_mode=False, terminal_width=78
-        )
+        code = main_in_process(*args)
     return buffer.getvalue().encode("utf-8"), code
 
 
@@ -268,7 +267,7 @@ def render(map_name: str, args: List[str], workdir: Path, fmt: str = "machine") 
     if fmt == "text":
         return _stdout_of(argv)
     out_path = workdir / "out.json"
-    code = cli.cli.main([*argv, "--out", str(out_path)], standalone_mode=False)
+    code = main_in_process(*argv, "--out", str(out_path))
     return out_path.read_bytes(), code
 
 

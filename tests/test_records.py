@@ -1,5 +1,6 @@
 """The package's records are immutable `NamedTuple`s, and importing the
-package loads neither `dataclasses` nor `inspect`.
+package or its CLI loads none of `click`, `argparse`, `dataclasses` and
+`inspect`.
 
 A fresh `schroeder` process pays for every module it imports before it
 answers, so the import test pins the mechanism rather than a timing.
@@ -15,7 +16,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
 
 import schroeder
@@ -39,25 +39,30 @@ from schroeder.series import Jet
 from conftest import sc
 
 PACKAGE_ROOT = str(Path(schroeder.__file__).resolve().parents[1])
-CLICK_ROOT = str(Path(click.__file__).resolve().parents[1])
+
+
+#: Modules that neither the package nor its CLI may load.
+HEAVY = ("click", "argparse", "dataclasses", "inspect")
 
 
 def _loaded_after(statement: str) -> list:
-    """Which of `dataclasses` and `inspect` a fresh process holds after `statement`.
+    """Which of `HEAVY` a fresh process holds after `statement`.
 
-    `-S` skips the interpreter's site hooks, which may import either
-    module themselves; the package and click are found on PYTHONPATH.
+    `-S` skips the interpreter's site hooks, which may import any of them
+    themselves, and leaves site-packages off the path: only the package
+    is found, on PYTHONPATH, so the statement also fails if it needs a
+    third-party module.
     """
     script = (
         f"{statement}\nimport json, sys\n"
-        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True,
         text=True,
         timeout=60,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join([PACKAGE_ROOT, CLICK_ROOT])),
+        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -65,8 +70,7 @@ def _loaded_after(statement: str) -> list:
 
 def test_importing_the_package_never_imports_dataclasses():
     assert _loaded_after("import schroeder") == []
-    # click imports `inspect` itself, so only `dataclasses` is pinned here.
-    assert "dataclasses" not in _loaded_after("import schroeder.cli")
+    assert _loaded_after("import schroeder.cli") == []
 
 
 @pytest.fixture
