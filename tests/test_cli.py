@@ -420,7 +420,9 @@ USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, stderr", USAGE_ERRORS, ids=[" ".join(a) for a, _, _ in USAGE_ERRORS])
+@pytest.mark.parametrize(
+    "argv, code, stderr", USAGE_ERRORS, ids=[" ".join(a) for a, _, _ in USAGE_ERRORS]
+)
 def test_usage_errors(docs, tmp_path, argv, code, stderr):
     where = {"map": docs["diagonal"], "dir": str(tmp_path)}
     got = run_in_process(*(a.format(**where) for a in argv))
@@ -460,15 +462,11 @@ def test_a_bare_call_asks_for_a_command():
     assert run_cli("--help").stdout.startswith("Usage: schroeder [OPTIONS] COMMAND [ARGS]...\n")
 
 
-def test_help_pages_print_without_docstrings():
+def test_help_pages_print_without_docstrings(monkeypatch):
     """Under `python -OO` the pages lose the commands' text, nothing else."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
+    monkeypatch.setenv("PYTHONOPTIMIZE", "2")
     for args in (["--help"], ["solve", "--help"]):
-        res = subprocess.run(
-            [sys.executable, "-OO", "-m", "schroeder.cli", *args],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        res = run_cli(*args)
         assert (res.returncode, res.stderr) == (0, "")
         assert "  --help  " in res.stdout
 
