@@ -18,17 +18,23 @@ subcommand is pinned as `help*.txt`.  After a change that is meant to
 alter the output, regenerate every file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+Larger outputs (the dense maps dense3 and dense4, one variable at degree
+250, tri3 at degree 13 and a Gaussian power at k = 20) are pinned by
+sha256 in `DEEP_CASES`, with no file; the regenerator prints their
+digests, to be pasted there.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -186,8 +192,43 @@ TRIANGULAR = {
 #: The maps whose cases follow the layout of `CONJUGATED`'s.
 CONJUGATED_LAYOUT = {**CONJUGATED, **PERMUTED, **REPEATED, **MIXED, **TRIANGULAR}
 
+
+def _dense(diag: List[str]) -> dict:
+    """Component i is diag[i]*z_i plus every quadratic monomial, the k-th
+    (in monomial order) with coefficient 1/(2 + i + k)."""
+    n = len(diag)
+    quadratic = sorted(
+        ([int(j == a) + int(j == b) for j in range(n)] for a in range(n) for b in range(a, n)),
+        reverse=True,
+    )
+    return {
+        "dimension": n,
+        "components": [
+            [_term([int(j == i) for j in range(n)], lam)]
+            + [_term(alpha, f"1/{2 + i + k}") for k, alpha in enumerate(quadratic)]
+            for i, lam in enumerate(diag)
+        ],
+    }
+
+
+#: Larger maps whose outputs are pinned by digest only (`DEEP_CASES`).
+DEEP = {
+    "dense3": _dense(["1/2", "1/3", "1/1024"]),
+    "dense4": _dense(["1/2", "1/3", "1/5", "1/7"]),
+    "one": {"dimension": 1, "components": [[_term([1], "1/2"), _term([2], "1/3")]]},
+    "gauss2": {
+        "dimension": 2,
+        "components": [
+            [_term([1, 0], {"re": "1/2", "im": "1/2"}), _term([0, 1], "1/3"),
+             _term([1, 1], {"re": "1/5", "im": "-1/5"})],
+            [_term([0, 1], {"re": "0", "im": "1/3"}), _term([2, 0], {"re": "0", "im": "1/4"}),
+             _term([0, 2], "1/2")],
+        ],
+    },
+}
+
 #: Every map document the cases run on, by name.
-DOCUMENTS = {**MAPS, **CONJUGATED_LAYOUT}
+DOCUMENTS = {**MAPS, **CONJUGATED_LAYOUT, **DEEP}
 
 #: The golden solutions that `verify` replays, by file stem.
 SOLUTIONS = ("solve", "solve-power-k2", "solve-power-k3")
@@ -228,6 +269,43 @@ def _cases() -> List[Tuple[str, str, List[str], int]]:
 
 
 CASES = _cases()
+
+#: Cases on `DEEP` maps, pinned by the sha256 of their machine document and
+#: of `verify`'s document for that solution (None: no solution to verify):
+#: {case id: (map name, arguments after the map, exit code, digest, verify digest)}.
+#: The degrees are below the ROADMAP's deep cases (dense4 at 10, one at 300,
+#: tri3 at 14) on the same code paths, to keep the suite's time down.
+DEEP_CASES = {
+    "dense3.analyze": (
+        "dense3", ["analyze"], 2,
+        "3b705d6665735b180c917cdec5d97759fff5330cf937851be786e2ddad22a4fc", None,
+    ),
+    "dense3.solve-d10": (
+        "dense3", ["solve", "--degree", "10", "--mode", "independent"], 0,
+        "eee6d9ea5652114950333e87513d91fce473eb8d67feda25487f6ac8c4cc8b2f",
+        "fdff7b23d165257a6e60c16d84897cda8817712c16fdade4f3f3e31ad878fadb",
+    ),
+    "dense4.solve-d9": (
+        "dense4", ["solve", "--degree", "9", "--mode", "independent"], 0,
+        "7cab67e38162dcd5ada4f1381daeb1bf5a4433e0abde0a12b9311e5f094e5087",
+        "f57705c81315290f5ba312264e3b6aec2e8df985d63e0b4db31213b8db5641bf",
+    ),
+    "one.solve-d250": (
+        "one", ["solve", "--degree", "250", "--mode", "independent"], 0,
+        "02d1f39540dfb51f6f03ee97e36620062358254141a41b9ee667cf767a3a3885",
+        "f313f5e53fb293458f516aa1ece63e3b588207d4d6cf3a55cedcec57c901f6ab",
+    ),
+    "tri3.solve-d13": (
+        "tri3", ["solve", "--degree", "13", "--mode", "independent"], 0,
+        "3feaad3fbcb40a599d35147d3d8bff6dd55da584e508c6c2fbd69630ab40870a",
+        "f330b68889c45a3d24e353defe8eeef338a9c788bbe50b98d1b95933788df4d6",
+    ),
+    "gauss2.solve-power-k20-d20": (
+        "gauss2", ["solve-power", "--k", "20", "--degree", "20"], 0,
+        "2553eaaf603b32074473b67c9d0969746812ade64aae775733c812e9aa37f50a",
+        "3042bbab12070ff8ee2f61b3208d9307c29ff04d31bf17b826b3835cc34ae682",
+    ),
+}
 
 #: The subcommands whose `--help` pages are pinned.
 COMMANDS = ("analyze", "solve", "solve-power", "verify", "matrix")
@@ -323,6 +401,24 @@ def test_text_output_matches_golden(golden, map_name, args, code, tmp_path):
     assert data == (GOLDEN / text_name(golden)).read_bytes()
 
 
+def deep_digests(name: str, workdir: Path) -> Tuple[int, str, Optional[str]]:
+    """(exit code, sha256 of the machine document, sha256 of `verify`'s, or None) of a deep case."""
+    map_name, args, _, _, verify_digest = DEEP_CASES[name]
+    data, code = render(map_name, args, workdir)
+    if verify_digest is None:
+        return code, hashlib.sha256(data).hexdigest(), None
+    solution = workdir / "solution.json"
+    solution.write_bytes(data)
+    checked, _ = render(map_name, ["verify", str(solution)], workdir)
+    return code, hashlib.sha256(data).hexdigest(), hashlib.sha256(checked).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CASES))
+def test_deep_case_matches_its_digests(name, tmp_path):
+    _, _, code, digest, verify_digest = DEEP_CASES[name]
+    assert deep_digests(name, tmp_path) == (code, digest, verify_digest)
+
+
 @pytest.mark.parametrize("golden, args", HELP_PAGES, ids=[page[0] for page in HELP_PAGES])
 def test_help_page_matches_golden(golden, args):
     data, code = _stdout_of(args)
@@ -345,6 +441,9 @@ def regenerate() -> None:
             write(text_name(golden), *render(map_name, args, Path(tmp), "text"), code)
     for golden, args in HELP_PAGES:
         write(golden, *_stdout_of(args), 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in DEEP_CASES:
+            print(f"{name}: {deep_digests(name, Path(tmp))}", file=sys.stderr)
 
 
 if __name__ == "__main__":
