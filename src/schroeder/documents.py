@@ -27,7 +27,6 @@ entries, and `parse_scalar` for the ".re" and ".im" parts of an object.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -184,10 +183,6 @@ def parse_scalar(value: Any, at: str) -> Scalar:
     )
 
 
-def parse_rational(value: Any, path: str) -> Fraction:
-    return Fraction(*_rational(value, path))
-
-
 def scalar_json(s: Scalar) -> Dict[str, str]:
     a, b, d = s.ints()
     return {"re": ratio_str(a, d), "im": ratio_str(b, d)}
@@ -330,13 +325,6 @@ def jet_json(f: Jet) -> List[Dict[str, Any]]:
         {"monomial": list(alpha), "coefficient": scalar_json(c)}
         for alpha, c in f.terms()
     ]
-
-
-def map_json(phi: PolyMap) -> Dict[str, Any]:
-    return {
-        "dimension": phi.dim,
-        "components": [jet_json(c) for c in phi.components],
-    }
 
 
 def analysis_json(report: AnalysisReport) -> Dict[str, Any]:

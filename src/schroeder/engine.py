@@ -26,6 +26,14 @@ verdict.  `verify`
 replays a solution against the equation term by term, composing
 through one `maps.PowerTable` of the map.
 
+`analyze`, `solve`, `solve_power` and `truncated_operator` start in
+`_prepare`, which keeps the last map it prepared: the Jordan transition
+and its inverse, the truncation degree K and the operator at K.  These
+do not depend on the requested degree, so `analyze` then `solve` of one
+map (or of an equal one: the kept copies of the coefficient dicts are
+compared with `==`) builds the operator once.  Any other map replaces
+the one entry.
+
 Conjugation in and out inverts the conjugator once (`maps._conjugate`),
 so callers only need a triangular derivative.  A diagonal derivative's
 transition is a permutation, often the identity: conjugating by it only
@@ -175,19 +183,54 @@ def detect_resonance(phi: PolyMap) -> List[Tuple[MultiIndex, Scalar]]:
     return resonances(validate_map(phi).diagonal_entries())
 
 
+class _Kept(NamedTuple):
+    """The part of `_prepare` that does not depend on the work degree, for one map."""
+
+    coeffs: List[Dict[MultiIndex, Scalar]]
+    conjugator: ExactMatrix
+    conjugator_inv: ExactMatrix
+    op: TruncatedCompOp
+
+
+#: The last map `_prepare` prepared: copies of its coefficient dicts and what
+#: they determine.  One entry, replaced by the next map that differs.
+_kept: Optional[_Kept] = None
+
+
 def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
-    linear = validate_map(phi)
-    chain_matrix, jordan = transition_to_jordan_triangular(linear.transpose())
-    conj = chain_matrix.transpose()
-    conj_inv = inverse(conj)
-    diag = jordan.diagonal_entries()
-    k = truncation_degree(diag)
+    """Conjugate phi to its Jordan coordinates and build the operator at its K.
+
+    A map whose coefficient dicts are `==` to the kept copies reuses the
+    kept transition, K and operator, whatever the degree; any other map
+    replaces them.  phi is conjugated to the work degree only when that
+    is above K, since only the lifter reads it there; at K the operator's
+    source already is that map.
+    """
+    global _kept
+    kept = _kept
+    live = [c.coeffs for c in phi.components]
+    if kept is not None and kept.coeffs == live:
+        conj, conj_inv, op = kept.conjugator, kept.conjugator_inv, kept.op
+        k, diag = op.degree, op.diag[:phi.dim]
+    else:
+        linear = validate_map(phi)
+        chain_matrix, jordan = transition_to_jordan_triangular(linear.transpose())
+        conj = chain_matrix.transpose()
+        conj_inv = inverse(conj)
+        diag = jordan.diagonal_entries()
+        k = truncation_degree(diag)
+        op = None
     work = k if degree is None else max(k, degree)
-    psi = _conjugate(phi.truncate(work), conj, conj_inv)
-    # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
-    if psi.linear_part().diagonal_entries() != diag:
-        raise RuntimeError("conjugation changed the diagonal of the derivative")
-    op = build(psi, k)
+    if op is not None and work == k:
+        psi = op.source
+    else:
+        psi = _conjugate(phi.truncate(work), conj, conj_inv)
+        # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
+        if psi.linear_part().diagonal_entries() != diag:
+            raise RuntimeError("conjugation changed the diagonal of the derivative")
+    if op is None:
+        op = build(psi, k)
+        _kept = _Kept([dict(c) for c in live], conj, conj_inv, op)
     return _Prep(phi, conj, conj_inv, psi, op, work)
 
 

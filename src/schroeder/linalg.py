@@ -309,9 +309,6 @@ class JordanBasis(NamedTuple):
     chains: Tuple[JordanChain, ...]
     original_blocks: Tuple[Block, ...]
 
-    def block_sizes(self, lam: Scalar) -> List[int]:
-        return sorted(c.length for c in self.chains if c.eigenvalue == lam)
-
 
 def _normalize_chain(lam: Scalar, vectors: Sequence[Vector]) -> JordanChain:
     """Canonical form of a dense chain, returned sparse: leading eigenvector

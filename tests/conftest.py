@@ -21,7 +21,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import pytest
 
-from schroeder import cli
+from schroeder import cli, engine
 from schroeder.compop import TruncatedCompOp, build, truncation_degree
 from schroeder.linalg import ExactMatrix, SparseVector
 from schroeder.maps import PolyMap
@@ -74,6 +74,16 @@ def traced_peak(call: Callable[[], Any]) -> Tuple[Any, int]:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+@pytest.fixture(autouse=True)
+def forget_the_kept_map() -> None:
+    """Start every test with no map kept by `engine._prepare`.
+
+    The engine keeps the last map it prepared, so without this a test's
+    calls would depend on the map the test before it left behind.
+    """
+    engine._kept = None
 
 
 @pytest.fixture

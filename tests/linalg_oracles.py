@@ -8,7 +8,8 @@ the two results compare with ==.  `report_dimensions` is the dense route
 with `kernel_basis`.  They check `linalg.incremental_jordanize`, complete
 and restricted to the corner's eigenvalues, which takes the operator's
 sparse rows and never forms the shifted operator.  `chain_is_valid`
-densifies a Jordan chain and replays its chain relation exactly.
+densifies a Jordan chain and replays its chain relation exactly, and
+`block_sizes` reads a chain basis's block sizes for one eigenvalue.
 
 `jordan_chains_triangular` and `transition_to_jordan_triangular` are the
 first release's kernel filtration and chain matrix, with every product,
@@ -48,6 +49,11 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     for a, b in zip(u, v):
         acc = acc + a * b
     return acc
+
+
+def block_sizes(basis: JordanBasis, lam: Scalar) -> List[int]:
+    """The lengths of `basis`'s chains of eigenvalue lam, increasing."""
+    return sorted(c.length for c in basis.chains if c.eigenvalue == lam)
 
 
 def chain_is_valid(m: ExactMatrix, chain: JordanChain) -> bool:

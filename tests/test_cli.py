@@ -22,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schroeder
-from schroeder.documents import dump, load, map_json, parse_solution_document
+from schroeder.documents import dump, load, parse_solution_document
 from schroeder.engine import component_rank
 from schroeder.linalg import ExactMatrix, inverse, rank
 from schroeder.maps import conjugate_map
 from schroeder.scalars import Scalar
 
 from conftest import main_in_process, random_poly_map, sc
+from document_oracles import map_json
 
 OBSTRUCTED_DOC = {
     "dimension": 2,

@@ -13,15 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schroeder import documents
 from schroeder.documents import (
     DocumentError,
     dump,
     load,
-    map_json,
     matrix_json,
     parse_map_document,
     parse_matrix,
-    parse_rational,
     parse_scalar,
     parse_solution_document,
     scalar_json,
@@ -33,6 +32,7 @@ from schroeder.linalg import ExactMatrix
 from schroeder.scalars import Scalar
 
 from conftest import main_in_process, sc
+from document_oracles import map_json, parse_rational
 
 
 def test_parse_rational_accepted_forms():
@@ -199,7 +199,7 @@ def test_more_digits_than_int_reads_is_refused_in_process():
 
 
 def test_map_and_solution_documents_parse_without_fraction(monkeypatch, diagonal_map):
-    """Only the public `parse_rational` builds a `Fraction`."""
+    """No document is read through a `Fraction`: `documents` has none, and `scalars`' goes unused."""
     doc = dict(MAP_DOC, conjugator=[["1", "0"], ["1/2", {"re": "1", "im": "-1/3"}]])
     solution = json.loads(dump(solution_json(solve(diagonal_map, degree=4))))
     expected = parse_map_document(doc), parse_solution_document(solution)
@@ -207,7 +207,8 @@ def test_map_and_solution_documents_parse_without_fraction(monkeypatch, diagonal
     def no_fraction(*args):
         raise AssertionError("a document was read through Fraction")
 
-    monkeypatch.setattr("schroeder.documents.Fraction", no_fraction)
+    assert not hasattr(documents, "Fraction")
+    monkeypatch.setattr("schroeder.scalars.Fraction", no_fraction)
     assert (parse_map_document(doc), parse_solution_document(solution)) == expected
 
 

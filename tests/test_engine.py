@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,7 @@ def test_one_truncation_degree_search_per_call(coupled_map, record_calls):
         lambda: solve_power(coupled_map, 2, degree=4),
     ):
         calls.clear()
+        engine._kept = None  # each run prepares its map from scratch
         run()
         assert len(calls) == 1
 
@@ -145,8 +147,87 @@ def test_one_resonance_search_per_call(coupled_map, record_calls):
         lambda: solve_power(coupled_map, 2, degree=4),
     ):
         calls.clear()
+        engine._kept = None  # each run prepares its map from scratch
         run()
         assert len(calls) == 1
+
+
+def _copy(phi: PolyMap, degree=None) -> PolyMap:
+    """An equal map with fresh coefficient dicts, at `degree` if given."""
+    return PolyMap(tuple(
+        Jet(c.dim, c.degree if degree is None else degree, dict(c.coeffs))
+        for c in phi.components
+    ))
+
+
+@pytest.fixture
+def count_preparations(record_calls):
+    """Calls of `build` and of the Jordan transition, each counted through every binding."""
+    return (
+        record_calls("build", compop, engine),
+        record_calls("transition_to_jordan_triangular", linalg, engine),
+    )
+
+
+def test_one_map_is_prepared_once(coupled_map, count_preparations):
+    """analyze, then solve at K and at degree 10, and the rest of one map share one operator."""
+    builds, transitions = count_preparations
+    k = analyze(coupled_map).truncation_degree
+    assert k > 1
+    assert solve(coupled_map, degree=k).degree == k
+    assert solve(coupled_map, degree=10).degree == 10
+    solve_power(coupled_map, 2, degree=6)
+    truncated_operator(coupled_map)
+    assert len(builds) == 1 and len(transitions) == 1
+
+
+def test_an_equal_map_reuses_the_kept_operator(coupled_map, count_preparations):
+    builds, transitions = count_preparations
+    op = truncated_operator(coupled_map)
+    # Fresh dicts, and a raised truncation degree: the coefficients decide.
+    for twin in (_copy(coupled_map), _copy(coupled_map, degree=6)):
+        assert truncated_operator(twin) is op
+        analyze(twin)
+    assert len(builds) == 1 and len(transitions) == 1
+
+
+def test_a_changed_map_is_prepared_again(obstructed_map, diagonal_map, count_preparations):
+    builds, transitions = count_preparations
+    assert not analyze(obstructed_map).full_rank
+    analyze(diagonal_map)
+    assert not analyze(obstructed_map).full_rank
+    assert len(builds) == 3 and len(transitions) == 3
+    # Dropping z1^2/16 in place uncouples the map, which the kept copy must not hide.
+    del obstructed_map.components[1].coeffs[(2, 0)]
+    assert analyze(obstructed_map).full_rank
+    assert len(builds) == 4 and len(transitions) == 4
+
+
+def _documents(phi: PolyMap, cold: bool) -> List[str]:
+    """The machine documents of a run of requests on phi; `cold` forgets the kept map before each."""
+    requests = (
+        lambda: documents.analysis_json(analyze(phi)),
+        lambda: documents.operator_json(truncated_operator(phi)),
+        lambda: documents.solution_json(solve(phi, degree=3, mode="independent")),
+        lambda: documents.solution_json(solve(phi, mode="independent")),
+        lambda: documents.solution_json(solve_power(phi, 2, degree=5)),
+        lambda: documents.solution_json(solve(phi, degree=1, mode="independent")),
+    )
+    out = []
+    for request in requests:
+        if cold:
+            engine._kept = None
+        out.append(documents.dump(request()))
+    return out
+
+
+def test_documents_from_a_kept_map_equal_cold_ones(obstructed_map, diagonal_map, coupled_map):
+    # K = 1 below cubic terms: past K the lifter needs more of the map than the operator's source.
+    nonresonant = random_poly_map(random.Random(5), 2, NONRESONANT_POOL[:2], 3)
+    assert truncated_operator(nonresonant).degree == 1
+    for phi in (obstructed_map, diagonal_map, coupled_map, nonresonant):
+        engine._kept = None
+        assert _documents(phi, cold=False) == _documents(phi, cold=True)
 
 
 @pytest.mark.parametrize(
@@ -309,6 +390,7 @@ def test_operator_is_never_eliminated_densely(coupled_map, monkeypatch):
         eliminated.clear()
         shifted.clear()
         built.clear()
+        engine._kept = None  # each run prepares its map from scratch
         run()
         assert eliminated and all(min(shape) <= n for shape in eliminated.values())
         assert all(rows <= n for rows in shifted)
