@@ -20,7 +20,8 @@ alter the output, regenerate every file with
     PYTHONPATH=src python tests/test_golden.py
 
 Larger outputs (the dense maps dense3 and dense4, one variable at degree
-250, tri3 at degree 13 and a Gaussian power at k = 20) are pinned by
+250, tri3 at degree 13, a full-rank solve of jordan3, whose derivative
+has a Jordan block, at degree 16 and a Gaussian power at k = 20) are pinned by
 sha256 in `DEEP_CASES`, with no file; the regenerator prints their
 digests, to be pasted there.
 """
@@ -211,11 +212,25 @@ def _dense(diag: List[str]) -> dict:
     }
 
 
+#: jordan3's components 1 and 2: those of dense3(1/2, 1/2, 1/4), with z1
+#: added to the second, so the derivative has a Jordan block of 1/2.  1/4
+#: is resonant at z1^2, z1z2 and z2^2; its component carries none of them,
+#: so the verdict is full rank.
+_first, _second, _ = _dense(["1/2", "1/2", "1/4"])["components"]
+
 #: Larger maps whose outputs are pinned by digest only (`DEEP_CASES`).
 DEEP = {
     "dense3": _dense(["1/2", "1/3", "1/1024"]),
     "dense4": _dense(["1/2", "1/3", "1/5", "1/7"]),
     "one": {"dimension": 1, "components": [[_term([1], "1/2"), _term([2], "1/3")]]},
+    "jordan3": {
+        "dimension": 3,
+        "components": [
+            _first,
+            [_term([1, 0, 0], "1")] + _second,
+            [_term([0, 0, 1], "1/4"), _term([1, 0, 1], "1/5"), _term([0, 0, 2], "1/7")],
+        ],
+    },
     "gauss2": {
         "dimension": 2,
         "components": [
@@ -299,6 +314,11 @@ DEEP_CASES = {
         "tri3", ["solve", "--degree", "13", "--mode", "independent"], 0,
         "3feaad3fbcb40a599d35147d3d8bff6dd55da584e508c6c2fbd69630ab40870a",
         "f330b68889c45a3d24e353defe8eeef338a9c788bbe50b98d1b95933788df4d6",
+    ),
+    "jordan3.solve-d16": (
+        "jordan3", ["solve", "--degree", "16"], 0,
+        "d0496ad76262b8227684d303bea63d2d359925b1e640adb3ef8c426e860bb2db",
+        "9a911489cb18c06df9166a222cf74fb1087a06a3d1b2bbaa273fc680eee52d20",
     ),
     "gauss2.solve-power-k20-d20": (
         "gauss2", ["solve-power", "--k", "20", "--degree", "20"], 0,
