@@ -3,11 +3,13 @@
 `analyze` reports, per eigenvalue of the derivative at the fixed point,
 whether eigenvalue collisions lambda^alpha = mu obstruct a solution F
 with invertible derivative; the verdict is exact, computed from kernels
-of the truncated composition operator.  Every request sweeps the
-operator once: `incremental_jordanize` with `sweep` set to the
-eigenvalues of the derivative's Jordan corner gives the chains, and the
-eigenvectors of the mu-chains are a basis of ker(C - mu).  `analyze`
-sweeps only the corner eigenvalues that a row past the corner repeats.
+of the truncated composition operator.  `incremental_jordanize` with
+`sweep` set to eigenvalues of the derivative's Jordan corner gives their
+chains, and the eigenvectors of the mu-chains are a basis of
+ker(C - mu).  `analyze` needs the corner eigenvalues that a row past the
+corner repeats, the construction all of them.  Each eigenvalue of a kept
+operator (below) is swept at most once: a request sweeps only those the
+kept chains lack, and merges the new chains into them (`_chains`).
 
 `solve` (k = 1) and `solve_power` (any k >= 1) share one construction:
 conjugate the map so its derivative is an upper Jordan matrix, take
@@ -20,19 +22,20 @@ sum (`maps.IntSum`) and solves only the exponents that carry a
 composed or target coefficient; every other one has x = 0.  Only one
 step depends on k: for k >= 2 each block's components are multiplied
 by a power of its eigenfunction and remixed into chains of the k-th
-power factor.  Only `solve` in full-rank mode builds the
-analysis report, from the same chains, to gate the construction on its
-verdict.  `verify`
-replays a solution against the equation term by term, composing
-through one `maps.PowerTable` of the map.
+power factor.  Only `solve` in full-rank mode reads the analysis
+report, formed from the same chains, to gate the construction on its
+verdict.  `verify` replays a solution against the equation term by
+term, composing through one `maps.PowerTable` of the map.
 
 `analyze`, `solve`, `solve_power` and `truncated_operator` start in
 `_prepare`, which keeps the last map it prepared: the Jordan transition
-and its inverse, the truncation degree K and the operator at K.  These
-do not depend on the requested degree, so `analyze` then `solve` of one
-map (or of an equal one: the kept copies of the coefficient dicts are
-compared with `==`) builds the operator once.  Any other map replaces
-the one entry.
+and its inverse, the truncation degree K and the operator at K, and
+then the chains swept so far and the analysis report, once a request
+forms them.  None of these depends on the requested degree, so `analyze`
+then `solve` of one map (or of an equal one: the kept copies of the
+coefficient dicts are compared with `==`) builds the operator once,
+sweeps each eigenvalue once and forms the report once.  Any other map
+replaces the whole entry.
 
 Conjugation in and out inverts the conjugator once (`maps._conjugate`),
 so callers only need a triangular derivative.  A diagonal derivative's
@@ -45,7 +48,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import chain
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .compop import (
     TruncatedCompOp,
@@ -158,6 +161,7 @@ class _Prep(NamedTuple):
     psi: PolyMap
     op: TruncatedCompOp
     work: int
+    kept: "_Kept"
 
 
 def validate_map(phi: PolyMap) -> ExactMatrix:
@@ -183,13 +187,33 @@ def detect_resonance(phi: PolyMap) -> List[Tuple[MultiIndex, Scalar]]:
     return resonances(validate_map(phi).diagonal_entries())
 
 
-class _Kept(NamedTuple):
-    """The part of `_prepare` that does not depend on the work degree, for one map."""
+class _Kept:
+    """What one map determines whatever the work degree, and what its requests found.
 
-    coeffs: List[Dict[MultiIndex, Scalar]]
-    conjugator: ExactMatrix
-    conjugator_inv: ExactMatrix
-    op: TruncatedCompOp
+    `coeffs` are copies of the map's coefficient dicts; the transition,
+    its inverse and the operator at K follow from them.  `chains` is None
+    until the first sweep, and then holds the operator's chains, complete
+    for every eigenvalue in `swept` (`_chains`); `report` is None until a
+    request forms the analysis report.  Requests set these three in
+    place; the entry is never rebuilt for them.
+    """
+
+    __slots__ = ("coeffs", "conjugator", "conjugator_inv", "op", "swept", "chains", "report")
+
+    def __init__(
+        self,
+        coeffs: List[Dict[MultiIndex, Scalar]],
+        conjugator: ExactMatrix,
+        conjugator_inv: ExactMatrix,
+        op: TruncatedCompOp,
+    ):
+        self.coeffs = coeffs
+        self.conjugator = conjugator
+        self.conjugator_inv = conjugator_inv
+        self.op = op
+        self.swept: Set[Scalar] = set()
+        self.chains: Optional[JordanBasis] = None
+        self.report: Optional[AnalysisReport] = None
 
 
 #: The last map `_prepare` prepared: copies of its coefficient dicts and what
@@ -230,8 +254,42 @@ def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
             raise RuntimeError("conjugation changed the diagonal of the derivative")
     if op is None:
         op = build(psi, k)
-        _kept = _Kept([dict(c) for c in live], conj, conj_inv, op)
-    return _Prep(phi, conj, conj_inv, psi, op, work)
+        kept = _kept = _Kept([dict(c) for c in live], conj, conj_inv, op)
+    return _Prep(phi, conj, conj_inv, psi, op, work, kept)
+
+
+def _chains(prep: _Prep, sweep: Set[Scalar]) -> JordanBasis:
+    """The kept operator's chains, complete for every eigenvalue in `sweep`.
+
+    Each eigenvalue is swept at most once per kept map: only those that
+    the kept chains lack are swept, and the result is merged into them.
+    A corner chain comes from the sweep that covered its eigenvalue, and
+    the new sweep's appended chains go after the kept ones.  A chain
+    merges only with chains of its own eigenvalue (`incremental_jordanize`),
+    so for each eigenvalue the merged chains are those of one sweep over
+    the union, in the same order.  Only the interleaving of appended
+    chains of different eigenvalues can differ, and no reader looks at
+    it: `_report` reads the chains per eigenvalue, `_lifted_blocks` the
+    corner chains alone.
+    """
+    kept = prep.kept
+    missing = sweep - kept.swept
+    if kept.chains is not None and not missing:
+        return kept.chains
+    op = prep.op
+    chains = incremental_jordanize(op.lower, op.diag, prep.phi.dim, sweep=missing)
+    old = kept.chains
+    if old is not None:
+        blocks = chains.original_blocks
+        corner = tuple(
+            new if b.eigenvalue in missing else was
+            for new, was, b in zip(chains.chains, old.chains, blocks)
+        )
+        appended = old.chains[len(blocks):] + chains.chains[len(blocks):]
+        chains = JordanBasis(corner + appended, blocks)
+    kept.swept |= missing
+    kept.chains = chains
+    return chains
 
 
 def _report(prep: _Prep, chains: JordanBasis) -> AnalysisReport:
@@ -271,19 +329,31 @@ def _report(prep: _Prep, chains: JordanBasis) -> AnalysisReport:
     )
 
 
+def _analysis(prep: _Prep, sweep: Set[Scalar]) -> AnalysisReport:
+    """The kept map's report, formed once from chains complete for `sweep`.
+
+    Any sweep that holds the corner eigenvalues a row past the corner
+    repeats gives the same report (see `analyze`).
+    """
+    kept = prep.kept
+    if kept.report is None:
+        kept.report = _report(prep, _chains(prep, sweep))
+    return kept.report
+
+
 def analyze(phi: PolyMap) -> AnalysisReport:
     """Exact verdict on the existence of a solution with invertible derivative.
 
-    The sweep extends only the corner eigenvalues that a row past the
-    corner has on its diagonal: the chains of any other mu gain only
-    coordinates past the corner, which `_report` does not read.
+    The report needs complete chains only for the corner eigenvalues that
+    a row past the corner has on its diagonal: the chains of any other mu
+    gain only coordinates past the corner, which `_report` does not read.
+    So `analyze` sweeps only those, and of them only the ones the kept
+    chains lack; the report is kept too, so a later `analyze` or
+    full-rank `solve` of the same map reuses it.
     """
     prep = _prepare(phi, None)
-    op = prep.op
-    chains = incremental_jordanize(
-        op.lower, op.diag, phi.dim, sweep=set(op.diag[:phi.dim]) & set(op.diag[phi.dim:])
-    )
-    return _report(prep, chains)
+    op, n = prep.op, phi.dim
+    return _analysis(prep, set(op.diag[:n]) & set(op.diag[n:]))
 
 
 def truncated_operator(phi: PolyMap) -> TruncatedCompOp:
@@ -447,10 +517,10 @@ def _construct(
     """The construction behind `solve` and `solve_power`; `gate` demands a full-rank verdict."""
     request = DEFAULT_DEGREE if degree is None else degree
     prep = _prepare(phi, max(request, power))
-    op = prep.op
-    chains = incremental_jordanize(op.lower, op.diag, phi.dim, sweep=set(op.diag[:phi.dim]))
+    corner = set(prep.op.diag[:phi.dim])
+    chains = _chains(prep, corner)
     if gate:
-        report = _report(prep, chains)
+        report = _analysis(prep, corner)
         if not report.full_rank:
             raise NoFullRankError(report)
     comps: List[Jet] = []

@@ -424,8 +424,10 @@ def incremental_jordanize(
     `support` maps each coordinate to the chains with a vector that may
     be nonzero there.  A row is dotted only with the chains in the
     support of its nonzero columns; every other chain has all-zero
-    couplings and keeps a zero coordinate without any arithmetic.  The
-    chains come back sparse, as a `JordanBasis`.
+    couplings and keeps a zero coordinate without any arithmetic.  A row
+    whose columns support no chain ends after that support union: it
+    changes no chain, and starts one only if `sweep` holds its diagonal
+    entry.  The chains come back sparse, as a `JordanBasis`.
 
     `sweep` is the set of eigenvalues whose chains the rows extend;
     None sweeps every eigenvalue.  A corner block whose eigenvalue is
@@ -452,48 +454,49 @@ def incremental_jordanize(
         d = diag[r]
         nonzeros = lower[r]
         touched = sorted(set().union(*(support[j] for j, _ in nonzeros)))
-        couplings = {
-            i: [_sparse_dot(nonzeros, v) for v in chains[i].vectors] for i in touched
-        }
-        eligible = [
-            i
-            for i in touched
-            if chains[i].eigenvalue == d and not couplings[i][0].is_zero()
-        ]
         winner: Optional[int] = None
-        if eligible:
-            winner = eligible[0]
-            for i in eligible[1:]:
-                if len(chains[i].vectors) >= len(chains[winner].vectors):
-                    winner = i
-            w = chains[winner]
-            wc = couplings[winner]
-            for i in eligible:
-                if i == winner:
-                    continue
+        if touched:
+            couplings = {
+                i: [_sparse_dot(nonzeros, v) for v in chains[i].vectors] for i in touched
+            }
+            eligible = [
+                i
+                for i in touched
+                if chains[i].eigenvalue == d and not couplings[i][0].is_zero()
+            ]
+            if eligible:
+                winner = eligible[0]
+                for i in eligible[1:]:
+                    if len(chains[i].vectors) >= len(chains[winner].vectors):
+                        winner = i
+                w = chains[winner]
+                wc = couplings[winner]
+                for i in eligible:
+                    if i == winner:
+                        continue
+                    c = chains[i]
+                    gamma = couplings[i][0] / wc[0]
+                    for k in range(len(c.vectors)):
+                        _sparse_axpy(c.vectors[k], -gamma, w.vectors[k])
+                        couplings[i][k] = couplings[i][k] - gamma * wc[k]
+                        for j in w.vectors[k]:
+                            support[j].add(i)
+            for i in touched:
                 c = chains[i]
-                gamma = couplings[i][0] / wc[0]
-                for k in range(len(c.vectors)):
-                    _sparse_axpy(c.vectors[k], -gamma, w.vectors[k])
-                    couplings[i][k] = couplings[i][k] - gamma * wc[k]
-                    for j in w.vectors[k]:
-                        support[j].add(i)
-        for i in touched:
-            c = chains[i]
-            a = couplings[i]
-            if i == winner or all(x.is_zero() for x in a):
-                continue
-            k = len(c.vectors)
-            if c.eigenvalue != d:
-                t = a[0] / (c.eigenvalue - d)
-                _set_nonzero(c.vectors[0], r, t)
-                for j in range(1, k):
-                    t = (t - a[j]) / (d - c.eigenvalue)
-                    _set_nonzero(c.vectors[j], r, t)
-            else:
-                for j in range(k - 1):
-                    _set_nonzero(c.vectors[j], r, a[j + 1])
-            support[r].add(i)
+                a = couplings[i]
+                if i == winner or all(x.is_zero() for x in a):
+                    continue
+                k = len(c.vectors)
+                if c.eigenvalue != d:
+                    t = a[0] / (c.eigenvalue - d)
+                    _set_nonzero(c.vectors[0], r, t)
+                    for j in range(1, k):
+                        t = (t - a[j]) / (d - c.eigenvalue)
+                        _set_nonzero(c.vectors[j], r, t)
+                else:
+                    for j in range(k - 1):
+                        _set_nonzero(c.vectors[j], r, a[j + 1])
+                support[r].add(i)
         if winner is not None:
             w = chains[winner]
             a = couplings[winner]

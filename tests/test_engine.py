@@ -203,6 +203,14 @@ def test_a_changed_map_is_prepared_again(obstructed_map, diagonal_map, count_pre
     assert len(builds) == 4 and len(transitions) == 4
 
 
+def _full_rank_json(phi: PolyMap, degree=None) -> dict:
+    """The document of a full-rank `solve`, or of the report that refused it."""
+    try:
+        return documents.solution_json(solve(phi, degree=degree))
+    except NoFullRankError as refused:
+        return documents.analysis_json(refused.report)
+
+
 def _documents(phi: PolyMap, cold: bool) -> List[str]:
     """The machine documents of a run of requests on phi; `cold` forgets the kept map before each."""
     requests = (
@@ -212,6 +220,8 @@ def _documents(phi: PolyMap, cold: bool) -> List[str]:
         lambda: documents.solution_json(solve(phi, mode="independent")),
         lambda: documents.solution_json(solve_power(phi, 2, degree=5)),
         lambda: documents.solution_json(solve(phi, degree=1, mode="independent")),
+        lambda: _full_rank_json(phi, degree=4),
+        lambda: documents.analysis_json(analyze(phi)),
     )
     out = []
     for request in requests:
@@ -230,6 +240,93 @@ def test_documents_from_a_kept_map_equal_cold_ones(obstructed_map, diagonal_map,
         assert _documents(phi, cold=False) == _documents(phi, cold=True)
 
 
+#: A Jordan block of 1/2 beside 1/4, which z1^2, z1z2 and z2^2 reach.  The
+#: 1/4 component carries none of them, so the verdict is full rank, until
+#: `_OBSTRUCTING` adds z1^2 to it.
+_JORDAN_RESONANT = [
+    [((1, 0, 0), sc(1, 2)), ((0, 1, 0), ONE), ((0, 0, 2), sc(1, 5))],
+    [((0, 1, 0), sc(1, 2)), ((1, 1, 0), sc(1, 3)), ((0, 2, 0), sc(1, 7))],
+    [((0, 0, 1), sc(1, 4)), ((1, 0, 1), sc(1, 6))],
+]
+_OBSTRUCTING = ((2, 0, 0), sc(1, 9))
+
+
+@pytest.mark.parametrize("obstructed", [False, True])
+def test_each_eigenvalue_is_swept_once_per_kept_map(obstructed, monkeypatch, record_calls):
+    """analyze, a full-rank solve, an independent solve, solve_power and
+    analyze again of one map sweep disjoint eigenvalue sets that cover the
+    corner, and form the report once."""
+    terms = [list(t) for t in _JORDAN_RESONANT]
+    if obstructed:
+        terms[2].append(_OBSTRUCTING)
+    phi = PolyMap(tuple(jet_of(3, 2, t) for t in terms))
+    sweeps = []
+    sweep_all = engine.incremental_jordanize
+
+    def recorded(*args, sweep):
+        sweeps.append(set(sweep))
+        return sweep_all(*args, sweep=sweep)
+
+    monkeypatch.setattr(engine, "incremental_jordanize", recorded)
+    reports = record_calls("_report", engine)
+    report = analyze(phi)
+    assert report.full_rank is not obstructed
+    assert sweeps == [{sc(1, 4)}]  # the corner eigenvalue the rows past the corner repeat
+    if obstructed:
+        with pytest.raises(NoFullRankError) as refused:
+            solve(phi, degree=4)
+        assert refused.value.report is report
+    else:
+        assert verify(phi, solve(phi, degree=4).components).passed
+    assert verify(phi, solve(phi, degree=4, mode="independent").components).passed
+    assert verify(phi, solve_power(phi, 2, degree=4).components, 2).passed
+    assert analyze(phi) is report
+    assert sweeps == [{sc(1, 4)}, {sc(1, 2)}]
+    assert len(reports) == 1
+
+
+@st.composite
+def _request_orders(draw):
+    """A map whose eigenvalues repeat and collide, and an order of three requests on it."""
+    dim, gaussian = draw(st.integers(2, 3)), draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM
+    diag = [rng.choice(pool) for _ in range(dim)]
+    phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
+    return phi, draw(st.permutations("asf"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_request_orders())
+def test_every_request_order_equals_cold_requests(drawn):
+    """a (analyze), s (independent solve) and f (full-rank solve) in any
+    order give the documents of cold requests, and the kept chains of each
+    eigenvalue equal those of one cold sweep over the whole corner."""
+    phi, order = drawn
+    requests = {
+        "a": lambda: documents.analysis_json(analyze(phi)),
+        "s": lambda: documents.solution_json(solve(phi, degree=4, mode="independent")),
+        "f": lambda: _full_rank_json(phi, degree=4),
+    }
+    cold = {}
+    for name, request in requests.items():
+        engine._kept = None
+        cold[name] = documents.dump(request())
+    engine._kept = None
+    for name in order:
+        assert documents.dump(requests[name]()) == cold[name]
+    op, n = truncated_operator(phi), phi.dim
+    corner = set(op.diag[:n])
+    whole = linalg.incremental_jordanize(op.lower, op.diag, n, sweep=corner)
+    kept = engine._kept.chains
+    assert kept.original_blocks == whole.original_blocks
+    for mu in corner:
+        assert [c for c in kept.chains if c.eigenvalue == mu] == [
+            c for c in whole.chains if c.eigenvalue == mu
+        ]
+    assert len(kept.chains) == len(whole.chains)
+
+
 @pytest.mark.parametrize(
     "terms",
     [
@@ -240,8 +337,8 @@ def test_documents_from_a_kept_map_equal_cold_ones(obstructed_map, diagonal_map,
     ],
 )
 def test_one_operator_sweep_per_request(terms, obstructed_map, record_calls):
-    """Each request sweeps the operator once, and the multiplicities come
-    from the Jordan corner of that sweep."""
+    """Each request on a map not kept sweeps the operator once, and the
+    multiplicities come from the Jordan corner of that sweep."""
     phi = PolyMap(tuple(jet_of(3, 2, t) for t in terms))
     calls = record_calls("incremental_jordanize", linalg, engine)
 
@@ -257,6 +354,7 @@ def test_one_operator_sweep_per_request(terms, obstructed_map, record_calls):
         lambda: solve_power(phi, 2, degree=4),
     ):
         calls.clear()
+        engine._kept = None  # each run prepares its map from scratch
         run()
         assert len(calls) == 1
     report = analyze(phi)
@@ -417,11 +515,14 @@ def test_jordanize_dots_only_coupled_chains(record_calls):
 
     Dotting every appended row with every chain took 125,578 `_sparse_dot`
     calls for this solve (N = 494); the support index must stay under a
-    tenth of that.
+    tenth of that.  The solve starts from a map not kept, so it sweeps
+    every corner eigenvalue: after `analyze` it would sweep only 1/2,
+    whose chain no row couples with.
     """
     phi = diagonal_family((2, 4, 8, 256))
     report = analyze(phi)
     assert report.basis_size == 494
+    engine._kept = None
     calls = record_calls("_sparse_dot", linalg)
     sol = solve(phi, degree=report.truncation_degree, mode="independent")
     assert verify(phi, sol.components).passed
