@@ -21,9 +21,10 @@ alter the output, regenerate every file with
 
 Larger outputs (the dense maps dense3 and dense4, one variable at degree
 250, tri3 at degree 13, a full-rank solve of jordan3, whose derivative
-has a Jordan block, at degree 16 and a Gaussian power at k = 20) are pinned by
-sha256 in `DEEP_CASES`, with no file; the regenerator prints their
-digests, to be pasted there.
+has a Jordan block, at degree 16 and a Gaussian map's powers at k = 20,
+which lifts nothing, and at k = 3, which lifts its chains to degree
+18) are pinned by sha256 in `DEEP_CASES`, with no file; the regenerator
+prints their digests, to be pasted there.
 """
 
 from __future__ import annotations
@@ -323,6 +324,11 @@ DEEP_CASES = {
     "gauss2.solve-power-k20-d20": (
         "gauss2", ["solve-power", "--k", "20", "--degree", "20"], 0,
         "2553eaaf603b32074473b67c9d0969746812ade64aae775733c812e9aa37f50a",
+        "3042bbab12070ff8ee2f61b3208d9307c29ff04d31bf17b826b3835cc34ae682",
+    ),
+    "gauss2.solve-power-k3-d20": (
+        "gauss2", ["solve-power", "--k", "3", "--degree", "20"], 0,
+        "35bb41f52722a9a7fbfb2f7050383dd1fecc8647d573b35def102c5f35dfb818",
         "3042bbab12070ff8ee2f61b3208d9307c29ff04d31bf17b826b3835cc34ae682",
     ),
 }
