@@ -13,16 +13,20 @@ kept chains lack, and merges the new chains into them (`_chains`).
 
 `solve` (k = 1) and `solve_power` (any k >= 1) share one construction:
 conjugate the map so its derivative is an upper Jordan matrix, take
-the operator's Jordan chains, lift each chain to the output degree
-by solving triangular coefficient systems (whose divisors
+the operator's Jordan chains, lift each chain as far as the output
+reads it by solving triangular coefficient systems (whose divisors
 lambda^alpha - lambda are nonzero above the operator's truncation
 degree), assemble the components, conjugate them back and check their
 ranks.  The lifter keeps its running composition in a Gaussian-integer
 sum (`maps.IntSum`) and solves only the exponents that carry a
-composed or target coefficient; every other one has x = 0.  Only one
-step depends on k: for k >= 2 each block's components are multiplied
-by a power of its eigenfunction and remixed into chains of the k-th
-power factor.  Only `solve` in full-rank mode reads the analysis
+composed or target coefficient; every other one has x = 0.  For k >= 2
+each block's components are multiplied by the (k-1)-th power of its
+eigenfunction and remixed into chains of the k-th power factor.  Every
+component vanishes at 0, so that power has order k - 1, and through the
+output degree d the products read each component only through
+d - k + 1.  So one rule, for every k, lifts the chains to
+max(K, d - k + 1): that is d for k = 1, and K, with nothing to lift,
+once k > d - K.  Only `solve` in full-rank mode reads the analysis
 report, formed from the same chains, to gate the construction on its
 verdict.  `verify` replays a solution against the equation term by
 term, composing through one `maps.PowerTable` of the map.
@@ -436,15 +440,24 @@ class _Lifter:
         return Jet(self.n, out, g)
 
 
-def _lifted_blocks(prep: _Prep, chains: JordanBasis) -> List[Tuple[Scalar, List[Jet]]]:
-    """Per original block, in corner order: (eigenvalue, [f_1..f_s]) lifted to the work degree.
+def _lifted_blocks(
+    prep: _Prep, chains: JordanBasis, power: int
+) -> List[Tuple[Scalar, List[Jet]]]:
+    """Per original block, in corner order: (eigenvalue, [f_1..f_s]) lifted as `power` reads them.
 
     Within a block the components satisfy f_i(psi(z)) = lambda f_i + f_{i+1}
     and the last one is an eigenfunction; they are lifted last-first so
-    each right-hand side is already complete.  At the operator degree
-    there is nothing to lift, and the chain jets are returned as they are.
+    each right-hand side is already complete.  Every f_i vanishes at 0,
+    so f_s^(power - 1) has order power - 1, and through the work degree
+    the products f_i * f_s^(power - 1) of `_remix` read each f_i only
+    through work - power + 1.  So the chains are lifted to
+    max(K, work - power + 1), which is the work degree for power 1.  At
+    the operator degree K there is nothing to lift, and the chain jets
+    are returned as they are.
     """
-    lifter = _Lifter(prep.psi, prep.op.degree, prep.work) if prep.work > prep.op.degree else None
+    k = prep.op.degree
+    top = max(k, prep.work - power + 1)
+    lifter = _Lifter(prep.psi.truncate(top), k, top) if top > k else None
     out = []
     for bi, block in enumerate(chains.original_blocks):
         chain = chains.chains[bi]
@@ -525,7 +538,7 @@ def _construct(
             raise NoFullRankError(report)
     comps: List[Jet] = []
     infos: List[ComponentInfo] = []
-    for bi, (lam, block_jets) in enumerate(_lifted_blocks(prep, chains)):
+    for bi, (lam, block_jets) in enumerate(_lifted_blocks(prep, chains, power)):
         if power >= 2:
             block_jets = _remix(block_jets, lam, power, prep.work)
         s = len(block_jets)
@@ -563,9 +576,20 @@ def _remix(block_jets: List[Jet], lam: Scalar, power: int, work: int) -> List[Je
     lambda^power.  Recombining the h_i by the chain of J^power from
     `_power_chain`, for J the block of lambda, makes the components
     follow J^power itself.
+
+    The f_i need only be exact through work - power + 1 (`_lifted_blocks`).
+    Every f_i vanishes at 0, so f_s^(power - 1) has order power - 1 and no
+    term of f_i or f_s past that degree reaches the work degree; each f_i
+    is declared at the work degree first, its missing terms taken as
+    zero.  For the same reason f_s^(power - 1) is read only through
+    work - 1, and is formed only that far.  At power 2 it is f_s itself,
+    so f_s * f_s stays a square (`series.jet_mul`).
     """
+    block_jets = [f.truncate(work) for f in block_jets]
     s = len(block_jets)
-    top_pow = _jet_pow(block_jets[s - 1], power - 1)
+    top_pow = block_jets[s - 1]
+    if power > 2:
+        top_pow = _jet_pow(top_pow.truncate(work - 1), power - 1).truncate(work)
     products = [f * top_pow for f in block_jets]
     scales = [scalar_inv(lam ** ((power - 1) * (s - i))) for i in range(1, s + 1)]
     chain = _power_chain(lam, s, power)

@@ -22,11 +22,13 @@ import lifting_oracles as oracle
 import series_oracles
 from conftest import random_lower_matrix, random_poly_map
 from schroeder import compop, engine
+from schroeder.documents import parse_map_document
 from schroeder.engine import solve, solve_power, verify
-from schroeder.linalg import ExactMatrix, mat_mul, mat_pow
+from schroeder.linalg import ExactMatrix, mat_mul, mat_pow, transition_to_jordan_triangular
 from schroeder.maps import PolyMap, PowerTable, compose, conjugate_map, matrix_apply
-from schroeder.scalars import ONE, ZERO, Scalar
+from schroeder.scalars import ONE, ZERO, Scalar, scalar_inv
 from schroeder.series import Jet, enumerate_monomials, unit_index
+from test_golden import DEEP
 
 
 def _s(re, im=0) -> Scalar:
@@ -295,11 +297,110 @@ def test_a_linear_map_forms_no_eigenvalue_product_past_k():
         Jet.build(3, 8, [((0, 1, 0), _s(0, "1/3"))]),
         Jet.build(3, 8, [((0, 0, 1), _s("1/7"))]),
     ))
-    for run in (lambda: solve(linear, degree=8), lambda: solve_power(linear, 3, degree=8)):
+    # k = 3 reads the chains through 8 - 3 + 1 = 6 only.
+    runs = ((lambda: solve(linear, degree=8), 8), (lambda: solve_power(linear, 3, degree=8), 6))
+    for run, out in runs:
         (lifter,) = _lifters(run)
-        assert lifter.base == 1 and lifter.out == 8
+        assert lifter.base == 1 and lifter.out == out
         assert _solved(lifter) == set()
         assert set(lifter.diag_power) == lifter.start
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_maps(max_dim=3), st.integers(1, 5), st.integers(-1, 5))
+def test_solve_power_lifts_the_chains_only_as_far_as_its_power_reads(drawn, power, extra):
+    """One lifter, over psi and to max(K, work - power + 1), or none when that is K."""
+    phi = drawn[0]
+    degree = max(1, power + extra)
+    k = compop.truncation_degree(phi.linear_part().diagonal_entries())
+    work = max(k, degree, power)
+    top = max(k, work - power + 1)
+    lifters = _lifters(lambda: solve_power(phi, power, degree=degree))
+    assert [(lifter.base, lifter.out) for lifter in lifters] == ([(k, top)] if top > k else [])
+    for lifter in lifters:
+        assert lifter.psi.degree == top
+        assert all(g.degree == top for _, g in lifter.lifted)
+
+
+def _gauss2() -> PolyMap:
+    phi, _ = parse_map_document(DEEP["gauss2"])
+    return phi
+
+
+def test_a_power_past_the_degree_less_k_lifts_nothing():
+    """gauss2 at k = 30, degree 30: 30 - 30 + 1 is below K, so no chain is lifted."""
+    phi = _gauss2()
+    assert _lifters(lambda: solve_power(phi, 30, degree=30)) == []
+    sol = solve_power(phi, 30, degree=30)
+    assert sol.degree == 30
+    assert verify(phi, sol.components, 30).passed
+
+
+@st.composite
+def jordan_form_maps(draw):
+    """A map whose derivative is an upper Jordan matrix, so its Jordan transition is the identity.
+
+    Two or three variables, real or Gaussian, with or without a Jordan
+    block of size 2 or 3 first; each block has its own eigenvalue.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 3))
+    block = draw(st.integers(1, dim))
+    gaussian = draw(st.booleans())
+    pool = GAUSSIAN_POOL if gaussian else REAL_POOL
+    values = rng.sample(pool, dim - block + 1)
+    diag = [values[0]] * block + values[1:]
+    phi = random_poly_map(
+        rng, dim, diag, rng.randint(2, 3), upper_density=0.0, term_density=0.3, gaussian=gaussian
+    )
+    comps = list(phi.components)
+    for i in range(block - 1):
+        link = (unit_index(dim, i + 1), ONE)
+        comps[i] = Jet.build(dim, comps[i].degree, list(comps[i].coeffs.items()) + [link])
+    return PolyMap(tuple(comps))
+
+
+def _remixed_full_lifts(sol, power: int) -> PolyMap:
+    """The k = 1 components of `sol`, per block, remixed into components for phi'(0)^power.
+
+    h_j = f_j * f_s^(power - 1) / lambda^((power - 1)(s - j)) by repeated
+    products, then recombined by the chain of J^power.  The f_j are lifted
+    to the full degree, so this reads every term the engine leaves out.
+    """
+    blocks = {}
+    for info, f in zip(sol.component_info, sol.components.components):
+        blocks.setdefault(info.block, (info.eigenvalue, []))[1].append(f)
+    out = []
+    for lam, jets in blocks.values():
+        s = len(jets)
+        top_pow = series_oracles.jet_pow(jets[-1], power - 1)
+        h = [
+            series_oracles.jet_mul(f, top_pow).scale(scalar_inv(lam ** ((power - 1) * (s - j))))
+            for j, f in enumerate(jets, start=1)
+        ]
+        chain = engine._power_chain(lam, s, power)
+        for i in range(s):
+            acc = Jet.zero(sol.components.source_dim, sol.degree)
+            for j in range(s):
+                acc = oracle.jet_add(acc, h[j].scale(chain[j][i]))
+            out.append(acc)
+    return PolyMap(tuple(out))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jordan_form_maps(), st.integers(2, 5), st.integers(0, 4))
+def test_solve_power_equals_the_remix_of_fully_lifted_chains(phi, power, extra):
+    degree = power + extra
+    chain_matrix, _ = transition_to_jordan_triangular(phi.linear_part().transpose())
+    assert chain_matrix == ExactMatrix.identity(phi.dim)
+    want = _remixed_full_lifts(solve(phi, degree, mode="independent"), power)
+    got = _outcome(lambda: solve_power(phi, power, degree=degree))
+    if engine.component_rank(want) == phi.dim:
+        assert got.components == want
+    else:
+        assert got == (
+            RuntimeError, "components became dependent under truncation; request a higher degree"
+        )
 
 
 @settings(max_examples=25, deadline=None)
