@@ -5,7 +5,9 @@ coefficients and a diagonal, Jordan-block or general upper-triangular
 linear part.  Sums, compositions, matrix applications, the lambda^alpha
 table of `compop.eigenvalue_products`, whole `solve`/`solve_power`
 results and the first failure `verify` reports must equal what the
-oracles compute, exactly.
+oracles compute, exactly.  `solve_power` lifts its chains only as far
+as its k-th power reads them, and must equal the remix of chains
+lifted to the full degree.
 """
 
 from __future__ import annotations
@@ -322,14 +324,9 @@ def test_solve_power_lifts_the_chains_only_as_far_as_its_power_reads(drawn, powe
         assert all(g.degree == top for _, g in lifter.lifted)
 
 
-def _gauss2() -> PolyMap:
+def test_gauss2_at_k_30_degree_30_lifts_nothing_and_verifies():
+    """The chains are read through 30 - 30 + 1 = 1, which is gauss2's K."""
     phi, _ = parse_map_document(DEEP["gauss2"])
-    return phi
-
-
-def test_a_power_past_the_degree_less_k_lifts_nothing():
-    """gauss2 at k = 30, degree 30: 30 - 30 + 1 is below K, so no chain is lifted."""
-    phi = _gauss2()
     assert _lifters(lambda: solve_power(phi, 30, degree=30)) == []
     sol = solve_power(phi, 30, degree=30)
     assert sol.degree == 30
