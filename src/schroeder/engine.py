@@ -32,14 +32,18 @@ verdict.  `verify` replays a solution against the equation term by
 term, composing through one `maps.PowerTable` of the map.
 
 `analyze`, `solve`, `solve_power` and `truncated_operator` start in
-`_prepare`, which keeps the last map it prepared: the Jordan transition
-and its inverse, the truncation degree K and the operator at K, and
-then the chains swept so far and the analysis report, once a request
-forms them.  None of these depends on the requested degree, so `analyze`
+`_prepare`, which takes the map alone and returns the entry it keeps for
+the last map prepared (`_Kept`): the Jordan transition and its inverse,
+the truncation degree K and the operator at K, and then the chains swept
+so far and the analysis report, once a request forms them.  K is fixed
+by the spectrum of the derivative, so none of these depends on the
+requested degree: a new map is conjugated to K alone, and `analyze`
 then `solve` of one map (or of an equal one: the kept copies of the
 coefficient dicts are compared with `==`) builds the operator once,
 sweeps each eigenvalue once and forms the report once.  Any other map
-replaces the whole entry.
+replaces the whole entry.  Only the lifter reads the map past K, and
+`_lifted_blocks` conjugates it there itself, only to the degree it
+lifts to.
 
 Conjugation in and out inverts the conjugator once (`maps._conjugate`),
 so callers only need a triangular derivative.  A diagonal derivative's
@@ -158,16 +162,6 @@ class VerifyReport(NamedTuple):
         return self.first_failure is None
 
 
-class _Prep(NamedTuple):
-    phi: PolyMap
-    conjugator: ExactMatrix
-    conjugator_inv: ExactMatrix
-    psi: PolyMap
-    op: TruncatedCompOp
-    work: int
-    kept: "_Kept"
-
-
 def validate_map(phi: PolyMap) -> ExactMatrix:
     """Check the engine's preconditions; returns the derivative at the origin."""
     if phi.dim != phi.source_dim:
@@ -195,7 +189,10 @@ class _Kept:
     """What one map determines whatever the work degree, and what its requests found.
 
     `coeffs` are copies of the map's coefficient dicts; the transition,
-    its inverse and the operator at K follow from them.  `chains` is None
+    its inverse and the operator at K follow from them, and `op.source`
+    is the map conjugated to K, the only degree `_prepare` conjugates it
+    to.  Nothing here depends on the work degree; the lifter conjugates
+    the map past K itself (`_lifted_blocks`).  `chains` is None
     until the first sweep, and then holds the operator's chains, complete
     for every eigenvalue in `swept` (`_chains`); `report` is None until a
     request forms the analysis report.  Requests set these three in
@@ -225,44 +222,39 @@ class _Kept:
 _kept: Optional[_Kept] = None
 
 
-def _prepare(phi: PolyMap, degree: Optional[int]) -> _Prep:
-    """Conjugate phi to its Jordan coordinates and build the operator at its K.
+def _prepare(phi: PolyMap) -> _Kept:
+    """The kept entry of phi: its Jordan transition, K and the operator at K.
 
     A map whose coefficient dicts are `==` to the kept copies reuses the
-    kept transition, K and operator, whatever the degree; any other map
-    replaces them.  phi is conjugated to the work degree only when that
-    is above K, since only the lifter reads it there; at K the operator's
-    source already is that map.
+    kept entry, whatever degree the request asks for; any other map
+    replaces it, with phi conjugated to K alone.
     """
     global _kept
-    kept = _kept
     live = [c.coeffs for c in phi.components]
-    if kept is not None and kept.coeffs == live:
-        conj, conj_inv, op = kept.conjugator, kept.conjugator_inv, kept.op
-        k, diag = op.degree, op.diag[:phi.dim]
-    else:
+    if _kept is None or _kept.coeffs != live:
         linear = validate_map(phi)
         chain_matrix, jordan = transition_to_jordan_triangular(linear.transpose())
         conj = chain_matrix.transpose()
         conj_inv = inverse(conj)
         diag = jordan.diagonal_entries()
         k = truncation_degree(diag)
-        op = None
-    work = k if degree is None else max(k, degree)
-    if op is not None and work == k:
-        psi = op.source
-    else:
-        psi = _conjugate(phi.truncate(work), conj, conj_inv)
-        # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
-        if psi.linear_part().diagonal_entries() != diag:
-            raise RuntimeError("conjugation changed the diagonal of the derivative")
-    if op is None:
-        op = build(psi, k)
-        kept = _kept = _Kept([dict(c) for c in live], conj, conj_inv, op)
-    return _Prep(phi, conj, conj_inv, psi, op, work, kept)
+        psi = _to_jordan(phi, k, conj, conj_inv, diag)
+        _kept = _Kept([dict(c) for c in live], conj, conj_inv, build(psi, k))
+    return _kept
 
 
-def _chains(prep: _Prep, sweep: Set[Scalar]) -> JordanBasis:
+def _to_jordan(
+    phi: PolyMap, degree: int, conj: ExactMatrix, conj_inv: ExactMatrix, diag: Tuple[Scalar, ...]
+) -> PolyMap:
+    """phi through `degree` in Jordan coordinates, checked to carry the Jordan diagonal `diag`."""
+    psi = _conjugate(phi.truncate(degree), conj, conj_inv)
+    # K was searched on the Jordan diagonal; it holds for psi if psi carries it.
+    if psi.linear_part().diagonal_entries() != diag:
+        raise RuntimeError("conjugation changed the diagonal of the derivative")
+    return psi
+
+
+def _chains(kept: _Kept, sweep: Set[Scalar]) -> JordanBasis:
     """The kept operator's chains, complete for every eigenvalue in `sweep`.
 
     Each eigenvalue is swept at most once per kept map: only those that
@@ -276,12 +268,11 @@ def _chains(prep: _Prep, sweep: Set[Scalar]) -> JordanBasis:
     it: `_report` reads the chains per eigenvalue, `_lifted_blocks` the
     corner chains alone.
     """
-    kept = prep.kept
     missing = sweep - kept.swept
     if kept.chains is not None and not missing:
         return kept.chains
-    op = prep.op
-    chains = incremental_jordanize(op.lower, op.diag, prep.phi.dim, sweep=missing)
+    op = kept.op
+    chains = incremental_jordanize(op.lower, op.diag, op.dim, sweep=missing)
     old = kept.chains
     if old is not None:
         blocks = chains.original_blocks
@@ -296,9 +287,9 @@ def _chains(prep: _Prep, sweep: Set[Scalar]) -> JordanBasis:
     return chains
 
 
-def _report(prep: _Prep, chains: JordanBasis) -> AnalysisReport:
-    op = prep.op
-    n = prep.phi.dim
+def _report(kept: _Kept, chains: JordanBasis) -> AnalysisReport:
+    op = kept.op
+    n = op.dim
     # The geometric multiplicity of mu is its number of blocks in the
     # n x n Jordan corner.  The eigenvectors of the mu-chains are a basis
     # of ker(C - mu), so their count is its dimension and their first n
@@ -333,15 +324,14 @@ def _report(prep: _Prep, chains: JordanBasis) -> AnalysisReport:
     )
 
 
-def _analysis(prep: _Prep, sweep: Set[Scalar]) -> AnalysisReport:
+def _analysis(kept: _Kept, sweep: Set[Scalar]) -> AnalysisReport:
     """The kept map's report, formed once from chains complete for `sweep`.
 
     Any sweep that holds the corner eigenvalues a row past the corner
     repeats gives the same report (see `analyze`).
     """
-    kept = prep.kept
     if kept.report is None:
-        kept.report = _report(prep, _chains(prep, sweep))
+        kept.report = _report(kept, _chains(kept, sweep))
     return kept.report
 
 
@@ -355,14 +345,14 @@ def analyze(phi: PolyMap) -> AnalysisReport:
     chains lack; the report is kept too, so a later `analyze` or
     full-rank `solve` of the same map reuses it.
     """
-    prep = _prepare(phi, None)
-    op, n = prep.op, phi.dim
-    return _analysis(prep, set(op.diag[:n]) & set(op.diag[n:]))
+    kept = _prepare(phi)
+    op, n = kept.op, phi.dim
+    return _analysis(kept, set(op.diag[:n]) & set(op.diag[n:]))
 
 
 def truncated_operator(phi: PolyMap) -> TruncatedCompOp:
     """The truncated operator the engine works with, in its Jordan coordinates."""
-    return _prepare(phi, None).op
+    return _prepare(phi).op
 
 
 class _Lifter:
@@ -441,7 +431,7 @@ class _Lifter:
 
 
 def _lifted_blocks(
-    prep: _Prep, chains: JordanBasis, power: int
+    phi: PolyMap, kept: _Kept, chains: JordanBasis, power: int, work: int
 ) -> List[Tuple[Scalar, List[Jet]]]:
     """Per original block, in corner order: (eigenvalue, [f_1..f_s]) lifted as `power` reads them.
 
@@ -451,18 +441,24 @@ def _lifted_blocks(
     so f_s^(power - 1) has order power - 1, and through the work degree
     the products f_i * f_s^(power - 1) of `_remix` read each f_i only
     through work - power + 1.  So the chains are lifted to
-    max(K, work - power + 1), which is the work degree for power 1.  At
-    the operator degree K there is nothing to lift, and the chain jets
-    are returned as they are.
+    top = max(K, work - power + 1), which is the work degree for power 1.
+    Only then, and only when top > K, is phi conjugated past K: to top,
+    through the kept transition, for the lifter alone.  At the operator
+    degree K there is nothing to lift, phi is not conjugated again, and
+    the chain jets are returned as they are.
     """
-    k = prep.op.degree
-    top = max(k, prep.work - power + 1)
-    lifter = _Lifter(prep.psi.truncate(top), k, top) if top > k else None
+    op = kept.op
+    k = op.degree
+    top = max(k, work - power + 1)
+    lifter = None
+    if top > k:
+        psi = _to_jordan(phi, top, kept.conjugator, kept.conjugator_inv, op.diag[:op.dim])
+        lifter = _Lifter(psi, k, top)
     out = []
     for bi, block in enumerate(chains.original_blocks):
         chain = chains.chains[bi]
         s = block.length
-        base = [vector_jet(prep.op, v) for v in reversed(chain.vectors[:s])]
+        base = [vector_jet(op, v) for v in reversed(chain.vectors[:s])]
         if lifter is None:
             out.append((block.eigenvalue, base))
             continue
@@ -528,24 +524,24 @@ def _construct(
     phi: PolyMap, power: int, degree: Optional[int], gate: bool
 ) -> SchroederSolution:
     """The construction behind `solve` and `solve_power`; `gate` demands a full-rank verdict."""
-    request = DEFAULT_DEGREE if degree is None else degree
-    prep = _prepare(phi, max(request, power))
-    corner = set(prep.op.diag[:phi.dim])
-    chains = _chains(prep, corner)
+    kept = _prepare(phi)
+    work = max(kept.op.degree, DEFAULT_DEGREE if degree is None else degree, power)
+    corner = set(kept.op.diag[:phi.dim])
+    chains = _chains(kept, corner)
     if gate:
-        report = _analysis(prep, corner)
+        report = _analysis(kept, corner)
         if not report.full_rank:
             raise NoFullRankError(report)
     comps: List[Jet] = []
     infos: List[ComponentInfo] = []
-    for bi, (lam, block_jets) in enumerate(_lifted_blocks(prep, chains, power)):
+    for bi, (lam, block_jets) in enumerate(_lifted_blocks(phi, kept, chains, power, work)):
         if power >= 2:
-            block_jets = _remix(block_jets, lam, power, prep.work)
+            block_jets = _remix(block_jets, lam, power, work)
         s = len(block_jets)
         for i, jet in enumerate(block_jets, start=1):
             infos.append(ComponentInfo(len(comps), lam, bi, i, s))
             comps.append(jet)
-    f_phi = _conjugate(PolyMap(tuple(comps)), prep.conjugator_inv, prep.conjugator)
+    f_phi = _conjugate(PolyMap(tuple(comps)), kept.conjugator_inv, kept.conjugator)
     rank_d = rank(f_phi.linear_part())
     if gate and rank_d != phi.dim:
         raise RuntimeError(
@@ -560,7 +556,7 @@ def _construct(
         )
     return SchroederSolution(
         power=power,
-        degree=prep.work,
+        degree=work,
         components=f_phi,
         component_info=tuple(infos),
         derivative_rank=rank_d,

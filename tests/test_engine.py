@@ -36,6 +36,7 @@ from conftest import (
     sc,
     sc_fraction_pool,
 )
+from test_golden import DEEP
 from test_jordan import GAUSSIAN_SPECTRUM, REAL_SPECTRUM
 
 
@@ -211,6 +212,22 @@ def _full_rank_json(phi: PolyMap, degree=None) -> dict:
         return documents.analysis_json(refused.report)
 
 
+def _power_json(phi: PolyMap, power: int, degree: int) -> dict:
+    """The document of a `solve_power`, or the refusal of one whose components
+    truncate to dependent series.
+
+    The obstructed map's 1/4 eigenfunction starts at z1^2, so its k-th
+    power vanishes through degree 2k - 1, and no solution read through K
+    alone has independent components there.
+    """
+    try:
+        sol = solve_power(phi, power, degree=degree)
+    except RuntimeError as refused:
+        assert "dependent under truncation" in str(refused)
+        return {"refused": str(refused)}
+    return documents.solution_json(sol)
+
+
 def _documents(phi: PolyMap, cold: bool) -> List[str]:
     """The machine documents of a run of requests on phi; `cold` forgets the kept map before each."""
     requests = (
@@ -219,6 +236,7 @@ def _documents(phi: PolyMap, cold: bool) -> List[str]:
         lambda: documents.solution_json(solve(phi, degree=3, mode="independent")),
         lambda: documents.solution_json(solve(phi, mode="independent")),
         lambda: documents.solution_json(solve_power(phi, 2, degree=5)),
+        lambda: _power_json(phi, 5, degree=5),  # chains read through K only, nothing lifted
         lambda: documents.solution_json(solve(phi, degree=1, mode="independent")),
         lambda: _full_rank_json(phi, degree=4),
         lambda: documents.analysis_json(analyze(phi)),
@@ -238,6 +256,29 @@ def test_documents_from_a_kept_map_equal_cold_ones(obstructed_map, diagonal_map,
     for phi in (obstructed_map, diagonal_map, coupled_map, nonresonant):
         engine._kept = None
         assert _documents(phi, cold=False) == _documents(phi, cold=True)
+
+
+def test_phi_is_conjugated_past_k_only_as_far_as_the_lifter_lifts(record_calls):
+    """After `analyze`, a request conjugates phi only to lift its chains, and only to top.
+
+    gauss2 has K = 1.  At k = 20, degree 20, the chains are read through
+    20 - 20 + 1 = 1 and nothing is lifted; at k = 3 they are lifted to
+    18, and `solve` lifts them to 20.  The solution's conjugation back
+    into phi's coordinates, by the inverse transition, is not counted.
+    """
+    phi, _ = documents.parse_map_document(DEEP["gauss2"])
+    assert analyze(phi).truncation_degree == 1
+    calls = record_calls("_conjugate", engine)
+    back = engine._kept.conjugator_inv
+
+    def degrees(request) -> List[int]:
+        calls.clear()
+        request()
+        return [f.degree for f, d, _ in calls if d is not back]
+
+    assert degrees(lambda: solve_power(phi, 20, degree=20)) == []
+    assert degrees(lambda: solve_power(phi, 3, degree=20)) == [18]
+    assert degrees(lambda: solve(phi, degree=20)) == [20]
 
 
 #: A Jordan block of 1/2 beside 1/4, which z1^2, z1z2 and z2^2 reach.  The
@@ -401,11 +442,11 @@ def test_analyze_equals_the_report_of_the_unfiltered_sweep(seed, dim, gaussian):
     pool = (GAUSSIAN_SPECTRUM if gaussian else REAL_SPECTRUM) + (sc(2, 5), sc(3, 7))
     diag = [rng.choice(pool) for _ in range(dim)]
     phi = random_poly_map(rng, dim, diag, rng.randint(2, 3), gaussian=gaussian)
-    prep = engine._prepare(phi, None)
+    kept = engine._prepare(phi)
     full = linalg.incremental_jordanize(
-        prep.op.lower, prep.op.diag, dim, sweep=set(prep.op.diag[:dim])
+        kept.op.lower, kept.op.diag, dim, sweep=set(kept.op.diag[:dim])
     )
-    assert analyze(phi) == engine._report(prep, full)
+    assert analyze(phi) == engine._report(kept, full)
 
 
 def test_eigenvalue_near_one_is_answered():

@@ -4,7 +4,7 @@ package or its CLI loads none of `click`, `argparse`, `dataclasses` and
 
 A fresh `schroeder` process pays for every module it imports before it
 answers, so the import test pins the mechanism rather than a timing.
-The record tests take one instance of each of the package's 13 record
+The record tests take one instance of each of the package's 12 record
 types from real calls on the coupled fixture map.
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import schroeder
-from schroeder import engine, linalg
+from schroeder import linalg
 from schroeder.compop import TruncatedCompOp
 from schroeder.engine import (
     AnalysisReport,
@@ -95,12 +95,11 @@ def records(coupled_map):
         ComponentInfo: sol.component_info[1],
         SchroederSolution: sol,
         VerifyReport: verify(phi, sol.components),
-        engine._Prep: engine._prepare(phi, None),
     }
 
 
 def test_every_record_is_read_only(records):
-    assert len(records) == 13
+    assert len(records) == 12
     for kind, record in records.items():
         assert type(record) is kind
         for name in kind._fields:
